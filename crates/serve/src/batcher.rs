@@ -38,6 +38,7 @@ struct Job {
 /// either `batch_max` requests are queued or `batch_wait` has elapsed —
 /// the standard latency/throughput trade.
 pub struct Batcher<M: FrozenScorer> {
+    num_items: usize,
     tx: Option<mpsc::Sender<Job>>,
     worker: Option<JoinHandle<()>>,
     _marker: std::marker::PhantomData<fn() -> M>,
@@ -46,6 +47,7 @@ pub struct Batcher<M: FrozenScorer> {
 impl<M: FrozenScorer> Batcher<M> {
     /// Starts the worker thread.
     pub fn new(engine: Arc<Engine<M>>, batch_max: usize, batch_wait: Duration) -> Self {
+        let num_items = engine.model().num_items();
         let (tx, rx) = mpsc::channel::<Job>();
         let worker = std::thread::spawn(move || {
             while let Ok(first) = rx.recv() {
@@ -100,10 +102,17 @@ impl<M: FrozenScorer> Batcher<M> {
             }
         });
         Batcher {
+            num_items,
             tx: Some(tx),
             worker: Some(worker),
             _marker: std::marker::PhantomData,
         }
+    }
+
+    /// Catalog size of the served model (valid item ids are
+    /// `1..=num_items`; see [`Request::check_items`]).
+    pub fn num_items(&self) -> usize {
+        self.num_items
     }
 
     /// Submits one request and blocks until its response is scored

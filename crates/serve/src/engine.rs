@@ -215,6 +215,21 @@ pub enum Request {
 }
 
 impl Request {
+    /// Checks every item id against the catalog `1..=num_items` (0 is the
+    /// padding index). Requests come off the wire unchecked; an id outside
+    /// the catalog would otherwise fail an embedding lookup inside the
+    /// batch worker.
+    pub fn check_items(&self, num_items: usize) -> Result<(), String> {
+        let items = match self {
+            Request::Score { history, .. } => history.as_slice(),
+            Request::Append { item, .. } => std::slice::from_ref(item),
+        };
+        match items.iter().find(|&&i| i == 0 || i > num_items) {
+            Some(bad) => Err(format!("item {bad} outside the catalog 1..={num_items}")),
+            None => Ok(()),
+        }
+    }
+
     fn user(&self) -> u64 {
         match self {
             Request::Score { user, .. } | Request::Append { user, .. } => *user,
@@ -298,9 +313,12 @@ pub fn top_k(scores: &[f32], k: usize) -> (Vec<ItemId>, Vec<f32>) {
     ranked.into_iter().unzip()
 }
 
+/// One user's session. The map holds one per user ever seen, so the state
+/// is boxed to keep each slot small: most sessions (every one in
+/// [`Mode::Full`]) have none.
 struct Session<S> {
     history: Vec<ItemId>,
-    state: Option<S>,
+    state: Option<Box<S>>,
 }
 
 /// Per-user sessions plus the scoring dispatch over a frozen model.
@@ -658,7 +676,11 @@ impl<M: FrozenScorer> Engine<M> {
         let (scores, forward_ns) = timed_ns(timed, || {
             let mut states: Vec<&mut M::State> = taken
                 .iter_mut()
-                .map(|(_, s)| s.state.as_mut().or_bug("state checked in can_fast_append"))
+                .map(|(_, s)| {
+                    s.state
+                        .as_deref_mut()
+                        .or_bug("state checked in can_fast_append")
+                })
                 .collect();
             self.model.append_batch(&items, &mut states)
         });
@@ -729,7 +751,7 @@ impl<M: FrozenScorer> Engine<M> {
         self.lock_sessions()
             .get_mut(&user)
             .or_bug("session inserted above")
-            .state = Some(state);
+            .state = Some(Box::new(state));
         let ((items, scores), retrieve_ns) = timed_ns(timed, || top_k(&scores, req.k()));
         obs.retrieve_ns = retrieve_ns;
         (

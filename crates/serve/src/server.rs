@@ -56,13 +56,52 @@ fn admin_reply(obs: Option<&ServeObs>, cmd: AdminCmd) -> String {
     }
 }
 
+/// Scores one validated request through the batcher, metering it when
+/// `obs` is attached, and returns the reply line (no newline).
+fn score_reply<M: FrozenScorer>(
+    batcher: &Batcher<M>,
+    obs: Option<&ServeObs>,
+    req: Request,
+) -> String {
+    let Some(obs) = obs else {
+        return format_response(&batcher.submit(req));
+    };
+    let id = obs.next_id();
+    let sampled = obs.sampled(id);
+    let (op, user) = match &req {
+        Request::Score { user, .. } => ("score", *user),
+        Request::Append { user, .. } => ("append", *user),
+    };
+    let start = Instant::now();
+    let (resp, report) = batcher.submit_obs(req, sampled);
+    let ser_start = Instant::now();
+    let text = format_response(&resp);
+    let serialize_ns = ser_start.elapsed().as_nanos() as u64;
+    obs.complete(&ReqCtx {
+        id,
+        op,
+        user,
+        sampled,
+        total_ns: start.elapsed().as_nanos() as u64,
+        enqueue_ns: report.enqueue_ns,
+        assemble_ns: report.assemble_ns,
+        serialize_ns,
+        obs: report.obs,
+    });
+    text
+}
+
 fn handle_connection<M: FrozenScorer>(
     stream: TcpStream,
     batcher: &Batcher<M>,
     obs: Option<&ServeObs>,
 ) -> std::io::Result<()> {
+    // Replies are small and the client waits for each one: send them
+    // immediately instead of letting Nagle hold them for an ACK.
+    stream.set_nodelay(true)?;
     let reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
+    let mut out = Vec::new();
     for line in reader.lines() {
         let line = line?;
         if line.trim().is_empty() {
@@ -71,39 +110,18 @@ fn handle_connection<M: FrozenScorer>(
         let reply = match parse_request(&line) {
             Ok(Incoming::Ping) => PONG.to_string(),
             Ok(Incoming::Admin(cmd)) => admin_reply(obs, cmd),
-            Ok(Incoming::Req(req)) => match obs {
-                None => format_response(&batcher.submit(req)),
-                Some(obs) => {
-                    let id = obs.next_id();
-                    let sampled = obs.sampled(id);
-                    let (op, user) = match &req {
-                        Request::Score { user, .. } => ("score", *user),
-                        Request::Append { user, .. } => ("append", *user),
-                    };
-                    let start = Instant::now();
-                    let (resp, report) = batcher.submit_obs(req, sampled);
-                    let ser_start = Instant::now();
-                    let text = format_response(&resp);
-                    let serialize_ns = ser_start.elapsed().as_nanos() as u64;
-                    obs.complete(&ReqCtx {
-                        id,
-                        op,
-                        user,
-                        sampled,
-                        total_ns: start.elapsed().as_nanos() as u64,
-                        enqueue_ns: report.enqueue_ns,
-                        assemble_ns: report.assemble_ns,
-                        serialize_ns,
-                        obs: report.obs,
-                    });
-                    text
-                }
+            Ok(Incoming::Req(req)) => match req.check_items(batcher.num_items()) {
+                Ok(()) => score_reply(batcher, obs, req),
+                Err(e) => format_error(&e),
             },
             Err(e) => format_error(&e),
         };
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        // One send per reply line: a reply and its newline written
+        // separately would leave a lone byte for Nagle + delayed ACK.
+        out.clear();
+        out.extend_from_slice(reply.as_bytes());
+        out.push(b'\n');
+        writer.write_all(&out)?;
     }
     Ok(())
 }

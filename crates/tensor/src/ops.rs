@@ -100,10 +100,9 @@ fn binary_broadcast(
             lhs: a.dims().to_vec(),
             rhs: b.dims().to_vec(),
         })?;
-    let out_shape = Shape::new(out_dims.clone());
     let sa = broadcast_strides(a.dims(), &out_dims);
     let sb = broadcast_strides(b.dims(), &out_dims);
-    let n = out_shape.numel();
+    let n = Shape::new(out_dims.clone()).numel();
     let mut data = vec![0.0f32; n];
     if n >= par_min {
         data.par_chunks_mut(blk)
@@ -111,16 +110,18 @@ fn binary_broadcast(
             .for_each(|(ci, chunk)| {
                 broadcast_fill(chunk, ci * blk, a.data(), b.data(), &sa, &sb, &out_dims, &f);
             });
-    } else {
+    } else if n > 0 {
         broadcast_fill(&mut data, 0, a.data(), b.data(), &sa, &sb, &out_dims, &f);
     }
     Ok(Tensor::from_vec(data, out_dims))
 }
 
-/// Fills `out` with `f(a, b)` for the linear output range starting at
-/// `start`, walking both inputs with an odometer over the broadcast strides.
-/// Seeding the odometer from an arbitrary `start` lets parallel blocks begin
-/// mid-tensor.
+/// Fills `out` with `f(a, b)` for the non-empty linear output range starting
+/// at `start`, one innermost row at a time: an odometer over the leading axes
+/// finds each row's two input offsets, and the row itself is a flat loop
+/// specialised on the inputs' innermost strides (contiguous, or a per-row
+/// scalar). Seeding the odometer from an arbitrary `start` lets parallel
+/// blocks begin (and end) mid-row.
 #[allow(clippy::too_many_arguments)]
 fn broadcast_fill(
     out: &mut [f32],
@@ -129,34 +130,61 @@ fn broadcast_fill(
     bd: &[f32],
     sa: &[usize],
     sb: &[usize],
-    out_dims: &[usize],
+    dims: &[usize],
     f: &(impl Fn(f32, f32) -> f32 + Sync),
 ) {
-    let ndim = out_dims.len();
-    let mut idx = vec![0usize; ndim];
-    let mut off_a = 0usize;
-    let mut off_b = 0usize;
-    let mut rem = start;
-    for axis in (0..ndim).rev() {
-        let d = rem % out_dims[axis];
-        rem /= out_dims[axis];
-        idx[axis] = d;
-        off_a += d * sa[axis];
-        off_b += d * sb[axis];
+    let lead = dims.len() - 1;
+    let (row, ra, rb) = (dims[lead], sa[lead], sb[lead]);
+    let mut idx = vec![0usize; lead];
+    let (mut off_a, mut off_b) = (0usize, 0usize);
+    let mut rem = start / row;
+    for axis in (0..lead).rev() {
+        idx[axis] = rem % dims[axis];
+        rem /= dims[axis];
+        off_a += idx[axis] * sa[axis];
+        off_b += idx[axis] * sb[axis];
     }
-    for o in out.iter_mut() {
-        *o = f(ad[off_a], bd[off_b]);
-        // Odometer increment over the output index space, updating the two
-        // input offsets incrementally.
-        for axis in (0..ndim).rev() {
+    let mut col = start % row;
+    let mut pos = 0;
+    while pos < out.len() {
+        let len = (row - col).min(out.len() - pos);
+        let dst = &mut out[pos..pos + len];
+        let (oa, ob) = (off_a + col * ra, off_b + col * rb);
+        match (ra, rb) {
+            (1, 1) => {
+                for ((o, &x), &y) in dst.iter_mut().zip(&ad[oa..oa + len]).zip(&bd[ob..ob + len]) {
+                    *o = f(x, y);
+                }
+            }
+            (1, 0) => {
+                let y = bd[ob];
+                for (o, &x) in dst.iter_mut().zip(&ad[oa..oa + len]) {
+                    *o = f(x, y);
+                }
+            }
+            (0, 1) => {
+                let x = ad[oa];
+                for (o, &y) in dst.iter_mut().zip(&bd[ob..ob + len]) {
+                    *o = f(x, y);
+                }
+            }
+            _ => {
+                for (j, o) in dst.iter_mut().enumerate() {
+                    *o = f(ad[oa + j * ra], bd[ob + j * rb]);
+                }
+            }
+        }
+        pos += len;
+        col = 0;
+        for axis in (0..lead).rev() {
             idx[axis] += 1;
             off_a += sa[axis];
             off_b += sb[axis];
-            if idx[axis] < out_dims[axis] {
+            if idx[axis] < dims[axis] {
                 break;
             }
-            off_a -= sa[axis] * out_dims[axis];
-            off_b -= sb[axis] * out_dims[axis];
+            off_a -= sa[axis] * dims[axis];
+            off_b -= sb[axis] * dims[axis];
             idx[axis] = 0;
         }
     }
@@ -234,9 +262,12 @@ pub fn unbroadcast(grad: &Tensor, target_dims: &[usize]) -> Tensor {
 
 /// `C = A · B` for 2-D matrices `(m,k)·(k,n) → (m,n)`.
 ///
-/// Uses an `i-k-j` loop order so the inner loop is a contiguous
-/// multiply-accumulate over rows of `B`, which auto-vectorises. Rows are
-/// processed in parallel via rayon when the problem is large enough.
+/// Runs on the same packed, register-tiled driver as [`matmul_transb`] /
+/// [`matmul_transa`] (B gathered column-wise into stripes, row blocks fanned
+/// out over rayon when large enough); skinny products with fewer than
+/// `GEMM_MIN_PACK_ROWS` rows use the row-axpy kernel instead. Both keep one
+/// strict `k`-order chain per output element, so the choice never changes
+/// bits.
 pub fn matmul2d(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if a.ndim() != 2 || b.ndim() != 2 || a.dim(1) != b.dim(0) {
         return Err(TensorError::ShapeMismatch {
@@ -249,7 +280,7 @@ pub fn matmul2d(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     let n = b.dim(1);
     gemm_telemetry((m * n) as u64);
     let mut out = Tensor::zeros(vec![m, n]);
-    gemm_into(a.data(), b.data(), out.data_mut(), m, k, n);
+    gemm_nn_into(a.data(), b.data(), out.data_mut(), m, k, n);
     Ok(out)
 }
 
@@ -259,26 +290,6 @@ pub fn matmul2d(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// `k`-order accumulation.
 fn gemm_parallel(m: usize, k: usize, n: usize) -> bool {
     m >= tuning::gemm_par_rows() && k * n >= tuning::gemm_par_row_work()
-}
-
-/// Dense GEMM kernel: `out[m×n] += a[m×k] · b[k×n]` (out must be zeroed by
-/// the caller for a pure product).
-pub(crate) fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    if gemm_parallel(m, k, n) {
-        out.par_chunks_mut(n).enumerate().for_each(|(i, out_row)| {
-            gemm_row(&a[i * k..(i + 1) * k], b, out_row, k, n);
-        });
-    } else {
-        for i in 0..m {
-            gemm_row(
-                &a[i * k..(i + 1) * k],
-                b,
-                &mut out[i * n..(i + 1) * n],
-                k,
-                n,
-            );
-        }
-    }
 }
 
 /// Dense row kernel: unconditional multiply-accumulate over rows of `b`.
@@ -389,7 +400,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             let (ad, bd) = (a.data(), b.data());
             let od = out.data_mut();
             for i in 0..bs {
-                gemm_into(
+                gemm_nn_into(
                     &ad[i * m * k..(i + 1) * m * k],
                     &bd[i * k * n..(i + 1) * k * n],
                     &mut od[i * m * n..(i + 1) * m * n],
@@ -410,10 +421,12 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
                 });
             }
             let n = b.dim(1);
-            // Collapse the batch into rows: (b·m, k) · (k, n).
-            let flat = a.reshape(vec![bs * m, k])?;
-            let out = matmul2d(&flat, b)?;
-            out.reshape(vec![bs, m, n])
+            // Collapse the batch into rows: (b·m, k) · (k, n). The data is
+            // already contiguous, so no reshape copy is needed.
+            gemm_telemetry((bs * m * n) as u64);
+            let mut out = Tensor::zeros(vec![bs, m, n]);
+            gemm_nn_into(a.data(), b.data(), out.data_mut(), bs * m, k, n);
+            Ok(out)
         }
         _ => Err(TensorError::ShapeMismatch {
             op: "matmul",
@@ -424,15 +437,18 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 }
 
 // ---------------------------------------------------------------------------
-// Fused transposed GEMM (NT / TN)
+// Packed GEMM driver (NN / NT / TN / quantised NT)
 // ---------------------------------------------------------------------------
 //
-// `matmul_transb` (A·Bᵀ) and `matmul_transa` (Aᵀ·B) never materialize a
-// transpose. Both share one register-tiled micro-kernel over packed panels:
+// `matmul` (A·B), `matmul_transb` (A·Bᵀ), `matmul_transa` (Aᵀ·B) and
+// `matmul_transb_q` never materialize a transpose. All four run one driver,
+// [`gemm_packed`], over packed panels; they differ only in how B is packed
+// (`pack_b`) and how the effective left operand is read (`get_a`):
 //
 // * B is packed ONCE per call into kk-major, `GEMM_NR`-wide stripes, reused
 //   across every row block (for NT this *is* the transpose, amortised into
-//   the pack; for TN it is a simple column gather).
+//   the pack; for NN and TN it is a simple column gather; the quantised NT
+//   pack decodes compressed rows on the way).
 // * Each `GEMM_MR`-row block of A is packed kk-major and compact
 //   (`apanel[kk·MR + r]`), so each micro-kernel step broadcasts one A value
 //   per row from a contiguous 4-float group.
@@ -441,12 +457,13 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 //   NEON / scalar — all bitwise-identical by construction).
 //
 // Bitwise contract: every output element is one strict `k`-order f32
-// accumulation chain starting at +0.0 — exactly the chain the naive
-// transpose-then-[`matmul`] composition produces — and zero-padded dead
-// lanes are never copied out. `tests/proptests.rs` asserts bitwise equality
-// against the composition on randomized shapes.
+// accumulation chain starting at +0.0 — exactly the chain a naive
+// `s += a·b` triple loop produces, and the chain of the row-axpy kernel the
+// skinny NN fallback uses — and zero-padded dead lanes are never copied out.
+// `tests/proptests.rs` asserts bitwise equality against an independent
+// triple loop on randomized shapes.
 
-/// Rows per register micro-tile in the packed NT/TN kernels.
+/// Rows per register micro-tile in the packed kernels.
 const GEMM_MR: usize = 4;
 /// Columns per register micro-tile (one packed stripe of B).
 const GEMM_NR: usize = 8;
@@ -476,8 +493,8 @@ fn pack_b_nt(b: &[f32], panel: &mut [f32], j: usize, jb: usize, k: usize) {
     }
 }
 
-/// Packs columns `j..j+jb` of `b` (`k×n` row-major, the TN right operand)
-/// into one kk-major stripe: `panel[kk·NR + c] = b[kk·n + j + c]`.
+/// Packs columns `j..j+jb` of `b` (`k×n` row-major, the NN and TN right
+/// operand) into one kk-major stripe: `panel[kk·NR + c] = b[kk·n + j + c]`.
 fn pack_b_tn(b: &[f32], panel: &mut [f32], j: usize, jb: usize, k: usize, n: usize) {
     for kk in 0..k {
         let src = &b[kk * n..(kk + 1) * n];
@@ -553,17 +570,53 @@ fn gemm_micro_block(
     }
 }
 
-/// Packs all of B for one fused GEMM into pooled scratch, one
-/// [`pack_b_nt`]/[`pack_b_tn`] stripe at a time.
-fn pack_b_stripes(k: usize, n: usize, mut pack: impl FnMut(&mut [f32], usize, usize)) -> Vec<f32> {
+/// The one packed GEMM driver: `out[m×n] = A·B` for `m ≥ GEMM_MIN_PACK_ROWS`,
+/// overwriting `out`. `pack_b(panel, j, jb)` fills the kk-major stripe for
+/// output columns `j..j+jb` (dead lanes zeroed); `get_a(i, kk)` reads the
+/// effective left operand. B is packed once into pooled scratch; `GEMM_MR`-row
+/// blocks of A are packed and run through [`gemm_micro_block`], fanned out
+/// over rayon when [`gemm_parallel`] says so (bitwise identical either way —
+/// blocks never share an output element).
+fn gemm_packed(
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    mut pack_b: impl FnMut(&mut [f32], usize, usize),
+    get_a: impl Fn(usize, usize) -> f32 + Sync,
+) {
     let nstripes = n.div_ceil(GEMM_NR);
     let mut bstore = pool::take_raw(nstripes * k * GEMM_NR);
     for s in 0..nstripes {
         let j = s * GEMM_NR;
-        let jb = (n - j).min(GEMM_NR);
-        pack(&mut bstore[s * k * GEMM_NR..(s + 1) * k * GEMM_NR], j, jb);
+        pack_b(
+            &mut bstore[s * k * GEMM_NR..(s + 1) * k * GEMM_NR],
+            j,
+            (n - j).min(GEMM_NR),
+        );
     }
-    bstore
+    if gemm_parallel(m, k, n) {
+        out.par_chunks_mut(GEMM_MR * n)
+            .enumerate()
+            .for_each(|(blk, out_block)| {
+                let i = blk * GEMM_MR;
+                let ib = (m - i).min(GEMM_MR);
+                let mut apanel = vec![0.0f32; k * GEMM_MR];
+                pack_a_quad(&mut apanel, ib, k, |r, kk| get_a(i + r, kk));
+                gemm_micro_block(&apanel, &bstore, out_block, ib, k, n);
+            });
+    } else {
+        let mut apanel = pool::take_raw(k * GEMM_MR);
+        let mut i = 0;
+        while i < m {
+            let ib = (m - i).min(GEMM_MR);
+            pack_a_quad(&mut apanel, ib, k, |r, kk| get_a(i + r, kk));
+            gemm_micro_block(&apanel, &bstore, &mut out[i * n..(i + ib) * n], ib, k, n);
+            i += ib;
+        }
+        pool::recycle(apanel);
+    }
+    pool::recycle(bstore);
 }
 
 /// Fused NT fallback for skinny outputs (`m < GEMM_MIN_PACK_ROWS`): both
@@ -619,72 +672,64 @@ fn gemm_tn_small(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
     }
 }
 
+/// NN GEMM: `out[m×n] = a[m×k] · b[k×n]`. `out` must be zeroed by the
+/// caller (the skinny fallback accumulates into it).
+fn gemm_nn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    if m < GEMM_MIN_PACK_ROWS {
+        for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+            gemm_row(&a[i * k..(i + 1) * k], b, out_row, k, n);
+        }
+        return;
+    }
+    gemm_packed(
+        out,
+        m,
+        k,
+        n,
+        |panel, j, jb| pack_b_tn(b, panel, j, jb, k, n),
+        |i, kk| a[i * k + kk],
+    );
+}
+
 /// Fused NT GEMM: `out[m×n] = a[m×k] · b[n×k]ᵀ`, no transpose materialized.
 /// `out` must be zeroed by the caller.
-pub(crate) fn gemm_nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_nt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 {
         return;
     }
     if m < GEMM_MIN_PACK_ROWS {
         return gemm_nt_small(a, b, out, m, k, n);
     }
-    let bstore = pack_b_stripes(k, n, |panel, j, jb| pack_b_nt(b, panel, j, jb, k));
-    if gemm_parallel(m, k, n) {
-        out.par_chunks_mut(GEMM_MR * n)
-            .enumerate()
-            .for_each(|(blk, out_block)| {
-                let i = blk * GEMM_MR;
-                let ib = (m - i).min(GEMM_MR);
-                let mut apanel = vec![0.0f32; k * GEMM_MR];
-                pack_a_quad(&mut apanel, ib, k, |r, kk| a[(i + r) * k + kk]);
-                gemm_micro_block(&apanel, &bstore, out_block, ib, k, n);
-            });
-    } else {
-        let mut apanel = pool::take_raw(k * GEMM_MR);
-        let mut i = 0;
-        while i < m {
-            let ib = (m - i).min(GEMM_MR);
-            pack_a_quad(&mut apanel, ib, k, |r, kk| a[(i + r) * k + kk]);
-            gemm_micro_block(&apanel, &bstore, &mut out[i * n..(i + ib) * n], ib, k, n);
-            i += ib;
-        }
-        pool::recycle(apanel);
-    }
-    pool::recycle(bstore);
+    gemm_packed(
+        out,
+        m,
+        k,
+        n,
+        |panel, j, jb| pack_b_nt(b, panel, j, jb, k),
+        |i, kk| a[i * k + kk],
+    );
 }
 
 /// Fused TN GEMM: `out[m×n] = a[k×m]ᵀ · b[k×n]`, no transpose materialized.
 /// `out` must be zeroed by the caller.
-pub(crate) fn gemm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+fn gemm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 {
         return;
     }
     if m < GEMM_MIN_PACK_ROWS {
         return gemm_tn_small(a, b, out, m, k, n);
     }
-    let bstore = pack_b_stripes(k, n, |panel, j, jb| pack_b_tn(b, panel, j, jb, k, n));
-    if gemm_parallel(m, k, n) {
-        out.par_chunks_mut(GEMM_MR * n)
-            .enumerate()
-            .for_each(|(blk, out_block)| {
-                let i = blk * GEMM_MR;
-                let ib = (m - i).min(GEMM_MR);
-                let mut apanel = vec![0.0f32; k * GEMM_MR];
-                pack_a_quad(&mut apanel, ib, k, |r, kk| a[kk * m + i + r]);
-                gemm_micro_block(&apanel, &bstore, out_block, ib, k, n);
-            });
-    } else {
-        let mut apanel = pool::take_raw(k * GEMM_MR);
-        let mut i = 0;
-        while i < m {
-            let ib = (m - i).min(GEMM_MR);
-            pack_a_quad(&mut apanel, ib, k, |r, kk| a[kk * m + i + r]);
-            gemm_micro_block(&apanel, &bstore, &mut out[i * n..(i + ib) * n], ib, k, n);
-            i += ib;
-        }
-        pool::recycle(apanel);
-    }
-    pool::recycle(bstore);
+    gemm_packed(
+        out,
+        m,
+        k,
+        n,
+        |panel, j, jb| pack_b_tn(b, panel, j, jb, k, n),
+        |i, kk| a[kk * m + i],
+    );
 }
 
 /// `A · Bᵀ` without materializing the transpose.
@@ -874,32 +919,15 @@ fn gemm_nt_into_q(a: &[f32], b: &QuantMatrix, out: &mut [f32], m: usize, k: usiz
         return gemm_nt_small_q(a, b, out, m, k, n);
     }
     let mut scratch = pool::take_raw(GEMM_NR * k);
-    let bstore = pack_b_stripes(k, n, |panel, j, jb| {
-        pack_b_nt_q(b, panel, &mut scratch, j, jb)
-    });
+    gemm_packed(
+        out,
+        m,
+        k,
+        n,
+        |panel, j, jb| pack_b_nt_q(b, panel, &mut scratch, j, jb),
+        |i, kk| a[i * k + kk],
+    );
     pool::recycle(scratch);
-    if gemm_parallel(m, k, n) {
-        out.par_chunks_mut(GEMM_MR * n)
-            .enumerate()
-            .for_each(|(blk, out_block)| {
-                let i = blk * GEMM_MR;
-                let ib = (m - i).min(GEMM_MR);
-                let mut apanel = vec![0.0f32; k * GEMM_MR];
-                pack_a_quad(&mut apanel, ib, k, |r, kk| a[(i + r) * k + kk]);
-                gemm_micro_block(&apanel, &bstore, out_block, ib, k, n);
-            });
-    } else {
-        let mut apanel = pool::take_raw(k * GEMM_MR);
-        let mut i = 0;
-        while i < m {
-            let ib = (m - i).min(GEMM_MR);
-            pack_a_quad(&mut apanel, ib, k, |r, kk| a[(i + r) * k + kk]);
-            gemm_micro_block(&apanel, &bstore, &mut out[i * n..(i + ib) * n], ib, k, n);
-            i += ib;
-        }
-        pool::recycle(apanel);
-    }
-    pool::recycle(bstore);
 }
 
 /// `A · Bᵀ` where `B` is a (possibly quantised) frozen weight matrix of
@@ -972,7 +1000,7 @@ pub fn matmul_q(a: &Tensor, w: &QuantMatrix) -> Result<Tensor> {
     let mut out_dims = a.dims().to_vec();
     out_dims[a.ndim() - 1] = n;
     let mut out = Tensor::zeros(out_dims);
-    gemm_into(a.data(), &wd, out.data_mut(), m, k, n);
+    gemm_nn_into(a.data(), &wd, out.data_mut(), m, k, n);
     pool::recycle(wd);
     Ok(out)
 }
@@ -1026,13 +1054,21 @@ pub fn permute(t: &Tensor, perm: &[usize]) -> Result<Tensor> {
     let in_strides = t.shape().strides();
     let permuted_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
     let n = t.numel();
+    // When the innermost axis stays put, every output row is a contiguous
+    // run of the input: copy runs, walking only the leading axes.
+    let lead = if nd > 0 && perm[nd - 1] == nd - 1 {
+        nd - 1
+    } else {
+        nd
+    };
+    let run: usize = out_dims[lead..].iter().product();
     let mut data = Vec::with_capacity(n);
-    let mut idx = vec![0usize; nd];
+    let mut idx = vec![0usize; lead];
     let mut off = 0usize;
     let src = t.data();
-    for _ in 0..n {
-        data.push(src[off]);
-        for axis in (0..nd).rev() {
+    for _ in 0..n.checked_div(run).unwrap_or(0) {
+        data.extend_from_slice(&src[off..off + run]);
+        for axis in (0..lead).rev() {
             idx[axis] += 1;
             off += permuted_strides[axis];
             if idx[axis] < out_dims[axis] {
@@ -1066,6 +1102,32 @@ fn axis_reduce(
     let inner: usize = dims[axis + 1..].iter().product();
     let mut out = vec![init; outer * inner];
     let src = t.data();
+    let mut out_dims: Vec<usize> = dims.to_vec();
+    if keepdim {
+        out_dims[axis] = 1;
+    } else {
+        out_dims.remove(axis);
+    }
+    if inner == 1 {
+        // Last-axis (or trailing-singleton) reduce: each output is one
+        // contiguous row folded from `init` in the same `r` order as the
+        // general path below, so the result is bitwise identical.
+        let fold_rows = |o0: usize, chunk: &mut [f32]| {
+            for (o, v) in chunk.iter_mut().enumerate() {
+                let base = (o0 + o) * red;
+                *v = src[base..base + red].iter().fold(init, |acc, &x| f(acc, x));
+            }
+        };
+        if outer >= 2 && outer * red >= tuning::par_min_elems() {
+            let rows = (tuning::par_block() / red.max(1)).max(1);
+            out.par_chunks_mut(rows)
+                .enumerate()
+                .for_each(|(c, chunk)| fold_rows(c * rows, chunk));
+        } else {
+            fold_rows(0, &mut out);
+        }
+        return Ok(Tensor::from_vec(out, out_dims));
+    }
     // Each outer slice reduces in the same fixed `r` order regardless of
     // partitioning, so serial and parallel results are bitwise identical.
     let reduce_outer = |o: usize, out_chunk: &mut [f32]| {
@@ -1084,12 +1146,6 @@ fn axis_reduce(
         for o in 0..outer {
             reduce_outer(o, &mut out[o * inner..(o + 1) * inner]);
         }
-    }
-    let mut out_dims: Vec<usize> = dims.to_vec();
-    if keepdim {
-        out_dims[axis] = 1;
-    } else {
-        out_dims.remove(axis);
     }
     Ok(Tensor::from_vec(out, out_dims))
 }

@@ -282,3 +282,217 @@ proptest! {
         prop_assert!(grad.data().iter().all(|&x| (x - 2.0).abs() < 1e-6));
     }
 }
+
+// Row-wise fast paths against independent references. Each fast path
+// (packed NN GEMM, row-wise broadcast, last-axis reduce, run-copy permute)
+// promises the exact f32 chain of the element-at-a-time definition, so the
+// references below are plain index arithmetic and serial folds, and every
+// comparison is bitwise.
+
+fn fill(len: usize, seed: u64) -> Vec<f32> {
+    let mut x = seed.wrapping_mul(6364136223846793005).wrapping_add(17);
+    (0..len)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 40) as f32 / (1u64 << 24) as f32) * 20.0 - 10.0
+        })
+        .collect()
+}
+
+/// `(bs·m×k) · (k×n)` per batch, one strict `k`-order chain from +0.0 per
+/// element; `b_stride` is 0 for a shared right operand.
+fn nn_reference(
+    a: &[f32],
+    b: &[f32],
+    bs: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    b_stride: usize,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; bs * m * n];
+    for p in 0..bs {
+        for i in 0..m {
+            for j in 0..n {
+                let mut s = 0.0f32;
+                for kk in 0..k {
+                    s += a[(p * m + i) * k + kk] * b[p * b_stride + kk * n + j];
+                }
+                out[(p * m + i) * n + j] = s;
+            }
+        }
+    }
+    out
+}
+
+/// Runs `f` with SIMD forced on/off and the GEMM rayon cutoffs forced low or
+/// left at their defaults, restoring every knob afterwards.
+fn under_gemm_modes(mut f: impl FnMut()) {
+    let (simd, rows, work) = (
+        tuning::simd_enabled(),
+        tuning::gemm_par_rows(),
+        tuning::gemm_par_row_work(),
+    );
+    for (simd_on, par) in [(true, false), (false, false), (true, true), (false, true)] {
+        tuning::set_simd_enabled(simd_on);
+        tuning::set_gemm_par_rows(if par { 1 } else { rows });
+        tuning::set_gemm_par_row_work(if par { 1 } else { work });
+        f();
+    }
+    tuning::set_simd_enabled(simd);
+    tuning::set_gemm_par_rows(rows);
+    tuning::set_gemm_par_row_work(work);
+}
+
+/// `out[idx] = f(a[bcast(idx)], b[bcast(idx)])` by unravelling every output
+/// index and re-ravelling it into each input (extent-1 axes read index 0).
+fn broadcast_reference(a: &Tensor, b: &Tensor, f: ElemOp) -> Vec<f32> {
+    let nd = a.ndim().max(b.ndim());
+    let pad = |d: &[usize]| [vec![1; nd - d.len()], d.to_vec()].concat();
+    let (da, db) = (pad(a.dims()), pad(b.dims()));
+    let out: Vec<usize> = da.iter().zip(&db).map(|(&x, &y)| x.max(y)).collect();
+    let ravel = |d: &[usize], idx: &[usize]| {
+        d.iter()
+            .zip(idx)
+            .fold(0, |acc, (&e, &i)| acc * e + if e == 1 { 0 } else { i })
+    };
+    (0..out.iter().product::<usize>())
+        .map(|lin| {
+            let mut idx = vec![0; nd];
+            let mut rem = lin;
+            for ax in (0..nd).rev() {
+                idx[ax] = rem % out[ax];
+                rem /= out[ax];
+            }
+            f(a.data()[ravel(&da, &idx)], b.data()[ravel(&db, &idx)])
+        })
+        .collect()
+}
+
+/// A broadcasting binary op from `tensor::ops`, and its per-element rule.
+type BinOp = fn(&Tensor, &Tensor) -> tensor::Result<Tensor>;
+type ElemOp = fn(f32, f32) -> f32;
+
+fn broadcast_case() -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
+    (1usize..4, 1usize..7, 1usize..20, 0usize..6).prop_map(|(p, r, c, kind)| match kind {
+        0 => (vec![r, c], vec![c]),          // row
+        1 => (vec![r, c], vec![r, 1]),       // column
+        2 => (vec![p, r, c], vec![]),        // scalar
+        3 => (vec![p, r, c], vec![r, c]),    // leading axis
+        4 => (vec![p, r, c], vec![p, 1, c]), // middle axis
+        _ => (vec![p, 1, c], vec![p, r, 1]), // both sides broadcast
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn nn_gemm_bitwise_equals_triple_loop(
+        bs in 1usize..4,
+        m in 1usize..=40,
+        k_pick in 0usize..8,
+        n in 1usize..40,
+        seed in 0u64..1000,
+    ) {
+        // Degenerate inner dimensions (0, 1) get a quarter of the cases.
+        let k = [0usize, 1, 2, 5, 8, 9, 16, 23][k_pick];
+        let a2 = Tensor::from_vec(fill(m * k, seed), vec![m, k]);
+        let a3 = Tensor::from_vec(fill(bs * m * k, seed + 1), vec![bs, m, k]);
+        let b2 = Tensor::from_vec(fill(k * n, seed + 2), vec![k, n]);
+        let b3 = Tensor::from_vec(fill(bs * k * n, seed + 3), vec![bs, k, n]);
+        let want_2d = nn_reference(a2.data(), b2.data(), 1, m, k, n, 0);
+        let want_3d = nn_reference(a3.data(), b3.data(), bs, m, k, n, k * n);
+        let want_shared = nn_reference(a3.data(), b2.data(), bs, m, k, n, 0);
+        let mut got = Vec::new();
+        under_gemm_modes(|| {
+            got.push(ops::matmul(&a2, &b2).unwrap());
+            got.push(ops::matmul(&a3, &b3).unwrap());
+            got.push(ops::matmul(&a3, &b2).unwrap());
+        });
+        for trio in got.chunks_exact(3) {
+            prop_assert_eq!(trio[0].dims(), &[m, n]);
+            prop_assert_eq!(trio[0].data(), &want_2d[..]);
+            prop_assert_eq!(trio[1].dims(), &[bs, m, n]);
+            prop_assert_eq!(trio[1].data(), &want_3d[..]);
+            prop_assert_eq!(trio[2].dims(), &[bs, m, n]);
+            prop_assert_eq!(trio[2].data(), &want_shared[..]);
+        }
+    }
+
+    #[test]
+    fn row_broadcast_bitwise_equals_index_reference(
+        (da, db) in broadcast_case(), swap in 0u8..2, block in 1usize..40, seed in 0u64..1000
+    ) {
+        let (da, db) = if swap == 1 { (db, da) } else { (da, db) };
+        let a = Tensor::from_vec(fill(da.iter().product(), seed), da);
+        let b = Tensor::from_vec(fill(db.iter().product(), seed + 1), db);
+        let ops_and_fns: [(BinOp, ElemOp); 5] = [
+            (ops::add, |x, y| x + y),
+            (ops::sub, |x, y| x - y),
+            (ops::mul, |x, y| x * y),
+            (ops::div, |x, y| x / y),
+            (ops::maximum, f32::max),
+        ];
+        let (min, blk) = (tuning::par_min_elems(), tuning::par_block());
+        for (op, f) in ops_and_fns {
+            let want = broadcast_reference(&a, &b, f);
+            let serial = op(&a, &b).unwrap();
+            // Tiny parallel blocks start and end mid-row.
+            tuning::set_par_min_elems(1);
+            tuning::set_par_block(block);
+            let parallel = op(&a, &b).unwrap();
+            tuning::set_par_min_elems(min);
+            tuning::set_par_block(blk);
+            prop_assert_eq!(serial.data(), &want[..]);
+            prop_assert_eq!(parallel.data(), &want[..]);
+        }
+    }
+
+    #[test]
+    fn last_axis_reduce_bitwise_equals_serial_fold(
+        p in 1usize..4, r in 1usize..9, red in 0usize..30, keep in 0u8..2, seed in 0u64..1000
+    ) {
+        let keepdim = keep == 1;
+        let t = Tensor::from_vec(fill(p * r * red, seed), vec![p, r, red]);
+        let sum_ref: Vec<f32> = (0..p * r)
+            .map(|o| t.data()[o * red..(o + 1) * red].iter().fold(0.0f32, |s, &x| s + x))
+            .collect();
+        let max_ref: Vec<f32> = (0..p * r)
+            .map(|o| t.data()[o * red..(o + 1) * red].iter().fold(f32::NEG_INFINITY, |s, &x| s.max(x)))
+            .collect();
+        let dims = if keepdim { vec![p, r, 1] } else { vec![p, r] };
+        let min = tuning::par_min_elems();
+        for par_min in [min, 1] {
+            tuning::set_par_min_elems(par_min);
+            let s = ops::sum_axis(&t, 2, keepdim).unwrap();
+            let mx = ops::max_axis(&t, 2, keepdim).unwrap();
+            tuning::set_par_min_elems(min);
+            prop_assert_eq!(s.dims(), &dims[..]);
+            prop_assert_eq!(s.data(), &sum_ref[..]);
+            prop_assert_eq!(mx.data(), &max_ref[..]);
+        }
+    }
+
+    #[test]
+    fn last_axis_fixed_permute_equals_index_reference(
+        d in prop::collection::vec(1usize..6, 4), which in 0usize..5, seed in 0u64..1000
+    ) {
+        let perm: &[usize] = [&[0, 2, 1, 3][..], &[2, 0, 1, 3], &[1, 2, 0, 3], &[2, 1, 0, 3], &[0, 1, 2, 3]][which];
+        let t = Tensor::from_vec(fill(d.iter().product(), seed), d.clone());
+        let out = ops::permute(&t, perm).unwrap();
+        let od: Vec<usize> = perm.iter().map(|&p| d[p]).collect();
+        prop_assert_eq!(out.dims(), &od[..]);
+        let mut src = [0usize; 4];
+        for (lin, &v) in out.data().iter().enumerate() {
+            let mut rem = lin;
+            for ax in (0..4).rev() {
+                src[perm[ax]] = rem % od[ax];
+                rem /= od[ax];
+            }
+            prop_assert_eq!(v.to_bits(), t.at(&src).to_bits());
+        }
+    }
+}

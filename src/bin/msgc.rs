@@ -418,6 +418,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             }
         }
     }
+    // Nothing below reads the trainable model or the interactions again:
+    // release them before serving, so per-user sessions grow into that
+    // memory instead.
+    drop(model);
+    let num_items = data.num_items;
+    drop(data);
     let mut engine = Engine::new(frozen, mode)
         .with_popularity(&counts)
         .with_default_topk(default_topk);
@@ -432,24 +438,24 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         // from different embedding bytes or parameters is rebuilt.
         let sidecar =
             std::path::PathBuf::from(format!("{}.hnsw", args.get("model").unwrap_or("model")));
-        let index = match HnswIndex::load(&sidecar, &table, data.num_items, &ann_cfg) {
+        let index = match HnswIndex::load(&sidecar, &table, num_items, &ann_cfg) {
             Some(index) => {
                 println!("loaded ANN index from {}", sidecar.display());
                 index
             }
             None => {
                 let t0 = std::time::Instant::now();
-                let index = HnswIndex::build(&table, data.num_items, &ann_cfg);
+                let index = HnswIndex::build(&table, num_items, &ann_cfg);
                 match index.save(&sidecar) {
                     Ok(()) => println!(
                         "built ANN index over {} items in {:.1?} (saved to {})",
-                        data.num_items,
+                        num_items,
                         t0.elapsed(),
                         sidecar.display()
                     ),
                     Err(e) => println!(
                         "built ANN index over {} items in {:.1?} (sidecar not saved: {e})",
-                        data.num_items,
+                        num_items,
                         t0.elapsed()
                     ),
                 }
@@ -500,7 +506,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let canary_every_s: u64 = args.get_or("canary-every-s", 30)?;
     if want_ann && canary_every_s > 0 {
         let n_probes: usize = args.get_or("canary-probes", 16)?;
-        let probes = canary_probes(data.num_items, n_probes, 8, 42);
+        let probes = canary_probes(num_items, n_probes, 8, 42);
         let engine_c = Arc::clone(&engine);
         let obs_c = Arc::clone(&obs);
         std::thread::spawn(move || loop {
@@ -515,7 +521,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     println!(
         "serving {} items on {addr} (mode {mode:?}, batch-max {batch_max}, batch-wait {batch_wait_us}us, \
          quantize {quant}, topk {default_topk:?}{}, admin endpoint on, trace sample 1/{})",
-        data.num_items,
+        num_items,
         if want_ann {
             format!(", ann ef {ann_ef}")
         } else {
