@@ -44,7 +44,7 @@
 //! shard (the "shared negatives" scheme of CL4SRec-style recommenders),
 //! where the correction's bias trade-off is known to be benign and the
 //! uncorrected loss is what the comparison implementations train with. The
-//! small-scale convergence gate in `BENCH_9.json` checks the uncorrected
+//! convergence test in `tests/sampled_props.rs` checks the uncorrected
 //! objective still reaches full-softmax quality.
 //!
 //! Padding id 0 is never drawn as a negative and real targets are never 0,

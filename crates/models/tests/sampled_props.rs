@@ -2,13 +2,17 @@
 //! point (sample count = full catalog) the sampled loss must be
 //! **bitwise** equal to the full-softmax loss, on exactly the op
 //! compositions the models use (`matmul_transb → reshape →
-//! cross_entropy_with_logits`, with the candidate gather inserted).
+//! cross_entropy_with_logits`, with the candidate gather inserted). Trained
+//! end to end, the sampled objective must converge to an HR@10 close to
+//! the full objective's.
 
 use autograd::{Graph, Parameter, IGNORE_INDEX};
 use models::sampled::{self, NegativeSampler, SoftmaxMode};
+use models::{evaluate_valid, NetConfig, SasRec, SequentialRecommender, TrainConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use recdata::{synth, LeaveOneOut};
 use tensor::init;
 
 /// Random per-position targets with some padding rows, never id 0.
@@ -110,4 +114,39 @@ proptest! {
             "sampled {} vs reference {}", s.item(), reference
         );
     }
+}
+
+/// SASRec on the toys catalog (280 items): 128 uniform sampled negatives
+/// must reach `HR@10 >= full - max(0.05, 0.25·full)`, so the sampled
+/// objective's speed is not bought with ranking quality. Ten epochs, since
+/// after three the full objective's HR@10 (~0.04) puts the bound below 0.
+#[test]
+fn sampled_softmax_hr_converges_near_full_softmax() {
+    let toys = synth::generate(&synth::SynthConfig::toys_like(42));
+    let split = LeaveOneOut::split(&toys);
+    let train = split.train_sequences();
+    let hr_of = |softmax: SoftmaxMode| {
+        let mut model = SasRec::new(NetConfig {
+            dim: 32,
+            layers: 2,
+            ..NetConfig::for_items(toys.num_items)
+        });
+        let cfg = TrainConfig {
+            epochs: 10,
+            softmax,
+            ..TrainConfig::default()
+        };
+        model.fit(&train, &cfg);
+        evaluate_valid(&mut model, &split, &[10]).hr(10)
+    };
+    let full = hr_of(SoftmaxMode::Full);
+    let sampled = hr_of(SoftmaxMode::Sampled {
+        negatives: 128,
+        sampler: NegativeSampler::Uniform,
+    });
+    let tolerance = (0.25 * full).max(0.05);
+    assert!(
+        sampled >= full - tolerance,
+        "HR@10 sampled {sampled:.4} < full {full:.4} - {tolerance:.4}"
+    );
 }

@@ -28,8 +28,8 @@
 //! tied-softmax scores. ANN scores are computed as scalar dot products and
 //! may differ from the SIMD GEMM of the exact path in final bits; the ANN
 //! path trades the bitwise contract for sub-linear retrieval, which is why
-//! it is opt-in per request and gated by a measured recall curve (BENCH_9)
-//! rather than the bitwise parity gate.
+//! it is opt-in per request and gated by measured recall
+//! (`tests/ann_props.rs`) rather than the bitwise parity gate.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

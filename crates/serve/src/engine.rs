@@ -432,8 +432,9 @@ impl<M: FrozenScorer> Engine<M> {
     /// weights, one-time SIMD feature detection). No session is created
     /// and no metrics are recorded; results are discarded.
     ///
-    /// This exists because the BENCH_6 load phase showed a ~50× p99/p50
-    /// ratio traced entirely to the first requests hitting empty pools.
+    /// This exists because an 8-client closed-loop load showed a ~50×
+    /// p99/p50 ratio traced entirely to the first requests hitting empty
+    /// pools.
     pub fn warm_up(&self) {
         let n = self.model.num_items();
         if n == 0 {

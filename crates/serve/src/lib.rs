@@ -28,7 +28,7 @@
 //! HNSW index over the frozen item embeddings (`msgc serve --ann`),
 //! answering `TopK::Ann` requests in O(ef · d · log n) instead of the
 //! O(|items| · d) full-catalog projection, behind a measured recall gate
-//! (BENCH_9). Empty histories are served a deterministic cold-start
+//! (`tests/ann_props.rs`). Empty histories are served a deterministic cold-start
 //! ranking (dataset popularity, or fixed item-id order).
 //!
 //! Production observability lives in [`obs`]: per-request phase traces

@@ -51,13 +51,13 @@ impl Client {
     }
 }
 
-fn start_server(obs: Option<Arc<ServeObs>>) -> std::net::SocketAddr {
+fn start_server(obs: Arc<ServeObs>) -> std::net::SocketAddr {
     let engine = Arc::new(Engine::new(model().freeze(), Mode::Incremental));
     let batcher = Arc::new(Batcher::new(engine, 8, Duration::from_millis(0)));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     std::thread::spawn(move || {
-        let _ = server::run_obs(listener, batcher, obs);
+        let _ = server::run(listener, batcher, obs);
     });
     addr
 }
@@ -83,7 +83,7 @@ fn admin_endpoint_serves_valid_snapshots_and_traces_flow() {
         },
         ..ObsConfig::default()
     });
-    let addr = start_server(Some(Arc::clone(&obs)));
+    let addr = start_server(Arc::clone(&obs));
 
     let mut c = Client::connect(addr);
     assert_eq!(c.roundtrip(r#"{"op":"ping"}"#), r#"{"ok":true}"#);
@@ -161,15 +161,4 @@ fn admin_endpoint_serves_valid_snapshots_and_traces_flow() {
     assert_eq!(reqs, 4, "one req event per scored request");
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn admin_without_observability_is_an_error_not_a_hang() {
-    let addr = start_server(None);
-    let mut c = Client::connect(addr);
-    let reply = c.roundtrip(r#"{"op":"admin","cmd":"snapshot"}"#);
-    assert!(reply.contains("\"error\""), "got {reply}");
-    // The connection keeps serving scoring traffic.
-    let scored = c.roundtrip(r#"{"op":"score","user":1,"history":[1,2],"k":3}"#);
-    assert!(scored.contains("\"items\""), "got {scored}");
 }

@@ -1,9 +1,10 @@
 //! Wire-level server behaviour over real loopback sockets: reply latency
 //! for an ordinary client, and request validation at the boundary (a bad
-//! item id gets an error line, and the server keeps serving).
+//! item id or an over-long line gets an error line, and the server keeps
+//! serving).
 #![allow(clippy::expect_used)]
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -11,7 +12,7 @@ use std::time::{Duration, Instant};
 use meta_sgcl::{MetaSgcl, MetaSgclConfig};
 use models::NetConfig;
 use nn::Freeze;
-use serve::{proto, server, top_k, Batcher, Engine, Mode};
+use serve::{proto, server, top_k, Batcher, Engine, Mode, ObsConfig, ServeObs};
 
 const CATALOG: usize = 50;
 
@@ -33,7 +34,7 @@ fn start_server(m: &MetaSgcl) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     std::thread::spawn(move || {
-        let _ = server::run(listener, batcher);
+        let _ = server::run(listener, batcher, ServeObs::new(ObsConfig::default()));
     });
     addr
 }
@@ -104,6 +105,44 @@ fn out_of_range_item_is_an_error_and_the_server_keeps_serving() {
     let reply = c.roundtrip(r#"{"op":"score","user":2,"history":[3,7,50],"k":5}"#);
     let got = proto::parse_response(&reply).expect("valid reply");
     let (want_items, want_scores) = top_k(&m.freeze().score_padded(&history), 5);
+    assert_eq!(got.items, want_items);
+    assert_eq!(got.scores, want_scores);
+}
+
+#[test]
+fn over_long_line_is_an_error_and_other_clients_keep_serving() {
+    let m = model();
+    let addr = start_server(&m);
+    let mut c = Client::connect(addr);
+    // A server that buffers without limit never replies: fail, not hang.
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    // 2 MiB with no newline, written from its own thread: the server stops
+    // reading at the cap, so the reply can arrive before the write ends.
+    let mut flood = c.writer.try_clone().expect("clone");
+    let writer = std::thread::spawn(move || {
+        let _ = flood.write_all(&vec![b'['; 2 << 20]);
+    });
+    let mut reply = String::new();
+    c.reader.read_line(&mut reply).expect("read");
+    assert_eq!(
+        reply.trim_end(),
+        format!(
+            r#"{{"error":"request line exceeds {} bytes"}}"#,
+            server::MAX_LINE_BYTES
+        )
+    );
+    let mut rest = Vec::new();
+    c.reader.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "bytes after the error reply");
+    writer.join().expect("writer thread");
+
+    // Another client still gets a top-k bitwise equal to offline scoring.
+    let mut other = Client::connect(addr);
+    let reply = other.roundtrip(r#"{"op":"score","user":3,"history":[4,9,2],"k":5}"#);
+    let got = proto::parse_response(&reply).expect("valid reply");
+    let (want_items, want_scores) = top_k(&m.freeze().score_padded(&[4, 9, 2]), 5);
     assert_eq!(got.items, want_items);
     assert_eq!(got.scores, want_scores);
 }

@@ -251,60 +251,6 @@ pub fn validate_admin_snapshot(text: &str) -> Result<(usize, usize), String> {
     Ok((metrics.len(), slos.len()))
 }
 
-/// Validates a `BENCH_10.json` document (serving observability bench):
-/// a `sketch` section gating sketch-vs-exact quantile error and a
-/// `tracing` section gating enabled-sampled-tracing overhead, plus the
-/// measured disabled-observability overhead.
-pub fn validate_bench10(text: &str) -> Result<(), String> {
-    let obj = parse(text).map_err(|e| e.to_string())?;
-    check_all(&obj, &[("bench", Ty::Str), ("pass", Ty::Bool)])?;
-    if obj.get("bench").and_then(Json::as_str) != Some("BENCH_10") {
-        return Err("`bench` is not \"BENCH_10\"".into());
-    }
-    let sketch = obj.get("sketch").ok_or("missing `sketch` section")?;
-    check_all(
-        sketch,
-        &[
-            ("n", Ty::Num),
-            ("p50_sketch_us", Ty::Num),
-            ("p50_exact_us", Ty::Num),
-            ("p99_sketch_us", Ty::Num),
-            ("p99_exact_us", Ty::Num),
-            ("rel_err_p50", Ty::Num),
-            ("rel_err_p99", Ty::Num),
-            ("bound", Ty::Num),
-            ("pass", Ty::Bool),
-        ],
-    )
-    .map_err(|e| format!("sketch: {e}"))?;
-    let tracing = obj.get("tracing").ok_or("missing `tracing` section")?;
-    check_all(
-        tracing,
-        &[
-            ("requests", Ty::Num),
-            ("base_us_per_req", Ty::Num),
-            ("traced_us_per_req", Ty::Num),
-            ("overhead_frac", Ty::Num),
-            ("budget", Ty::Num),
-            ("pass", Ty::Bool),
-        ],
-    )
-    .map_err(|e| format!("tracing: {e}"))?;
-    let disabled = obj.get("disabled").ok_or("missing `disabled` section")?;
-    check_all(
-        disabled,
-        &[
-            ("requests", Ty::Num),
-            ("enabled_us_per_req", Ty::Num),
-            ("disabled_us_per_req", Ty::Num),
-            ("overhead_frac", Ty::Num),
-            ("budget", Ty::Num),
-        ],
-    )
-    .map_err(|e| format!("disabled: {e}"))?;
-    Ok(())
-}
-
 /// Validates a whole JSONL document (one event per non-empty line).
 /// Returns per-kind counts, or the first error with its line number.
 pub fn validate_stream(text: &str) -> Result<Vec<(String, usize)>, String> {
@@ -397,18 +343,6 @@ mod tests {
         let bad_status = good.replace("\"no_data\"", "\"meh\"");
         assert!(validate_admin_snapshot(&bad_status).is_err());
         assert!(validate_admin_snapshot(r#"{"ok":true,"kind":"health"}"#).is_err());
-    }
-
-    #[test]
-    fn bench10_validates_required_sections() {
-        let good = r#"{"bench":"BENCH_10","pass":true,
-            "sketch":{"n":4096,"p50_sketch_us":101.0,"p50_exact_us":100.0,"p99_sketch_us":250.0,"p99_exact_us":252.0,"rel_err_p50":0.01,"rel_err_p99":0.008,"bound":0.02,"pass":true},
-            "tracing":{"requests":4096,"base_us_per_req":120.0,"traced_us_per_req":125.0,"overhead_frac":0.04,"budget":0.25,"pass":true},
-            "disabled":{"requests":4096,"enabled_us_per_req":120.0,"disabled_us_per_req":119.0,"overhead_frac":-0.008,"budget":0.02}}"#;
-        validate_bench10(good).unwrap_or_else(|e| panic!("{e}"));
-        assert!(validate_bench10(r#"{"bench":"BENCH_9","pass":true}"#).is_err());
-        let missing = good.replace("\"tracing\"", "\"tracingX\"");
-        assert!(validate_bench10(&missing).unwrap_err().contains("tracing"));
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! For arbitrary observation sets, the sketch's p50/p99 (and the other
 //! reported quantiles) must land within relative error α of the exact
 //! sorted-rank quantile computed with the same rank rule
-//! (`⌊q·(n-1)⌋`). This is the acceptance gate behind the BENCH_10
-//! sketch-vs-exact section: the bench measures one workload, this test
-//! sweeps the input space.
+//! (`⌊q·(n-1)⌋`). This is the serving latency sketch's accuracy gate,
+//! swept over the input space rather than measured on one workload.
 
 use proptest::prelude::*;
 use telemetry::sketch::{DdSketch, REPORTED_QUANTILES};

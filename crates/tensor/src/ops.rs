@@ -342,8 +342,7 @@ fn gemm_row_zskip(a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, n: us
 ///
 /// For finite inputs the result is bitwise identical to [`matmul2d`]; on a
 /// dense `A` it is slower (one extra branch per `k` step), which is why the
-/// dense path no longer carries the test. `BENCH_8.json` reports both
-/// kernels on dense and 75 %-zero workloads.
+/// dense path no longer carries the test.
 pub fn matmul2d_masked(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     if a.ndim() != 2 || b.ndim() != 2 || a.dim(1) != b.dim(0) {
         return Err(TensorError::ShapeMismatch {

@@ -39,8 +39,8 @@
 //! [`active`] combines a one-time hardware probe
 //! (`is_x86_feature_detected!("avx2")`, cached in a `OnceLock`; NEON is
 //! baseline on aarch64) with the `META_SGCL_SIMD` kill switch read from
-//! `crate::tuning` on every call (one relaxed atomic load), so tests and
-//! sweep drivers can flip paths in-process. `META_SGCL_SIMD=0` restores the
+//! `crate::tuning` on every call (one relaxed atomic load), so tests can
+//! flip paths in-process. `META_SGCL_SIMD=0` restores the
 //! exact scalar PR 3 behaviour. Whole loops live inside the
 //! `#[target_feature]` functions: calls across the feature boundary do not
 //! inline, so the boundary is crossed once per kernel, not once per step.

@@ -1,150 +1,124 @@
-//! Runtime-tunable kernel dispatch cutoffs.
+//! Kernel dispatch cutoffs.
 //!
 //! Every size threshold that decides between a serial and a rayon-parallel
 //! kernel path lives here, in one place, instead of as scattered magic
-//! numbers inside `ops.rs`. Each knob:
-//!
-//! * has a documented default chosen on a single CPU core;
-//! * can be overridden per-process via an environment variable (read once,
-//!   on first use);
-//! * can be set programmatically with its `set_*` function so sweep drivers
-//!   (`bench/src/bin/tune.rs --sweep-kernels`) can explore the space without
-//!   re-exec'ing.
+//! numbers inside `ops.rs`. Each cutoff starts at a default chosen on a
+//! single CPU core and can be overridden in-process with its `set_*`
+//! function, which the property tests use to force the parallel and SIMD
+//! paths on small inputs.
 //!
 //! Changing a cutoff only moves work between the serial and parallel paths;
 //! both paths compute bitwise-identical results (see the determinism notes
-//! in `ops.rs`), so these knobs are pure performance tuning.
+//! in `ops.rs`), so these cutoffs are pure performance tuning.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Sentinel meaning "not initialised yet; read the env var on first use".
-const UNSET: usize = usize::MAX;
-
-/// One lazily-initialised, env-overridable cutoff value.
-struct Knob {
-    value: AtomicUsize,
-    env: &'static str,
-    default: usize,
-}
-
-impl Knob {
-    const fn new(env: &'static str, default: usize) -> Knob {
-        Knob {
-            value: AtomicUsize::new(UNSET),
-            env,
-            default,
-        }
-    }
-
-    fn get(&self) -> usize {
-        let v = self.value.load(Ordering::Relaxed);
-        if v != UNSET {
-            return v;
-        }
-        let resolved = std::env::var(self.env)
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map(|n| n.min(UNSET - 1))
-            .unwrap_or(self.default);
-        self.value.store(resolved, Ordering::Relaxed);
-        resolved
-    }
-
-    fn set(&self, v: usize) {
-        self.value.store(v.min(UNSET - 1), Ordering::Relaxed);
-    }
-}
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 /// Minimum number of output elements before an elementwise / row-wise kernel
-/// fans out over rayon (`META_SGCL_PAR_MIN_ELEMS`, default 32768). Below
-/// this, thread-spawn overhead dominates the arithmetic.
-static PAR_MIN_ELEMS: Knob = Knob::new("META_SGCL_PAR_MIN_ELEMS", 32_768);
+/// fans out over rayon. Below this, thread-spawn overhead dominates the
+/// arithmetic.
+static PAR_MIN_ELEMS: AtomicUsize = AtomicUsize::new(32_768);
 
-/// Block size in elements for parallel elementwise kernels
-/// (`META_SGCL_PAR_BLOCK`, default 8192).
-static PAR_BLOCK: Knob = Knob::new("META_SGCL_PAR_BLOCK", 8_192);
+/// Block size in elements for parallel elementwise kernels.
+static PAR_BLOCK: AtomicUsize = AtomicUsize::new(8_192);
 
-/// Minimum `m` (output rows) before a GEMM fans out one rayon task per row
-/// (`META_SGCL_GEMM_PAR_ROWS`, default 32).
-static GEMM_PAR_ROWS: Knob = Knob::new("META_SGCL_GEMM_PAR_ROWS", 32);
+/// Minimum `m` (output rows) before a GEMM fans out one rayon task per row.
+static GEMM_PAR_ROWS: AtomicUsize = AtomicUsize::new(32);
 
 /// Minimum per-row work `k·n` (multiply-adds) before a GEMM fans out over
-/// rayon (`META_SGCL_GEMM_CUTOFF`, default 16384). Both GEMM conditions
-/// must hold for the parallel path to engage.
-static GEMM_PAR_ROW_WORK: Knob = Knob::new("META_SGCL_GEMM_CUTOFF", 16_384);
-
-/// SIMD kill switch (`META_SGCL_SIMD`, default 1). Any value other than 0
-/// enables runtime-dispatched SIMD kernels; `META_SGCL_SIMD=0` restores the
-/// exact scalar micro-kernel behaviour (`simd::Level::Scalar` everywhere).
-/// Safe to flip at any time: the FixedOrder SIMD kernels are
-/// bitwise-identical to scalar by construction (see `simd` module docs).
-static SIMD: Knob = Knob::new("META_SGCL_SIMD", 1);
+/// rayon. Both GEMM conditions must hold for the parallel path to engage.
+static GEMM_PAR_ROW_WORK: AtomicUsize = AtomicUsize::new(16_384);
 
 /// Minimum inner width (`n` for axpy rows, element count for elementwise
-/// kernels) before dispatching to a SIMD kernel
-/// (`META_SGCL_SIMD_MIN_N`, default 8 — one full AVX2 vector). Below this
-/// the dispatch overhead cannot pay for itself; the 4×8 stripe kernel is
-/// exempt because its width is fixed. Swept by `tune --sweep-kernels`.
-static SIMD_MIN_N: Knob = Knob::new("META_SGCL_SIMD_MIN_N", 8);
+/// kernels) before dispatching to a SIMD kernel: 8 is one full AVX2
+/// vector. Below this the dispatch overhead cannot pay for itself; the 4×8
+/// stripe kernel is exempt because its width is fixed.
+static SIMD_MIN_N: AtomicUsize = AtomicUsize::new(8);
+
+/// [`SIMD`] before its first read.
+const SIMD_UNSET: u8 = 2;
+
+/// SIMD kill switch (`META_SGCL_SIMD`, read once on first use, default
+/// on). Any value other than 0 enables runtime-dispatched SIMD kernels;
+/// `META_SGCL_SIMD=0` restores the exact scalar micro-kernel behaviour
+/// (`simd::Level::Scalar` everywhere). Safe to flip at any time: the
+/// FixedOrder SIMD kernels are bitwise-identical to scalar by construction
+/// (see `simd` module docs).
+static SIMD: AtomicU8 = AtomicU8::new(SIMD_UNSET);
 
 /// Current elementwise-parallelism element cutoff.
 pub fn par_min_elems() -> usize {
-    PAR_MIN_ELEMS.get()
+    PAR_MIN_ELEMS.load(Ordering::Relaxed)
 }
 
 /// Overrides [`par_min_elems`] for this process.
 pub fn set_par_min_elems(v: usize) {
-    PAR_MIN_ELEMS.set(v);
+    PAR_MIN_ELEMS.store(v, Ordering::Relaxed);
 }
 
 /// Current parallel elementwise block size (elements), at least 1.
 pub fn par_block() -> usize {
-    PAR_BLOCK.get().max(1)
+    PAR_BLOCK.load(Ordering::Relaxed)
 }
 
 /// Overrides [`par_block`] for this process.
 pub fn set_par_block(v: usize) {
-    PAR_BLOCK.set(v.max(1));
+    PAR_BLOCK.store(v.max(1), Ordering::Relaxed);
 }
 
 /// Current GEMM row-count cutoff for the parallel path.
 pub fn gemm_par_rows() -> usize {
-    GEMM_PAR_ROWS.get()
+    GEMM_PAR_ROWS.load(Ordering::Relaxed)
 }
 
 /// Overrides [`gemm_par_rows`] for this process.
 pub fn set_gemm_par_rows(v: usize) {
-    GEMM_PAR_ROWS.set(v);
+    GEMM_PAR_ROWS.store(v, Ordering::Relaxed);
 }
 
 /// Current GEMM per-row work (`k·n`) cutoff for the parallel path.
 pub fn gemm_par_row_work() -> usize {
-    GEMM_PAR_ROW_WORK.get()
+    GEMM_PAR_ROW_WORK.load(Ordering::Relaxed)
 }
 
 /// Overrides [`gemm_par_row_work`] for this process.
 pub fn set_gemm_par_row_work(v: usize) {
-    GEMM_PAR_ROW_WORK.set(v);
+    GEMM_PAR_ROW_WORK.store(v, Ordering::Relaxed);
 }
 
 /// Whether SIMD dispatch is enabled (`META_SGCL_SIMD`, default on).
 pub fn simd_enabled() -> bool {
-    SIMD.get() != 0
+    match SIMD.load(Ordering::Relaxed) {
+        SIMD_UNSET => {
+            let env = std::env::var("META_SGCL_SIMD").ok();
+            let on = env.and_then(|s| s.parse::<usize>().ok()) != Some(0);
+            // A concurrent `set_simd_enabled` wins over the environment.
+            match SIMD.compare_exchange(
+                SIMD_UNSET,
+                u8::from(on),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => on,
+                Err(v) => v != 0,
+            }
+        }
+        v => v != 0,
+    }
 }
 
 /// Overrides [`simd_enabled`] for this process (kill switch).
 pub fn set_simd_enabled(on: bool) {
-    SIMD.set(usize::from(on));
+    SIMD.store(u8::from(on), Ordering::Relaxed);
 }
 
 /// Current minimum inner width for SIMD dispatch, at least 1.
 pub fn simd_min_n() -> usize {
-    SIMD_MIN_N.get().max(1)
+    SIMD_MIN_N.load(Ordering::Relaxed)
 }
 
 /// Overrides [`simd_min_n`] for this process.
 pub fn set_simd_min_n(v: usize) {
-    SIMD_MIN_N.set(v.max(1));
+    SIMD_MIN_N.store(v.max(1), Ordering::Relaxed);
 }
 
 #[cfg(test)]

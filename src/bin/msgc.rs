@@ -518,8 +518,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
 
     let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+    // The bound address, so `--addr 127.0.0.1:0` reports the port it got.
+    let bound = listener
+        .local_addr()
+        .map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
-        "serving {} items on {addr} (mode {mode:?}, batch-max {batch_max}, batch-wait {batch_wait_us}us, \
+        "serving {} items on {bound} (mode {mode:?}, batch-max {batch_max}, batch-wait {batch_wait_us}us, \
          quantize {quant}, topk {default_topk:?}{}, admin endpoint on, trace sample 1/{})",
         num_items,
         if want_ann {
@@ -529,7 +533,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         },
         obs.sample_every(),
     );
-    server::run_obs(listener, batcher, Some(obs)).map_err(|e| e.to_string())
+    server::run(listener, batcher, obs).map_err(|e| e.to_string())
 }
 
 /// A required numeric field of a validated telemetry event (defaulting to

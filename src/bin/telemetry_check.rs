@@ -3,7 +3,6 @@
 //! ```text
 //! telemetry_check metrics.jsonl trace.jsonl
 //! telemetry_check --admin-snapshot snapshot.jsonl
-//! telemetry_check --bench10 BENCH_10.json
 //! ```
 //!
 //! The default mode validates every line of each file against the
@@ -13,16 +12,12 @@
 //! `telemetry-smoke` job runs it over freshly produced streams.
 //!
 //! `--admin-snapshot FILE` validates a serve admin snapshot line
-//! (name-sorted metrics + SLO states); `--bench10 FILE` validates a
-//! `BENCH_10.json` observability-bench report. Both are used by the CI
-//! `obs-smoke` job. Modes may be mixed freely on one command line; each
-//! mode flag applies to the files after it.
+//! (name-sorted metrics + SLO states). Modes may be mixed freely on one
+//! command line; each mode flag applies to the files after it.
 
 use std::process::ExitCode;
 
-use meta_sgcl_repro::telemetry::schema::{
-    validate_admin_snapshot, validate_bench10, validate_stream,
-};
+use meta_sgcl_repro::telemetry::schema::{validate_admin_snapshot, validate_stream};
 
 fn check_stream(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -46,33 +41,23 @@ fn check_admin_snapshot(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn check_bench10(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    validate_bench10(&text).map_err(|e| format!("{path}: {e}"))?;
-    println!("{path}: BENCH_10 report OK");
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
-        eprintln!(
-            "usage: telemetry_check [--admin-snapshot | --bench10 | --stream] FILE [FILE ...]"
-        );
+        eprintln!("usage: telemetry_check [--admin-snapshot | --stream] FILE [FILE ...]");
         return ExitCode::from(2);
     }
     let mut mode = "--stream";
     let mut checked = 0usize;
     let mut failed = false;
     for arg in &argv {
-        if let "--stream" | "--admin-snapshot" | "--bench10" = arg.as_str() {
+        if let "--stream" | "--admin-snapshot" = arg.as_str() {
             mode = arg;
             continue;
         }
         checked += 1;
         let result = match mode {
             "--admin-snapshot" => check_admin_snapshot(arg),
-            "--bench10" => check_bench10(arg),
             _ => check_stream(arg),
         };
         if let Err(e) = result {
