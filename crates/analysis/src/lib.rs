@@ -3,7 +3,7 @@
 //! Training in this repo runs on a define-by-run tape ([`autograd::Graph`]).
 //! Because every op records a declarative [`autograd::ShapeSig`] and its
 //! parameter provenance, a captured tape can be *audited* without re-running
-//! any kernels. This crate implements three passes over such tapes:
+//! any kernels. This crate implements five passes over such tapes:
 //!
 //! 1. **Shape inference** ([`shape`]) — re-derives every node's output
 //!    shape from its inputs via the op's shape signature and reports any
@@ -29,9 +29,6 @@
 //!    audits the SIMD kernel registry: an op that gains a SIMD kernel
 //!    without a declared class — or a fixed-order op whose kernel
 //!    reassociates — fails the audit.
-//! 6. **Frozen parity** ([`parity`]) — statically diffs the op sequence
-//!    of each autograd scoring forward against the declared trace of its
-//!    tape-free `Frozen*` twin, so editing either side fails the audit.
 //!
 //! The [`registry`] builds each model family in the zoo at a small audit
 //! configuration and runs every pass over every declared training stage;
@@ -44,7 +41,6 @@
 pub mod cost;
 pub mod determinism;
 pub mod flow;
-pub mod parity;
 pub mod registry;
 pub mod report;
 pub mod shape;
@@ -55,7 +51,6 @@ pub use determinism::{
     SimdRegistryFinding, SimdRegistrySummary,
 };
 pub use flow::{check_contract, classify, reachable_from, FlowClass, FlowSummary, FlowViolation};
-pub use parity::{ParityDiagnostic, ParityReport};
 pub use registry::{
     audit_all, audit_model, audit_model_with_fault, build, AuditReport, Fault, StageReport, MODELS,
 };

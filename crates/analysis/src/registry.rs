@@ -1,7 +1,7 @@
 //! The model zoo registry and the audit driver: builds each model family
 //! at a small audit-sized configuration, traces every declared training
 //! stage, and runs the static passes (shape, gradient-flow, numeric,
-//! cost/liveness, determinism, frozen-parity) over the captured tapes.
+//! cost/liveness, determinism) over the captured tapes.
 
 use autograd::numeric::{scan_gradients, scan_graph, NumericIssue};
 use autograd::ShapeSig;
@@ -16,7 +16,6 @@ use tensor::ReassocClass;
 use crate::cost::{self, CostReport};
 use crate::determinism::{self, DeterminismFinding, DeterminismSummary};
 use crate::flow::{check_contract, FlowSummary, FlowViolation};
-use crate::parity::{self, ParityReport};
 use crate::shape::{check_snapshot_in, ShapeDiagnostic};
 
 /// Norm ceiling for the numeric pass — matches the training sanitizer.
@@ -91,9 +90,6 @@ pub enum Fault {
     /// Corrupt a recorded output shape so the cost pass refuses to price
     /// the tape.
     Cost,
-    /// Desynchronise the declared frozen-forward op trace from the tape
-    /// (models with a frozen twin only).
-    Parity,
 }
 
 /// The static passes' findings for one traced stage.
@@ -137,17 +133,12 @@ pub struct AuditReport {
     pub model: String,
     /// One report per declared training stage.
     pub stages: Vec<StageReport>,
-    /// Frozen-forward op-sequence parity, for models with a tape-free
-    /// frozen twin (`None` = the family declares no frozen scoring path).
-    pub parity: Option<ParityReport>,
 }
 
 impl AuditReport {
-    /// True when every stage is clean and the parity check (if declared)
-    /// holds.
+    /// True when every stage is clean.
     pub fn is_clean(&self) -> bool {
         self.stages.iter().all(StageReport::is_clean)
-            && self.parity.as_ref().is_none_or(ParityReport::is_clean)
     }
 }
 
@@ -187,9 +178,6 @@ impl std::fmt::Display for AuditReport {
                 writeln!(f, "    determinism: {d}")?;
             }
         }
-        if let Some(p) = &self.parity {
-            writeln!(f, "  frozen-parity {p}")?;
-        }
         Ok(())
     }
 }
@@ -228,16 +216,9 @@ fn run_passes(model: &mut dyn Auditable, fault: Option<Fault>) -> AuditReport {
             determinism_summary,
         });
     }
-    let parity = model.frozen_parity(&seqs).map(|mut check| {
-        if fault == Some(Fault::Parity) {
-            parity::inject_parity_fault(&mut check);
-        }
-        parity::diff(&check)
-    });
     AuditReport {
         model: name,
         stages,
-        parity,
     }
 }
 
@@ -277,8 +258,7 @@ pub fn audit_model(name: &str) -> Option<AuditReport> {
 /// name is unknown.
 ///
 /// [`Fault::Freeze`] only applies to Meta-SGCL (the one multi-stage
-/// family) and [`Fault::Parity`] to families with a frozen twin; other
-/// models fall back to a normal audit.
+/// family); other models fall back to a normal audit.
 pub fn audit_model_with_fault(name: &str, fault: Fault) -> Option<AuditReport> {
     if fault == Fault::Freeze {
         if !name.eq_ignore_ascii_case("Meta-SGCL") {
@@ -301,7 +281,6 @@ pub fn audit_model_with_fault(name: &str, fault: Fault) -> Option<AuditReport> {
         let numeric = scan_graph(&trace.graph, NORM_LIMIT);
         let cost = cost::analyze(&snap, trace.loss.node_id());
         let (determinism, determinism_summary) = determinism::check_snapshot(&snap);
-        let parity = model.frozen_parity(&seqs).map(|c| parity::diff(&c));
         return Some(AuditReport {
             model: "Meta-SGCL".into(),
             stages: vec![StageReport {
@@ -315,7 +294,6 @@ pub fn audit_model_with_fault(name: &str, fault: Fault) -> Option<AuditReport> {
                 determinism,
                 determinism_summary,
             }],
-            parity,
         });
     }
     let mut model = build(name)?;
@@ -421,19 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_parity_is_declared_and_clean() {
-        for name in ["GRU4Rec", "Meta-SGCL"] {
-            let report = audit_model(name).expect("registered");
-            let parity = report
-                .parity
-                .as_ref()
-                .unwrap_or_else(|| panic!("{name} must declare a frozen-parity check"));
-            assert!(parity.is_clean(), "{name}: {parity}");
-            assert!(parity.actual_len > 0);
-        }
-    }
-
-    #[test]
     fn shape_fault_is_detected() {
         let report = audit_model_with_fault("SASRec", Fault::Shape).expect("registered");
         assert!(!report.is_clean());
@@ -478,13 +443,5 @@ mod tests {
             report.stages.iter().any(|s| !s.cost.diagnostics.is_empty()),
             "corrupted shapes must make the cost pass refuse to price"
         );
-    }
-
-    #[test]
-    fn parity_fault_is_detected() {
-        let report = audit_model_with_fault("Meta-SGCL", Fault::Parity).expect("registered");
-        assert!(!report.is_clean());
-        let parity = report.parity.as_ref().expect("Meta-SGCL declares parity");
-        assert!(!parity.is_clean());
     }
 }

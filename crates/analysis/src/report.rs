@@ -38,8 +38,7 @@ fn string_array<T: std::fmt::Display>(items: &[T]) -> String {
 ///
 /// ```json
 /// {"models": [{"model": "...", "clean": true,
-///              "stages": [{"stage": "full", "nodes": 123, ...}],
-///              "parity": {...} | null}]}
+///              "stages": [{"stage": "full", "nodes": 123, ...}]}]}
 /// ```
 pub fn to_json(reports: &[AuditReport]) -> String {
     let mut models = Vec::new();
@@ -94,27 +93,11 @@ pub fn to_json(reports: &[AuditReport]) -> String {
                 det = string_array(&s.determinism),
             ));
         }
-        let parity = match &r.parity {
-            None => "null".to_string(),
-            Some(p) => format!(
-                concat!(
-                    "{{\"path\":\"{path}\",\"clean\":{clean},",
-                    "\"declared_ops\":{dl},\"actual_ops\":{al},",
-                    "\"diagnostics\":{diags}}}"
-                ),
-                path = escape(&p.path),
-                clean = p.is_clean(),
-                dl = p.declared_len,
-                al = p.actual_len,
-                diags = string_array(&p.diagnostics),
-            ),
-        };
         models.push(format!(
-            "{{\"model\":\"{}\",\"clean\":{},\"stages\":[{}],\"parity\":{}}}",
+            "{{\"model\":\"{}\",\"clean\":{},\"stages\":[{}]}}",
             escape(&r.model),
             r.is_clean(),
             stages.join(","),
-            parity
         ));
     }
     format!("{{\"models\":[{}]}}\n", models.join(","))
@@ -150,8 +133,6 @@ mod tests {
                 .unwrap()
                 > 0.0
         );
-        let parity = m.get("parity").expect("parity object");
-        assert_eq!(parity.get("clean").and_then(Json::as_bool), Some(true));
     }
 
     #[test]

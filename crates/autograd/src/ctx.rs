@@ -1,0 +1,345 @@
+//! One op set, two execution contexts.
+//!
+//! Model code is written once against [`Ctx`]. The *recording* context is
+//! the [`Graph`]: every op pushes the same tape node the matching [`Var`]
+//! method pushes, in the same order. The *eager* context [`Eager`] runs the
+//! same ops on plain [`Tensor`]s: no tape, no parameter locks, no per-call
+//! weight clones. Training records; serving runs eagerly.
+//!
+//! Weights live in a [`Store`]. [`Train`] holds the shared, trainable
+//! [`ParamRef`]s the recording context enters as tape leaves; [`Frozen`]
+//! holds detached snapshots the eager context reads in place, matrices in
+//! a [`QuantMatrix`] (so bf16/int8 serving plugs in at the weight read) and
+//! vectors in f32.
+//!
+//! # Bitwise parity
+//!
+//! Each eager op computes its value with the same `tensor::ops` function
+//! or `Tensor::map` closure as the matching `Var` op, and composites
+//! ([`Ctx::mean_axis`]) compose identically on both sides. So a forward
+//! gives the same bits under either context on the same weights; with f32
+//! storage the quantised weight reads are exactly the plain GEMMs.
+//! `tests/ctx_props.rs` checks every op.
+
+use tensor::bug::OrBug;
+use tensor::{ops, QuantMatrix, Tensor};
+
+use crate::graph::{Graph, ParamRef, Var};
+use crate::ops_basic::{gelu, sigmoid};
+
+/// Where a module's weights live.
+pub trait Store {
+    /// A weight matrix (linear weight, embedding table).
+    type Mat;
+    /// A weight vector (bias, LayerNorm gain and shift).
+    type Vec;
+}
+
+/// Trainable storage: every weight is a shared autograd parameter.
+pub struct Train;
+
+impl Store for Train {
+    type Mat = ParamRef;
+    type Vec = ParamRef;
+}
+
+/// Serving storage: detached weight snapshots.
+pub struct Frozen;
+
+impl Store for Frozen {
+    type Mat = QuantMatrix;
+    type Vec = Tensor;
+}
+
+/// Weight matrix type read by context `C`.
+pub type Mat<C> = <<C as Ctx>::S as Store>::Mat;
+/// Weight vector type read by context `C`.
+pub type Vector<C> = <<C as Ctx>::S as Store>::Vec;
+
+/// An execution context: the op set every module forward is written in.
+///
+/// Shape errors are programming errors and panic in both contexts.
+pub trait Ctx {
+    /// The weight storage this context reads.
+    type S: Store;
+    /// The value type ops consume and produce.
+    type V: Value<Ctx = Self>;
+
+    /// Enters a tensor as a non-differentiable value.
+    fn constant(&self, t: Tensor) -> Self::V;
+    /// Rows `indices` of a weight matrix (embedding lookup).
+    fn gather(&self, table: &Mat<Self>, indices: &[usize]) -> Self::V;
+    /// `x · W`.
+    fn matmul_w(&self, x: &Self::V, w: &Mat<Self>) -> Self::V;
+    /// `x · Wᵀ` (tied-table scoring).
+    fn matmul_transb_w(&self, x: &Self::V, w: &Mat<Self>) -> Self::V;
+    /// `x + b`, broadcasting a weight vector.
+    fn add_w(&self, x: &Self::V, b: &Vector<Self>) -> Self::V;
+    /// `x ⊙ g`, broadcasting a weight vector.
+    fn mul_w(&self, x: &Self::V, g: &Vector<Self>) -> Self::V;
+
+    /// Shape of a value.
+    fn dims(&self, x: &Self::V) -> Vec<usize>;
+    /// Broadcasting `a + b`.
+    fn add(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// Broadcasting `a − b`.
+    fn sub(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// Broadcasting `a ⊙ b`.
+    fn mul(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// Broadcasting `a / b`.
+    fn div(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// Broadcasting `a + c` for a constant tensor (additive masks).
+    fn add_const(&self, a: &Self::V, c: &Tensor) -> Self::V;
+    /// Broadcasting `a ⊙ c` for a constant tensor (multiplicative masks).
+    fn mul_const(&self, a: &Self::V, c: &Tensor) -> Self::V;
+    /// `a · c`.
+    fn scale(&self, a: &Self::V, c: f32) -> Self::V;
+    /// `a + c`.
+    fn add_scalar(&self, a: &Self::V, c: f32) -> Self::V;
+    /// Elementwise square.
+    fn square(&self, a: &Self::V) -> Self::V;
+    /// Elementwise square root.
+    fn sqrt(&self, a: &Self::V) -> Self::V;
+    /// Elementwise ReLU.
+    fn relu(&self, a: &Self::V) -> Self::V;
+    /// Elementwise GELU (tanh approximation).
+    fn gelu(&self, a: &Self::V) -> Self::V;
+    /// Elementwise logistic sigmoid.
+    fn sigmoid(&self, a: &Self::V) -> Self::V;
+    /// Elementwise hyperbolic tangent.
+    fn tanh(&self, a: &Self::V) -> Self::V;
+    /// Sum along `axis`.
+    fn sum_axis(&self, a: &Self::V, axis: usize, keepdim: bool) -> Self::V;
+    /// Mean along `axis`: `sum_axis` then `scale`, as on the tape.
+    fn mean_axis(&self, a: &Self::V, axis: usize, keepdim: bool) -> Self::V {
+        let n = self.dims(a)[axis] as f32;
+        self.scale(&self.sum_axis(a, axis, keepdim), 1.0 / n)
+    }
+    /// Softmax along the last axis.
+    fn softmax_last(&self, a: &Self::V) -> Self::V;
+    /// Matrix product of two values.
+    fn matmul(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// `a · bᵀ` of two values.
+    fn matmul_transb(&self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// Reshape to `dims` (same element count).
+    fn reshape(&self, a: &Self::V, dims: Vec<usize>) -> Self::V;
+    /// Reorders axes by `perm`.
+    fn permute(&self, a: &Self::V, perm: &[usize]) -> Self::V;
+    /// `[start, end)` along `axis`.
+    fn slice_axis(&self, a: &Self::V, axis: usize, start: usize, end: usize) -> Self::V;
+    /// Concatenation along `axis`.
+    fn concat(&self, parts: &[&Self::V], axis: usize) -> Self::V;
+}
+
+/// A value that knows its context, for helpers that take only values.
+pub trait Value: Clone {
+    /// The context this value belongs to.
+    type Ctx: Ctx<V = Self>;
+    /// A handle to that context.
+    fn ctx(&self) -> Self::Ctx;
+}
+
+impl Ctx for Graph {
+    type S = Train;
+    type V = Var;
+
+    fn constant(&self, t: Tensor) -> Var {
+        Graph::constant(self, t)
+    }
+    fn gather(&self, table: &ParamRef, indices: &[usize]) -> Var {
+        self.param(table).index_select_rows(indices)
+    }
+    fn matmul_w(&self, x: &Var, w: &ParamRef) -> Var {
+        x.matmul(&self.param(w))
+    }
+    fn matmul_transb_w(&self, x: &Var, w: &ParamRef) -> Var {
+        x.matmul_transb(&self.param(w))
+    }
+    fn add_w(&self, x: &Var, b: &ParamRef) -> Var {
+        x.add(&self.param(b))
+    }
+    fn mul_w(&self, x: &Var, g: &ParamRef) -> Var {
+        x.mul(&self.param(g))
+    }
+    fn dims(&self, x: &Var) -> Vec<usize> {
+        x.dims()
+    }
+    fn add(&self, a: &Var, b: &Var) -> Var {
+        a.add(b)
+    }
+    fn sub(&self, a: &Var, b: &Var) -> Var {
+        a.sub(b)
+    }
+    fn mul(&self, a: &Var, b: &Var) -> Var {
+        a.mul(b)
+    }
+    fn div(&self, a: &Var, b: &Var) -> Var {
+        a.div(b)
+    }
+    fn add_const(&self, a: &Var, c: &Tensor) -> Var {
+        a.add_const(c)
+    }
+    fn mul_const(&self, a: &Var, c: &Tensor) -> Var {
+        a.mul_const(c)
+    }
+    fn scale(&self, a: &Var, c: f32) -> Var {
+        a.scale(c)
+    }
+    fn add_scalar(&self, a: &Var, c: f32) -> Var {
+        a.add_scalar(c)
+    }
+    fn square(&self, a: &Var) -> Var {
+        a.square()
+    }
+    fn sqrt(&self, a: &Var) -> Var {
+        a.sqrt()
+    }
+    fn relu(&self, a: &Var) -> Var {
+        a.relu()
+    }
+    fn gelu(&self, a: &Var) -> Var {
+        a.gelu()
+    }
+    fn sigmoid(&self, a: &Var) -> Var {
+        a.sigmoid()
+    }
+    fn tanh(&self, a: &Var) -> Var {
+        a.tanh()
+    }
+    fn sum_axis(&self, a: &Var, axis: usize, keepdim: bool) -> Var {
+        a.sum_axis(axis, keepdim)
+    }
+    fn softmax_last(&self, a: &Var) -> Var {
+        a.softmax_last()
+    }
+    fn matmul(&self, a: &Var, b: &Var) -> Var {
+        a.matmul(b)
+    }
+    fn matmul_transb(&self, a: &Var, b: &Var) -> Var {
+        a.matmul_transb(b)
+    }
+    fn reshape(&self, a: &Var, dims: Vec<usize>) -> Var {
+        a.reshape(dims)
+    }
+    fn permute(&self, a: &Var, perm: &[usize]) -> Var {
+        a.permute(perm)
+    }
+    fn slice_axis(&self, a: &Var, axis: usize, start: usize, end: usize) -> Var {
+        a.slice_axis(axis, start, end)
+    }
+    fn concat(&self, parts: &[&Var], axis: usize) -> Var {
+        Var::concat(parts, axis)
+    }
+}
+
+impl Value for Var {
+    type Ctx = Graph;
+    fn ctx(&self) -> Graph {
+        self.graph.clone()
+    }
+}
+
+/// The eager context: ops run straight on [`Tensor`]s over [`Frozen`]
+/// weights.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Eager;
+
+impl Ctx for Eager {
+    type S = Frozen;
+    type V = Tensor;
+
+    fn constant(&self, t: Tensor) -> Tensor {
+        t
+    }
+    fn gather(&self, table: &QuantMatrix, indices: &[usize]) -> Tensor {
+        table.select_rows(indices).or_bug("gather")
+    }
+    fn matmul_w(&self, x: &Tensor, w: &QuantMatrix) -> Tensor {
+        ops::matmul_q(x, w).or_bug("matmul_w")
+    }
+    fn matmul_transb_w(&self, x: &Tensor, w: &QuantMatrix) -> Tensor {
+        ops::matmul_transb_q(x, w).or_bug("matmul_transb_w")
+    }
+    fn add_w(&self, x: &Tensor, b: &Tensor) -> Tensor {
+        ops::add(x, b).or_bug("add_w")
+    }
+    fn mul_w(&self, x: &Tensor, g: &Tensor) -> Tensor {
+        ops::mul(x, g).or_bug("mul_w")
+    }
+    fn dims(&self, x: &Tensor) -> Vec<usize> {
+        x.dims().to_vec()
+    }
+    fn add(&self, a: &Tensor, b: &Tensor) -> Tensor {
+        ops::add(a, b).or_bug("add")
+    }
+    fn sub(&self, a: &Tensor, b: &Tensor) -> Tensor {
+        ops::sub(a, b).or_bug("sub")
+    }
+    fn mul(&self, a: &Tensor, b: &Tensor) -> Tensor {
+        ops::mul(a, b).or_bug("mul")
+    }
+    fn div(&self, a: &Tensor, b: &Tensor) -> Tensor {
+        ops::div(a, b).or_bug("div")
+    }
+    fn add_const(&self, a: &Tensor, c: &Tensor) -> Tensor {
+        ops::add(a, c).or_bug("add_const")
+    }
+    fn mul_const(&self, a: &Tensor, c: &Tensor) -> Tensor {
+        ops::mul(a, c).or_bug("mul_const")
+    }
+    fn scale(&self, a: &Tensor, c: f32) -> Tensor {
+        a.map(|x| x * c)
+    }
+    fn add_scalar(&self, a: &Tensor, c: f32) -> Tensor {
+        a.map(|x| x + c)
+    }
+    fn square(&self, a: &Tensor) -> Tensor {
+        a.map(|x| x * x)
+    }
+    fn sqrt(&self, a: &Tensor) -> Tensor {
+        a.map(f32::sqrt)
+    }
+    fn relu(&self, a: &Tensor) -> Tensor {
+        a.map(|x| x.max(0.0))
+    }
+    fn gelu(&self, a: &Tensor) -> Tensor {
+        a.map(gelu)
+    }
+    fn sigmoid(&self, a: &Tensor) -> Tensor {
+        a.map(sigmoid)
+    }
+    fn tanh(&self, a: &Tensor) -> Tensor {
+        a.map(f32::tanh)
+    }
+    fn sum_axis(&self, a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
+        ops::sum_axis(a, axis, keepdim).or_bug("sum_axis")
+    }
+    fn softmax_last(&self, a: &Tensor) -> Tensor {
+        ops::softmax_last(a)
+    }
+    fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
+        ops::matmul(a, b).or_bug("matmul")
+    }
+    fn matmul_transb(&self, a: &Tensor, b: &Tensor) -> Tensor {
+        ops::matmul_transb(a, b).or_bug("matmul_transb")
+    }
+    fn reshape(&self, a: &Tensor, dims: Vec<usize>) -> Tensor {
+        a.reshape(dims).or_bug("reshape")
+    }
+    fn permute(&self, a: &Tensor, perm: &[usize]) -> Tensor {
+        ops::permute(a, perm).or_bug("permute")
+    }
+    fn slice_axis(&self, a: &Tensor, axis: usize, start: usize, end: usize) -> Tensor {
+        ops::slice_axis(a, axis, start, end).or_bug("slice_axis")
+    }
+    fn concat(&self, parts: &[&Tensor], axis: usize) -> Tensor {
+        ops::concat(parts, axis).or_bug("concat")
+    }
+}
+
+impl Value for Tensor {
+    type Ctx = Eager;
+    fn ctx(&self) -> Eager {
+        Eager
+    }
+}

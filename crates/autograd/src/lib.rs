@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod accum;
+pub mod ctx;
 mod graph;
 pub mod meta;
 pub mod numeric;
@@ -51,6 +52,7 @@ mod ops_reduce;
 mod ops_shape;
 
 pub use accum::GradientSet;
+pub use ctx::{Ctx, Eager, Frozen, Store, Train, Value};
 pub use graph::{Graph, ParamRef, Parameter, Var};
 pub use meta::{capture_bytes, NodeInfo, ParamInfo, ShapeSig};
 pub use ops_reduce::IGNORE_INDEX;

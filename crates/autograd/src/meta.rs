@@ -290,24 +290,6 @@ impl Graph {
             })
             .collect()
     }
-
-    /// The tape's *compute* op names in recording order: every non-leaf
-    /// node's `op`, with `constant`/`param` leaves elided (they read
-    /// inputs into the graph, they don't compute).
-    ///
-    /// This is the autograd side of the frozen-parity contract: a
-    /// `Frozen*` module declares the op sequence its twin's forward must
-    /// record, and the static parity pass diffs that declaration against
-    /// this trace.
-    pub fn op_trace(&self) -> Vec<&'static str> {
-        let inner = self.inner.borrow();
-        inner
-            .nodes
-            .iter()
-            .filter(|n| !matches!(n.sig, ShapeSig::Leaf))
-            .map(|n| n.op)
-            .collect()
-    }
 }
 
 impl Var {

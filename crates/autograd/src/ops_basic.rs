@@ -6,6 +6,19 @@ use tensor::{ops, Tensor};
 use crate::graph::Var;
 use crate::meta::ShapeSig;
 
+/// `sqrt(2/π)`, the GELU tanh-approximation constant.
+const GELU_C: f32 = 0.797_884_6;
+
+/// GELU (tanh approximation) of one value; shared with the eager context.
+pub(crate) fn gelu(x: f32) -> f32 {
+    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
+}
+
+/// Logistic sigmoid of one value; shared with the eager context.
+pub(crate) fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
 impl Var {
     // -- binary arithmetic (broadcasting) ---------------------------------
 
@@ -158,15 +171,14 @@ impl Var {
 
     /// Elementwise GELU (tanh approximation).
     pub fn gelu(&self) -> Var {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
         let a_val = self.value();
-        let value = a_val.map(|x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh()));
+        let value = a_val.map(gelu);
         let aid = self.id;
         self.unary("gelu", ShapeSig::Elementwise, value, move |g, sink| {
             let dgelu = a_val.map(|x| {
-                let inner = C * (x + 0.044715 * x * x * x);
+                let inner = GELU_C * (x + 0.044715 * x * x * x);
                 let t = inner.tanh();
-                let dt = (1.0 - t * t) * C * (1.0 + 3.0 * 0.044715 * x * x);
+                let dt = (1.0 - t * t) * GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
                 0.5 * (1.0 + t) + 0.5 * x * dt
             });
             sink(aid, ops::mul(g, &dgelu).or_bug("gelu-back"));
@@ -186,7 +198,7 @@ impl Var {
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let value = self.with_value(|a| a.map(|x| 1.0 / (1.0 + (-x).exp())));
+        let value = self.with_value(|a| a.map(sigmoid));
         let out = value.clone();
         let aid = self.id;
         self.unary("sigmoid", ShapeSig::Elementwise, value, move |g, sink| {

@@ -15,7 +15,7 @@
 //! `meta_stage_only_updates_sigma_prime` invariant statically.
 
 use autograd::Graph;
-use models::audit::{audit_batch, Auditable, ParityCheck, StageContract, StageTrace};
+use models::audit::{audit_batch, Auditable, StageContract, StageTrace};
 use models::backbone::TransformerBackbone;
 use models::cl::info_nce_masked;
 use models::vae::standard_normal_like;
@@ -70,17 +70,6 @@ impl Auditable for MetaSgcl {
             loss,
         }
     }
-
-    fn frozen_parity(&self, seqs: &[Vec<ItemId>]) -> Option<ParityCheck> {
-        use nn::Freeze;
-        let seq = seqs.first()?;
-        let (g, _last) = self.score_graph(seq);
-        Some(ParityCheck {
-            path: "score_padded".into(),
-            declared: self.freeze().declared_score_trace(),
-            actual: g.op_trace(),
-        })
-    }
 }
 
 impl MetaSgcl {
@@ -110,9 +99,7 @@ impl MetaSgcl {
         let batch = audit_batch(seqs, self.cfg.net.max_len, seed);
         let g = Graph::new();
         let features = self.encode(&g, &batch.inputs, &batch.pad, &mut rng, true);
-        let v1 = self.view(
-            &g, &features, &batch.pad, false, false, false, &mut rng, true,
-        );
+        let v1 = self.view(&g, &features, &batch.pad, false, false, &mut rng, true);
         // Deliberately broken second view (Eq. 15): σ' is computed but
         // detached, mirroring a forgotten stop-gradient bug.
         let mu = self.enc_mu.forward(&g, &features);

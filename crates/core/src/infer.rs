@@ -1,17 +1,16 @@
-//! Tape-free frozen inference for Meta-SGCL.
+//! Serving Meta-SGCL: the model over frozen weights, run eagerly.
 //!
-//! [`FrozenMetaSgcl`] is a weight snapshot of a trained [`MetaSgcl`]: plain
-//! contiguous tensors, no autograd graph, no parameter locks in the hot
-//! loop. Deterministic eval uses `z = μ`, so only the backbone, `Enc_μ`,
-//! and the optional decoder are snapshotted — the variance heads never
-//! influence served scores.
+//! [`FrozenMetaSgcl`] is `MetaSgcl<Frozen>`: a weight snapshot of a
+//! trained [`MetaSgcl`] with no autograd graph and no parameter locks in
+//! the hot loop. Deterministic eval uses `z = μ`, so the variance heads
+//! never influence served scores.
 //!
-//! Two scoring paths, both gated bitwise against autograd references:
+//! Two scoring paths:
 //!
-//! * [`FrozenMetaSgcl::score_padded`] mirrors
-//!   [`MetaSgcl::score_sequence`] (right-anchored padded window) and must
-//!   agree with it `==` — this is the offline-parity contract served by
-//!   default.
+//! * [`FrozenMetaSgcl::score_padded`] runs the same score body as
+//!   [`MetaSgcl::score_sequence`] (right-anchored padded window) under the
+//!   eager context, so the two agree `==` — the offline-parity contract
+//!   served by default.
 //! * [`FrozenMetaSgcl::begin_incremental`] /
 //!   [`append_incremental`](FrozenMetaSgcl::append_incremental) keep a
 //!   per-user K/V cache under left-aligned semantics (reference:
@@ -20,24 +19,18 @@
 //!   a cache reaches `max_len` the caller re-begins from the last
 //!   `max_len` items (a slide, counted as one re-encode).
 
-use models::{BackboneState, FrozenTransformerBackbone, TransformerBackbone};
-use nn::{
-    causal_mask, EncoderKv, Freeze, FrozenLinear, FrozenTransformerEncoder, InferModule, Quantize,
-};
-use recdata::{encode_input_only, ItemId};
+use autograd::{Eager, Frozen};
+use models::{BackboneState, TransformerBackbone};
+use nn::{causal_mask, EncoderKv, Freeze, InferModule, Quantize};
+use recdata::ItemId;
 use tensor::bug::OrBug;
 use tensor::{QuantMode, Tensor};
 
 use crate::model::MetaSgcl;
+use crate::train::TrainingHistory;
 
-/// Frozen Meta-SGCL inference model.
-pub struct FrozenMetaSgcl {
-    backbone: FrozenTransformerBackbone,
-    enc_mu: FrozenLinear,
-    decoder: Option<FrozenTransformerEncoder>,
-    num_items: usize,
-    max_len: usize,
-}
+/// Meta-SGCL over frozen weights.
+pub type FrozenMetaSgcl = MetaSgcl<Frozen>;
 
 /// Incremental per-user state: backbone K/V cache plus (when the model has
 /// an explicit decoder) the decoder's own K/V cache over the latent
@@ -59,80 +52,29 @@ impl State {
     }
 }
 
-impl FrozenMetaSgcl {
+impl MetaSgcl<Frozen> {
     /// Catalog size (excluding padding index 0).
     pub fn num_items(&self) -> usize {
-        self.num_items
+        self.cfg.net.num_items
     }
 
     /// Maximum window length; incremental caches slide past this.
     pub fn max_len(&self) -> usize {
-        self.max_len
+        self.cfg.net.max_len
     }
 
     fn last_scores(&self, h_last: &Tensor) -> Vec<f32> {
         let logits = self.backbone.scores(h_last);
-        logits.row(0)[..self.num_items + 1].to_vec()
+        logits.row(0)[..self.num_items() + 1].to_vec()
     }
 
-    /// Declares the op sequence of the autograd reference for
-    /// [`FrozenMetaSgcl::score_padded`] ([`MetaSgcl::score_sequence`]):
-    /// backbone forward, `Enc_μ`, optional decoder, tied-table scores,
-    /// final last-position slice. Entries marked autograd-only are values
-    /// the training-path `view` materialises but deterministic serving
-    /// provably never reads.
-    pub fn declared_score_trace(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        self.backbone.forward_padded_trace(&mut out);
-        self.enc_mu.op_trace(&mut out);
-        // autograd-only: `view` always evaluates the Enc_σ logvar head
-        // (bias + clamp) even with deterministic z = μ; its output feeds
-        // only the KL/contrastive terms, never the served scores.
-        out.extend(["matmul", "add", "clamp"]);
-        if let Some(dec) = &self.decoder {
-            dec.op_trace(true, true, &mut out);
-        }
-        // Per-position logits over the full window (the frozen path
-        // projects only the last row — GEMM rows are independent chains).
-        FrozenTransformerBackbone::scores_trace(&mut out);
-        // autograd-only: `view` extracts z_last for the contrastive heads.
-        out.extend(["slice_axis", "reshape"]);
-        // Final slice of the last position's logits out of [1, n, V].
-        FrozenTransformerBackbone::last_hidden_trace(&mut out);
-        out
-    }
-
-    /// The padded forward up to the last-position hidden state `[1, d]` —
-    /// the query side of the tied-table projection. `seq` must be
-    /// non-empty.
-    fn padded_last_hidden(&self, seq: &[ItemId]) -> Tensor {
-        let (input, pad) = encode_input_only(seq, self.max_len);
-        let features = self
-            .backbone
-            .forward_padded(std::slice::from_ref(&input), std::slice::from_ref(&pad));
-        let mu = self.enc_mu.forward(&features);
-        let h = match &self.decoder {
-            Some(dec) => {
-                let mask = self.backbone.attention_mask(std::slice::from_ref(&pad));
-                let timeline = TransformerBackbone::timeline_mask(std::slice::from_ref(&pad));
-                dec.forward(&mu, Some(&mask), Some(&timeline))
-            }
-            None => mu,
-        };
-        FrozenTransformerBackbone::last_hidden(&h)
-    }
-
-    /// Catalog scores mirroring [`MetaSgcl::score_sequence`] bitwise:
+    /// Catalog scores equal to [`MetaSgcl::score_sequence`] bitwise:
     /// right-anchored padded window, deterministic `z = μ`.
-    ///
-    /// Only the final position is projected against the catalog — GEMM
-    /// rows are independent accumulation chains, so this equals the last
-    /// row of the training path's all-position projection.
     pub fn score_padded(&self, seq: &[ItemId]) -> Vec<f32> {
         if seq.is_empty() {
-            return vec![0.0; self.num_items + 1];
+            return vec![0.0; self.num_items() + 1];
         }
-        self.last_scores(&self.padded_last_hidden(seq))
+        self.last_scores(&self.padded_last_hidden(&Eager, seq))
     }
 
     /// Query vector for maximum-inner-product retrieval: the same
@@ -143,7 +85,7 @@ impl FrozenMetaSgcl {
         if seq.is_empty() {
             return None;
         }
-        Some(self.padded_last_hidden(seq).row(0).to_vec())
+        Some(self.padded_last_hidden(&Eager, seq).row(0).to_vec())
     }
 
     /// Dense f32 copy of the tied item-embedding table
@@ -158,18 +100,18 @@ impl FrozenMetaSgcl {
     /// equal to [`MetaSgcl::score_left_aligned`] on the same window.
     pub fn begin_incremental(&self, window: &[ItemId]) -> (State, Vec<f32>) {
         assert!(
-            !window.is_empty() && window.len() <= self.max_len,
+            !window.is_empty() && window.len() <= self.max_len(),
             "window must hold 1..=max_len items"
         );
         let (bb, h) = self.backbone.begin_incremental(window);
-        let mu = self.enc_mu.forward(&h);
+        let mu = self.enc_mu.forward(&Eager, &h);
         let (dec_state, last) = match &self.decoder {
             Some(dec) => {
                 let mut kv = EncoderKv::new(dec.n_layers(), dec.heads());
                 let dh = dec.encode_collect(&mu, Some(&causal_mask(window.len())), &mut kv);
-                (Some(kv), FrozenTransformerBackbone::last_hidden(&dh))
+                (Some(kv), TransformerBackbone::last_hidden(&dh))
             }
-            None => (None, FrozenTransformerBackbone::last_hidden(&mu)),
+            None => (None, TransformerBackbone::last_hidden(&mu)),
         };
         let scores = self.last_scores(&last);
         (State { bb, dec: dec_state }, scores)
@@ -189,7 +131,7 @@ impl FrozenMetaSgcl {
             let mut bb: Vec<&mut BackboneState> = states.iter_mut().map(|s| &mut s.bb).collect();
             self.backbone.append_incremental(items, &mut bb)
         };
-        let mu = self.enc_mu.forward(&h);
+        let mu = self.enc_mu.forward(&Eager, &h);
         let hfinal = match &self.decoder {
             Some(dec) => {
                 let mut kvs: Vec<&mut EncoderKv> = states
@@ -202,29 +144,32 @@ impl FrozenMetaSgcl {
         };
         let logits = self.backbone.scores(&hfinal);
         (0..states.len())
-            .map(|i| logits.row(i)[..self.num_items + 1].to_vec())
+            .map(|i| logits.row(i)[..self.num_items() + 1].to_vec())
             .collect()
     }
 }
 
-impl InferModule for FrozenMetaSgcl {
-    fn num_weights(&self) -> usize {
-        self.backbone.num_weights()
-            + self.enc_mu.num_weights()
-            + self.decoder.as_ref().map_or(0, InferModule::num_weights)
-    }
-
+impl InferModule for MetaSgcl<Frozen> {
     fn weight_bytes(&self) -> usize {
         self.backbone.weight_bytes()
-            + self.enc_mu.weight_bytes()
+            + [&self.enc_mu, &self.enc_logvar, &self.enc_logvar_prime]
+                .iter()
+                .map(|l| l.weight_bytes())
+                .sum::<usize>()
             + self.decoder.as_ref().map_or(0, InferModule::weight_bytes)
     }
 }
 
-impl Quantize for FrozenMetaSgcl {
+impl Quantize for MetaSgcl<Frozen> {
     fn quantize(&mut self, mode: QuantMode) {
         self.backbone.quantize(mode);
-        self.enc_mu.quantize(mode);
+        for head in [
+            &mut self.enc_mu,
+            &mut self.enc_logvar,
+            &mut self.enc_logvar_prime,
+        ] {
+            head.quantize(mode);
+        }
         if let Some(dec) = &mut self.decoder {
             dec.quantize(mode);
         }
@@ -232,15 +177,17 @@ impl Quantize for FrozenMetaSgcl {
 }
 
 impl Freeze for MetaSgcl {
-    type Frozen = FrozenMetaSgcl;
+    type Frozen = MetaSgcl<Frozen>;
 
-    fn freeze(&self) -> FrozenMetaSgcl {
-        FrozenMetaSgcl {
+    fn freeze(&self) -> MetaSgcl<Frozen> {
+        MetaSgcl {
             backbone: self.backbone.freeze(),
             enc_mu: self.enc_mu.freeze(),
+            enc_logvar: self.enc_logvar.freeze(),
+            enc_logvar_prime: self.enc_logvar_prime.freeze(),
             decoder: self.decoder.as_ref().map(Freeze::freeze),
-            num_items: self.cfg.net.num_items,
-            max_len: self.cfg.net.max_len,
+            cfg: self.cfg.clone(),
+            history: TrainingHistory::default(),
         }
     }
 }

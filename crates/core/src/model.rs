@@ -1,14 +1,14 @@
 //! The Meta-SGCL model: backbone encoder, VAE heads (`Enc_μ`, `Enc_σ`,
 //! `Enc_σ'`), Seq2Seq decoder, and catalog scoring.
 
-use autograd::{Graph, ParamRef, Var};
+use autograd::{Ctx, Graph, ParamRef, Store, Train, Var};
 use models::backbone::TransformerBackbone;
 use models::vae::standard_normal_like;
+use nn::infer::eval_rng;
 use nn::{Linear, Module, TransformerEncoder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recdata::{encode_input_only, ItemId};
-use tensor::bug::OrBug;
 
 use crate::config::MetaSgclConfig;
 use crate::train::TrainingHistory;
@@ -35,17 +35,18 @@ pub(crate) struct View {
     pub logvar: Var,
 }
 
-/// The Meta-SGCL sequential recommender.
-pub struct MetaSgcl {
-    pub(crate) backbone: TransformerBackbone,
-    pub(crate) enc_mu: Linear,
-    pub(crate) enc_logvar: Linear,
+/// The Meta-SGCL sequential recommender. `MetaSgcl<Frozen>` is the
+/// serving form (see [`crate::infer`]).
+pub struct MetaSgcl<S: Store = Train> {
+    pub(crate) backbone: TransformerBackbone<S>,
+    pub(crate) enc_mu: Linear<S>,
+    pub(crate) enc_logvar: Linear<S>,
     /// The meta variance encoder `Enc_σ'`.
-    pub(crate) enc_logvar_prime: Linear,
+    pub(crate) enc_logvar_prime: Linear<S>,
     /// Optional explicit Seq2Seq decoder (see
     /// [`MetaSgclConfig::decoder_layers`]); `None` means the Eq. 22 path
     /// `ŷ = z·Mᵀ`.
-    pub(crate) decoder: Option<TransformerEncoder>,
+    pub(crate) decoder: Option<TransformerEncoder<S>>,
     pub(crate) cfg: MetaSgclConfig,
     pub(crate) history: TrainingHistory,
 }
@@ -175,10 +176,11 @@ impl MetaSgcl {
 
     /// Builds one latent view from encoder features (Eqs. 11–15) and runs
     /// the Seq2Seq decoder (Eq. 13). `meta_sigma` selects `Enc_σ'` instead
-    /// of `Enc_σ`. `deterministic` (inference) uses `z = μ`. `with_logits`
-    /// controls whether the full-catalog scores (Eq. 22) are materialized;
-    /// callers that never read them (contrastive-only meta stage,
-    /// sampled-softmax training) pass `false` and skip the `O(|V|)` GEMM.
+    /// of `Enc_σ`. `with_logits` controls whether the full-catalog scores
+    /// (Eq. 22) are materialized; callers that never read them
+    /// (contrastive-only meta stage, sampled-softmax training) pass
+    /// `false` and skip the `O(|V|)` GEMM. Deterministic scoring (`z = μ`)
+    /// does not build a view: see `padded_last_hidden`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn view(
         &self,
@@ -186,7 +188,6 @@ impl MetaSgcl {
         features: &Var,
         pad: &[Vec<bool>],
         meta_sigma: bool,
-        deterministic: bool,
         with_logits: bool,
         rng: &mut StdRng,
         training: bool,
@@ -198,13 +199,9 @@ impl MetaSgcl {
             &self.enc_logvar
         };
         let logvar = head.forward(g, features).clamp(-8.0, 8.0);
-        let z = if deterministic {
-            mu.clone()
-        } else {
-            let sigma = logvar.scale(0.5).exp();
-            let eps = standard_normal_like(&mu.dims(), rng);
-            mu.add(&sigma.mul_const(&eps))
-        };
+        let sigma = logvar.scale(0.5).exp();
+        let eps = standard_normal_like(&mu.dims(), rng);
+        let z = mu.add(&sigma.mul_const(&eps));
         // Decode: either the explicit Transformer decoder over the latent
         // sequence (same masks as the encoder), or the Eq. 22 path scoring
         // the latent directly against the tied item table.
@@ -247,25 +244,9 @@ impl MetaSgcl {
         if seq.is_empty() {
             return vec![0.0; self.cfg.net.num_items + 1];
         }
-        let (_g, last) = self.score_graph(seq);
-        last.value().row(0)[..self.cfg.net.num_items + 1].to_vec()
-    }
-
-    /// Builds the deterministic padded scoring graph and returns the tape
-    /// plus the last-position logits head (`[1, V]`). Shared by
-    /// [`MetaSgcl::score_sequence`] and the frozen-parity audit, so the
-    /// audited tape is the real serving-reference forward.
-    pub(crate) fn score_graph(&self, seq: &[ItemId]) -> (Graph, Var) {
-        let (input, pad) = encode_input_only(seq, self.cfg.net.max_len);
         let g = Graph::new();
-        let mut rng = StdRng::seed_from_u64(0); // unused: no dropout/noise at eval
-        let features = self.encode(&g, &[input], std::slice::from_ref(&pad), &mut rng, false);
-        let view = self.view(&g, &features, &[pad], false, true, true, &mut rng, false);
-        let logits = view.logits.or_bug("score_graph requested logits");
-        let dims = logits.dims();
-        let (n, v) = (dims[1], dims[2]);
-        let last = logits.slice_axis(1, n - 1, n).reshape(vec![1, v]);
-        (g, last)
+        let logits = self.backbone.scores(&g, &self.padded_last_hidden(&g, seq));
+        logits.value().row(0)[..self.cfg.net.num_items + 1].to_vec()
     }
 
     /// Deterministic catalog scores under *left-aligned* (incremental
@@ -283,7 +264,7 @@ impl MetaSgcl {
         }
         let window = &seq[seq.len().saturating_sub(self.cfg.net.max_len)..];
         let g = Graph::new();
-        let mut rng = StdRng::seed_from_u64(0); // unused: no dropout/noise at eval
+        let mut rng = eval_rng();
         let features = self
             .backbone
             .forward_left_aligned(&g, window, &mut rng, false);
@@ -299,6 +280,28 @@ impl MetaSgcl {
             .backbone
             .scores(&g, &TransformerBackbone::last_hidden(&h));
         logits.value().row(0)[..self.cfg.net.num_items + 1].to_vec()
+    }
+}
+
+impl<S: Store> MetaSgcl<S> {
+    /// Deterministic (`z = μ`) hidden state `[1, d]` at the last position
+    /// of the right-anchored padded window: the query side of Eq. 22 that
+    /// offline scoring and serving share. `seq` must be non-empty.
+    pub(crate) fn padded_last_hidden<C: Ctx<S = S>>(&self, c: &C, seq: &[ItemId]) -> C::V {
+        let (input, pad) = encode_input_only(seq, self.cfg.net.max_len);
+        let pad = [pad];
+        let mut rng = eval_rng();
+        let features = self.backbone.forward(c, &[input], &pad, &mut rng, false);
+        let mu = self.enc_mu.forward(c, &features);
+        let h = match &self.decoder {
+            Some(dec) => {
+                let mask = self.backbone.attention_mask(&pad);
+                let timeline = TransformerBackbone::timeline_mask(&pad);
+                dec.forward(c, &mu, Some(&mask), Some(&timeline), &mut rng, false)
+            }
+            None => mu,
+        };
+        TransformerBackbone::last_hidden(&h)
     }
 }
 
@@ -357,8 +360,8 @@ mod tests {
         let inputs = vec![vec![0, 0, 1, 2, 3, 4]];
         let pad = vec![vec![true, true, false, false, false, false]];
         let f = m.encode(&g, &inputs, &pad, &mut rng, false);
-        let v1 = m.view(&g, &f, &pad, false, false, false, &mut rng, false);
-        let v2 = m.view(&g, &f, &pad, true, false, false, &mut rng, false);
+        let v1 = m.view(&g, &f, &pad, false, false, &mut rng, false);
+        let v2 = m.view(&g, &f, &pad, true, false, &mut rng, false);
         assert_eq!(v1.mu.value().data(), v2.mu.value().data(), "μ is shared");
         assert_ne!(
             v1.logvar.value().data(),
@@ -386,8 +389,8 @@ mod tests {
         let inputs = vec![vec![1, 2, 3, 4, 5, 6]];
         let pad = vec![vec![false; 6]];
         let f = m.encode(&g, &inputs, &pad, &mut rng, false);
-        let v1 = m.view(&g, &f, &pad, false, false, false, &mut rng, false);
-        let v2 = m.view(&g, &f, &pad, false, false, false, &mut rng, false);
+        let v1 = m.view(&g, &f, &pad, false, false, &mut rng, false);
+        let v2 = m.view(&g, &f, &pad, false, false, &mut rng, false);
         assert_ne!(v1.z.value().data(), v2.z.value().data());
         let _ = &mut m;
     }

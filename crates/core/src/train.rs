@@ -139,16 +139,7 @@ impl MetaSgcl {
         let with_logits = !softmax.is_sampled();
 
         let features = self.encode(g, &batch.inputs, &batch.pad, rng, true);
-        let v1 = self.view(
-            g,
-            &features,
-            &batch.pad,
-            false,
-            false,
-            with_logits,
-            rng,
-            true,
-        );
+        let v1 = self.view(g, &features, &batch.pad, false, with_logits, rng, true);
         let v2 = self.second_view(g, &features, batch, with_logits, rng);
 
         // L_rs1 + L_rs2 (Eq. 23). Candidates (sampled mode) are drawn once
@@ -228,13 +219,13 @@ impl MetaSgcl {
     ) -> crate::model::View {
         match self.cfg.second_view {
             SecondView::MetaSigma => {
-                self.view(g, features, &batch.pad, true, false, with_logits, rng, true)
+                self.view(g, features, &batch.pad, true, with_logits, rng, true)
             }
             SecondView::Dropout => {
                 // Model augmentation: a fresh dropout-perturbed encoder pass
                 // feeding the primary (Enc_σ) posterior.
                 let f2 = self.encode(g, &batch.inputs, &batch.pad, rng, true);
-                self.view(g, &f2, &batch.pad, false, false, with_logits, rng, true)
+                self.view(g, &f2, &batch.pad, false, with_logits, rng, true)
             }
             SecondView::DataAugmentation => {
                 // Hand-crafted augmentation of the raw inputs. The mask
@@ -259,7 +250,7 @@ impl MetaSgcl {
                     pads.push(pd);
                 }
                 let f2 = self.encode(g, &inputs, &pads, rng, true);
-                self.view(g, &f2, &pads, false, false, with_logits, rng, true)
+                self.view(g, &f2, &pads, false, with_logits, rng, true)
             }
         }
     }
@@ -270,7 +261,7 @@ impl MetaSgcl {
         // Contrastive-only objective: neither view's catalog logits are
         // read, so neither is materialized (`with_logits = false`).
         let features = self.encode(g, &batch.inputs, &batch.pad, rng, true);
-        let v1 = self.view(g, &features, &batch.pad, false, false, false, rng, true);
+        let v1 = self.view(g, &features, &batch.pad, false, false, rng, true);
         let v2 = self.second_view(g, &features, batch, false, rng);
         info_nce_masked(
             &v1.z_last,

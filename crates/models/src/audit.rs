@@ -55,26 +55,6 @@ pub struct StageTrace {
     pub loss: Var,
 }
 
-/// A frozen-parity check: the op sequence a `Frozen*` inference twin
-/// declares for its autograd reference forward, next to the op names that
-/// forward actually recorded on a tape.
-///
-/// The declared side is composed structurally from the frozen module tree
-/// (each `Frozen*` submodule contributes its own `op_trace`), so editing
-/// either the training forward or the frozen forward desynchronises the
-/// two sequences and the static parity pass fails — before any runtime
-/// bitwise comparison ever runs.
-pub struct ParityCheck {
-    /// Label of the compared scoring path (e.g. `"score_padded"`).
-    pub path: String,
-    /// Op names the frozen twin declares, including documented
-    /// autograd-only entries (values the training path computes and
-    /// discards, which the frozen path provably never reads).
-    pub declared: Vec<&'static str>,
-    /// Op names actually recorded by the autograd scoring forward.
-    pub actual: Vec<&'static str>,
-}
-
 /// A model whose training graph can be audited statically.
 pub trait Auditable {
     /// Name used in audit reports (matches [`crate::SequentialRecommender::name`]).
@@ -92,17 +72,6 @@ pub trait Auditable {
     /// Panics if `stage` is not one of the stages named by
     /// [`Auditable::audit_contracts`].
     fn trace_stage(&mut self, stage: &str, seqs: &[Vec<ItemId>], seed: u64) -> StageTrace;
-
-    /// The frozen-parity check for this model, when it has a tape-free
-    /// inference twin: the twin's declared op sequence next to the actual
-    /// tape trace of the autograd scoring forward on `seqs[0]`.
-    ///
-    /// The default (`None`) means the family has no frozen twin and the
-    /// parity pass is skipped, not failed.
-    fn frozen_parity(&self, seqs: &[Vec<ItemId>]) -> Option<ParityCheck> {
-        let _ = seqs;
-        None
-    }
 }
 
 /// Deterministic ring sequences for audits: item `i` is always followed by

@@ -7,7 +7,7 @@
 //! plus a different head/objective, which keeps the Table II comparison
 //! about objectives rather than implementation details.
 
-use autograd::{Graph, ParamRef, Var};
+use autograd::{Ctx, Graph, ParamRef, Store, Train, Value, Var};
 use nn::{
     causal_mask, padding_additive_mask, Dropout, Embedding, LayerNorm, Module, TransformerEncoder,
 };
@@ -17,13 +17,13 @@ use tensor::bug::OrBug;
 use tensor::{ops, Tensor};
 
 /// Item+position embedding and Transformer encoder stack.
-pub struct TransformerBackbone {
-    pub(crate) item_emb: Embedding,
-    pub(crate) pos_emb: Embedding,
-    pub(crate) emb_ln: LayerNorm,
-    emb_dropout: Dropout,
-    pub(crate) encoder: TransformerEncoder,
-    dim: usize,
+pub struct TransformerBackbone<S: Store = Train> {
+    pub(crate) item_emb: Embedding<S>,
+    pub(crate) pos_emb: Embedding<S>,
+    pub(crate) emb_ln: LayerNorm<S>,
+    pub(crate) emb_dropout: Dropout,
+    pub(crate) encoder: TransformerEncoder<S>,
+    pub(crate) dim: usize,
     pub(crate) heads: usize,
     pub(crate) causal: bool,
 }
@@ -65,31 +65,10 @@ impl TransformerBackbone {
         }
     }
 
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Vocabulary size (including padding/special tokens).
-    pub fn vocab(&self) -> usize {
-        self.item_emb.vocab()
-    }
-
     /// The item-embedding table parameter (tied output projection, Fig. 6
     /// analytics).
     pub fn item_table(&self) -> &ParamRef {
         self.item_emb.table()
-    }
-
-    /// Builds the combined additive attention mask for a batch.
-    pub fn attention_mask(&self, pad: &[Vec<bool>]) -> Tensor {
-        let n = pad.first().map_or(0, Vec::len);
-        let pad_mask = padding_additive_mask(pad, self.heads);
-        if self.causal {
-            ops::add(&pad_mask, &causal_mask(n)).or_bug("mask broadcast")
-        } else {
-            pad_mask
-        }
     }
 
     /// Multiplicative timeline mask `[b, n, 1]` (0 at padding).
@@ -107,98 +86,11 @@ impl TransformerBackbone {
         t
     }
 
-    /// Embeds a batch (Eq. 4: `Ê = E + P`), normalizes, applies dropout.
-    pub fn embed(
-        &self,
-        g: &Graph,
-        inputs: &[Vec<ItemId>],
-        rng: &mut StdRng,
-        training: bool,
-    ) -> Var {
-        let n = inputs.first().map_or(0, Vec::len);
-        let e = self.item_emb.forward_batch(g, inputs);
-        let pos: Vec<usize> = (0..n).collect();
-        let p = self.pos_emb.forward_flat(g, &pos); // [n, d] broadcast over batch
-        let x = e.add(&p);
-        let x = self.emb_ln.forward(g, &x);
-        self.emb_dropout.forward(&x, rng, training)
-    }
-
-    /// Full forward: returns hidden states `[b, n, dim]` (Eq. 10's `F^(l)`).
-    pub fn forward(
-        &self,
-        g: &Graph,
-        inputs: &[Vec<ItemId>],
-        pad: &[Vec<bool>],
-        rng: &mut StdRng,
-        training: bool,
-    ) -> Var {
-        let x = self.embed(g, inputs, rng, training);
-        let mask = self.attention_mask(pad);
-        let timeline = Self::timeline_mask(pad);
-        self.encoder
-            .forward(g, &x, Some(&mask), Some(&timeline), rng, training)
-    }
-
-    /// Left-aligned, unpadded forward for one sequence: positions are
-    /// `0..seq.len()` (anchored at the *start*, not the right edge), the
-    /// mask is causal only, and there is no timeline mask because nothing
-    /// is padding. These are the semantics the incremental serving path
-    /// caches under — appending an item leaves every earlier position's
-    /// embedding (and, by causality, hidden state) unchanged.
-    ///
-    /// Requires `seq.len() <= max_len` (the position table has `max_len`
-    /// rows).
-    pub fn forward_left_aligned(
-        &self,
-        g: &Graph,
-        seq: &[ItemId],
-        rng: &mut StdRng,
-        training: bool,
-    ) -> Var {
-        let n = seq.len();
-        let e = self
-            .item_emb
-            .forward_batch(g, std::slice::from_ref(&seq.to_vec()));
-        let pos: Vec<usize> = (0..n).collect();
-        let p = self.pos_emb.forward_flat(g, &pos);
-        let x = self.emb_ln.forward(g, &e.add(&p));
-        let x = self.emb_dropout.forward(&x, rng, training);
-        let mask = causal_mask(n);
-        self.encoder
-            .forward(g, &x, Some(&mask), None, rng, training)
-    }
-
-    /// Runs the encoder on a pre-built embedding var (used by models that
-    /// modify the embedding first, e.g. the VAE decoder over `z`).
-    pub fn encode_embedded(
-        &self,
-        g: &Graph,
-        x: &Var,
-        pad: &[Vec<bool>],
-        rng: &mut StdRng,
-        training: bool,
-    ) -> Var {
-        let mask = self.attention_mask(pad);
-        let timeline = Self::timeline_mask(pad);
-        self.encoder
-            .forward(g, x, Some(&mask), Some(&timeline), rng, training)
-    }
-
-    /// Extracts the representation at the last position: `[b, n, d] → [b, d]`.
-    /// With left padding the final position always holds the most recent
-    /// real item.
-    pub fn last_hidden(h: &Var) -> Var {
-        let dims = h.dims();
-        let (b, n, d) = (dims[0], dims[1], dims[2]);
-        h.slice_axis(1, n - 1, n).reshape(vec![b, d])
-    }
-
     /// Scores the catalog from hidden states via the tied item table
     /// (Eq. 22: `ŷ = z · Mᵀ`). Accepts `[b, d]` or `[b, n, d]`.
     pub fn scores(&self, g: &Graph, h: &Var) -> Var {
         // Fused NT against the [V, d] table — no [d, V] transpose copy.
-        h.matmul_transb(&self.item_emb.full(g))
+        self.item_emb.project(g, h)
     }
 
     /// The tied item-embedding table as a graph var (`[vocab, d]`), for
@@ -214,6 +106,128 @@ impl TransformerBackbone {
         ps.extend(self.emb_ln.parameters());
         ps.extend(self.encoder.parameters());
         ps
+    }
+}
+
+impl<S: Store> TransformerBackbone<S> {
+    /// Embedding dimension.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Vocabulary size (including padding/special tokens).
+    pub fn vocab(&self) -> usize {
+        self.item_emb.vocab()
+    }
+
+    /// Maximum sequence length (rows in the position table).
+    pub fn max_len(&self) -> usize {
+        self.pos_emb.vocab()
+    }
+
+    /// Builds the combined additive attention mask for a batch.
+    pub fn attention_mask(&self, pad: &[Vec<bool>]) -> Tensor {
+        let n = pad.first().map_or(0, Vec::len);
+        let pad_mask = padding_additive_mask(pad, self.heads);
+        if self.causal {
+            ops::add(&pad_mask, &causal_mask(n)).or_bug("mask broadcast")
+        } else {
+            pad_mask
+        }
+    }
+
+    /// Adds position embeddings to item embeddings `e` (`[b, n, d]` with
+    /// `positions` `0..n`, or `[b, d]` with one position per row),
+    /// normalizes, applies dropout.
+    pub(crate) fn add_positions<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        e: &C::V,
+        positions: &[usize],
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let p = self.pos_emb.forward_flat(c, positions);
+        let x = self.emb_ln.forward(c, &c.add(e, &p));
+        self.emb_dropout.apply(c, x, rng, training)
+    }
+
+    /// Embeds a batch (Eq. 4: `Ê = E + P`), normalizes, applies dropout.
+    pub fn embed<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        inputs: &[Vec<ItemId>],
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let n = inputs.first().map_or(0, Vec::len);
+        let e = self.item_emb.forward_batch(c, inputs);
+        let pos: Vec<usize> = (0..n).collect(); // [n, d] broadcast over batch
+        self.add_positions(c, &e, &pos, rng, training)
+    }
+
+    /// Full forward: returns hidden states `[b, n, dim]` (Eq. 10's `F^(l)`).
+    pub fn forward<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        inputs: &[Vec<ItemId>],
+        pad: &[Vec<bool>],
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let x = self.embed(c, inputs, rng, training);
+        self.encode_embedded(c, &x, pad, rng, training)
+    }
+
+    /// Left-aligned, unpadded forward for one sequence: positions are
+    /// `0..seq.len()` (anchored at the *start*, not the right edge), the
+    /// mask is causal only, and there is no timeline mask because nothing
+    /// is padding. These are the semantics the incremental serving path
+    /// caches under — appending an item leaves every earlier position's
+    /// embedding (and, by causality, hidden state) unchanged.
+    ///
+    /// Requires `seq.len() <= max_len` (the position table has `max_len`
+    /// rows).
+    pub fn forward_left_aligned<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        seq: &[ItemId],
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let x = self.embed(c, &[seq.to_vec()], rng, training);
+        let mask = causal_mask(seq.len());
+        self.encoder
+            .forward(c, &x, Some(&mask), None, rng, training)
+    }
+
+    /// Runs the encoder on a pre-built embedding var (used by models that
+    /// modify the embedding first, e.g. the VAE decoder over `z`).
+    pub fn encode_embedded<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        x: &C::V,
+        pad: &[Vec<bool>],
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let mask = self.attention_mask(pad);
+        let timeline = TransformerBackbone::timeline_mask(pad);
+        self.encoder
+            .forward(c, x, Some(&mask), Some(&timeline), rng, training)
+    }
+
+    /// Extracts the representation at the last position: `[b, n, d] → [b, d]`.
+    /// With left padding the final position always holds the most recent
+    /// real item.
+    pub fn last_hidden<V: Value>(h: &V) -> V
+    where
+        V::Ctx: Ctx<S = S>,
+    {
+        let c = h.ctx();
+        let dims = c.dims(h);
+        let (b, n, d) = (dims[0], dims[1], dims[2]);
+        c.reshape(&c.slice_axis(h, 1, n - 1, n), vec![b, d])
     }
 }
 

@@ -6,24 +6,23 @@
 //! ranking losses — the standard modern formulation (also used by the
 //! paper's comparison framework).
 
-use autograd::Graph;
+use autograd::{Ctx, Graph, Store, Train};
 use nn::{Embedding, Gru, Module};
 use optim::{clip_grad_norm, Adam, Optimizer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recdata::{encode_input_only, Batch, Batcher, ItemId};
 
-use crate::audit::{audit_batch, Auditable, ParityCheck, StageContract, StageTrace};
+use crate::audit::{audit_batch, Auditable, StageContract, StageTrace};
 use crate::sampled::{self, SoftmaxMode};
 use crate::{SequentialRecommender, TrainConfig};
 
 /// The GRU4Rec model.
-pub struct Gru4Rec {
-    pub(crate) item_emb: Embedding,
-    pub(crate) gru: Gru,
+pub struct Gru4Rec<S: Store = Train> {
+    pub(crate) item_emb: Embedding<S>,
+    pub(crate) gru: Gru<S>,
     pub(crate) num_items: usize,
     pub(crate) max_len: usize,
-    rng: StdRng,
 }
 
 impl Gru4Rec {
@@ -35,7 +34,6 @@ impl Gru4Rec {
             gru: Gru::new(&mut rng, "gru4rec.gru", dim),
             num_items,
             max_len,
-            rng,
         }
     }
 
@@ -55,35 +53,8 @@ impl Gru4Rec {
         if seq.is_empty() {
             return vec![0.0; self.num_items + 1];
         }
-        let g = Graph::new();
-        let x = self
-            .item_emb
-            .forward_batch(&g, std::slice::from_ref(&seq.to_vec()));
-        let h = self.gru.forward_sequence(&g, &x);
-        let dims = h.dims();
-        let last = h
-            .slice_axis(1, dims[1] - 1, dims[1])
-            .reshape(vec![1, dims[2]]);
-        let logits = last.matmul_transb(&self.item_emb.full(&g)).value();
+        let logits = self.score_rows(&Graph::new(), seq.to_vec()).value();
         logits.row(0).to_vec()
-    }
-
-    /// Builds the padded scoring graph (the trait `score` semantics: last
-    /// `max_len` items, left-padded) and returns the tape plus the
-    /// last-position logits head. Shared by [`SequentialRecommender::score`]
-    /// and the frozen-parity audit, so the audited tape is the real
-    /// serving-reference forward.
-    fn score_graph(&self, seq: &[ItemId]) -> (Graph, autograd::Var) {
-        let (input, _pad) = encode_input_only(seq, self.max_len);
-        let g = Graph::new();
-        let x = self.item_emb.forward_batch(&g, &[input]);
-        let h = self.gru.forward_sequence(&g, &x);
-        let dims = h.dims();
-        let last = h
-            .slice_axis(1, dims[1] - 1, dims[1])
-            .reshape(vec![1, dims[2]]);
-        let logits = last.matmul_transb(&self.item_emb.full(&g));
-        (g, logits)
     }
 
     /// Tied-softmax next-item loss for one batch — full-catalog or
@@ -111,6 +82,22 @@ impl Gru4Rec {
     }
 }
 
+impl<S: Store> Gru4Rec<S> {
+    /// The GRU's last hidden state `[1, d]` after reading `input` from a
+    /// zero state.
+    pub(crate) fn last_hidden<C: Ctx<S = S>>(&self, c: &C, input: Vec<ItemId>) -> C::V {
+        let x = self.item_emb.forward_batch(c, &[input]);
+        self.gru.forward_sequence_last(c, &x)
+    }
+
+    /// Catalog scores `[1, V]` after reading `input`: the one score body
+    /// offline scoring and serving share. Only the last hidden state is
+    /// projected against the tied table.
+    pub(crate) fn score_rows<C: Ctx<S = S>>(&self, c: &C, input: Vec<ItemId>) -> C::V {
+        self.item_emb.project(c, &self.last_hidden(c, input))
+    }
+}
+
 impl Auditable for Gru4Rec {
     fn audit_name(&self) -> String {
         self.name()
@@ -131,17 +118,6 @@ impl Auditable for Gru4Rec {
             graph: g,
             loss,
         }
-    }
-
-    fn frozen_parity(&self, seqs: &[Vec<ItemId>]) -> Option<ParityCheck> {
-        use nn::Freeze;
-        let seq = seqs.first()?;
-        let (g, _logits) = self.score_graph(seq);
-        Some(ParityCheck {
-            path: "score_padded".into(),
-            declared: self.freeze().declared_score_trace(),
-            actual: g.op_trace(),
-        })
     }
 }
 
@@ -187,9 +163,9 @@ impl SequentialRecommender for Gru4Rec {
         if seq.is_empty() {
             return vec![0.0; self.num_items + 1];
         }
-        let (_g, logits) = self.score_graph(seq);
-        let _ = &mut self.rng;
-        logits.value().row(0).to_vec()
+        let (input, _pad) = encode_input_only(seq, self.max_len);
+        let logits = self.score_rows(&Graph::new(), input).value();
+        logits.row(0).to_vec()
     }
 }
 

@@ -1,51 +1,33 @@
-//! Tape-free frozen forwards for the model layer: the shared Transformer
-//! backbone and GRU4Rec, in both padded (training-equivalent) and
+//! Serving the model layer: the shared Transformer backbone and GRU4Rec
+//! under the eager context, in both padded (training-equivalent) and
 //! left-aligned incremental semantics.
 //!
-//! Two serving semantics, both bitwise-exact against their autograd
-//! references:
-//!
 //! * **Padded** ([`FrozenTransformerBackbone::forward_padded`],
-//!   [`FrozenGru4Rec::score_padded`]) mirrors the training-time windows:
-//!   the last `max_len` items, left-padded, positions anchored at the right
-//!   edge. This is what offline evaluation computes, so served scores can
-//!   be compared `==` against `score_sequence`/`score`. Padded windows are
-//!   *not* cacheable across appends — every append shifts all previous
-//!   items' position embeddings (and changes the GRU pad prefix).
+//!   [`FrozenGru4Rec::score_padded`]) runs the training forward itself
+//!   over frozen weights: the last `max_len` items, left-padded, positions
+//!   anchored at the right edge. This is what offline evaluation computes,
+//!   so served scores equal `score_sequence`/`score` bitwise. Padded
+//!   windows are *not* cacheable across appends — every append shifts all
+//!   previous items' position embeddings (and changes the GRU pad prefix).
 //! * **Left-aligned incremental** ([`FrozenTransformerBackbone::begin_incremental`]
 //!   / [`append_incremental`](FrozenTransformerBackbone::append_incremental),
 //!   [`FrozenGru4Rec`]'s [`GruState`]) anchors positions at the *start*
 //!   (`0..len`). Under a causal mask, appending an item leaves every
 //!   cached key/value row bitwise-unchanged, so one append is one
-//!   single-row attention step. The autograd references are
+//!   single-row attention step. The references are
 //!   [`TransformerBackbone::forward_left_aligned`] and
 //!   [`Gru4Rec::score_unpadded`].
 
-use nn::{
-    causal_mask, padding_additive_mask, EncoderKv, Freeze, FrozenEmbedding, FrozenGru,
-    FrozenLayerNorm, FrozenTransformerEncoder, InferModule, Quantize,
-};
+use autograd::{Eager, Frozen};
+use nn::infer::eval_rng;
+use nn::{causal_mask, EncoderKv, Freeze, InferModule, Quantize};
 use recdata::{encode_input_only, ItemId};
-use tensor::bug::OrBug;
-use tensor::{ops, QuantMode, Tensor};
+use tensor::{QuantMode, Tensor};
 
 use crate::{Gru4Rec, TransformerBackbone};
 
-// ---------------------------------------------------------------------------
-// Transformer backbone
-// ---------------------------------------------------------------------------
-
-/// Frozen snapshot of a [`TransformerBackbone`]: plain contiguous weight
-/// tensors, no graph, no tape, no interior mutability.
-pub struct FrozenTransformerBackbone {
-    pub(crate) item_emb: FrozenEmbedding,
-    pub(crate) pos_emb: FrozenEmbedding,
-    pub(crate) emb_ln: FrozenLayerNorm,
-    pub(crate) encoder: FrozenTransformerEncoder,
-    dim: usize,
-    heads: usize,
-    causal: bool,
-}
+/// A [`TransformerBackbone`] over frozen weights.
+pub type FrozenTransformerBackbone = TransformerBackbone<Frozen>;
 
 /// Incremental per-user cache for one backbone: the encoder K/V stack plus
 /// the number of items absorbed so far (= the next item's position index).
@@ -66,89 +48,29 @@ impl BackboneState {
     }
 }
 
-impl FrozenTransformerBackbone {
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Vocabulary size (including padding).
-    pub fn vocab(&self) -> usize {
-        self.item_emb.vocab()
-    }
-
-    /// Maximum sequence length (rows in the position table).
-    pub fn max_len(&self) -> usize {
-        self.pos_emb.vocab()
-    }
-
-    /// Mirror of [`TransformerBackbone::attention_mask`] (also used by the
-    /// Meta-SGCL decoder, which shares the encoder's masks).
-    pub fn attention_mask(&self, pad: &[Vec<bool>]) -> Tensor {
-        let n = pad.first().map_or(0, Vec::len);
-        let pad_mask = padding_additive_mask(pad, self.heads);
-        if self.causal {
-            ops::add(&pad_mask, &causal_mask(n)).or_bug("mask broadcast")
-        } else {
-            pad_mask
-        }
-    }
-
-    /// Embeds a padded batch exactly as the training path does (Eq. 4 plus
-    /// LayerNorm; dropout is identity at eval).
-    fn embed_padded(&self, inputs: &[Vec<ItemId>]) -> Tensor {
-        let n = inputs.first().map_or(0, Vec::len);
-        let e = self.item_emb.lookup_batch(inputs);
-        let pos: Vec<usize> = (0..n).collect();
-        let p = self.pos_emb.lookup_flat(&pos);
-        self.emb_ln
-            .forward(&ops::add(&e, &p).or_bug("pos broadcast"))
-    }
-
-    /// Full padded forward, bitwise-identical to
-    /// [`TransformerBackbone::forward`] at eval: hidden states `[b, n, d]`.
+impl TransformerBackbone<Frozen> {
+    /// The padded forward at eval: hidden states `[b, n, d]`.
     pub fn forward_padded(&self, inputs: &[Vec<ItemId>], pad: &[Vec<bool>]) -> Tensor {
-        let x = self.embed_padded(inputs);
-        let mask = self.attention_mask(pad);
-        let timeline = TransformerBackbone::timeline_mask(pad);
-        self.encoder.forward(&x, Some(&mask), Some(&timeline))
-    }
-
-    /// Left-aligned embedding for one sequence: positions `0..len`, no
-    /// padding, `[1, len, d]`.
-    fn embed_left_aligned(&self, seq: &[ItemId]) -> Tensor {
-        let n = seq.len();
-        assert!(
-            n <= self.max_len(),
-            "sequence length {n} exceeds position table ({})",
-            self.max_len()
-        );
-        let e = self
-            .item_emb
-            .lookup_batch(std::slice::from_ref(&seq.to_vec()));
-        let pos: Vec<usize> = (0..n).collect();
-        let p = self.pos_emb.lookup_flat(&pos);
-        self.emb_ln
-            .forward(&ops::add(&e, &p).or_bug("pos broadcast"))
+        self.forward(&Eager, inputs, pad, &mut eval_rng(), false)
     }
 
     /// Encodes a full sequence under left-aligned semantics while filling a
     /// fresh incremental cache. Returns the state and the hidden states
-    /// `[1, len, d]`. Bitwise-identical to
-    /// [`TransformerBackbone::forward_left_aligned`] at eval.
+    /// `[1, len, d]` of [`TransformerBackbone::forward_left_aligned`].
     pub fn begin_incremental(&self, seq: &[ItemId]) -> (BackboneState, Tensor) {
-        let x = self.embed_left_aligned(seq);
+        assert!(
+            seq.len() <= self.max_len(),
+            "sequence length {} exceeds position table ({})",
+            seq.len(),
+            self.max_len()
+        );
+        let x = self.embed(&Eager, &[seq.to_vec()], &mut eval_rng(), false);
         let mut enc = EncoderKv::new(self.encoder.n_layers(), self.encoder.heads());
         let h = self
             .encoder
             .encode_collect(&x, Some(&causal_mask(seq.len())), &mut enc);
-        (
-            BackboneState {
-                enc,
-                len: seq.len(),
-            },
-            h,
-        )
+        let len = seq.len();
+        (BackboneState { enc, len }, h)
     }
 
     /// Appends one item per user in a single GEMM-friendly batch. Row `i`
@@ -175,11 +97,8 @@ impl FrozenTransformerBackbone {
                 s.len
             })
             .collect();
-        let e = self.item_emb.lookup_flat(items);
-        let p = self.pos_emb.lookup_flat(&positions);
-        let x = self
-            .emb_ln
-            .forward(&ops::add(&e, &p).or_bug("pos broadcast"));
+        let e = self.item_emb.forward_flat(&Eager, items);
+        let x = self.add_positions(&Eager, &e, &positions, &mut eval_rng(), false);
         let mut kv: Vec<&mut EncoderKv> = states.iter_mut().map(|s| &mut s.enc).collect();
         let h = self.encoder.append_batch(&x, &mut kv);
         for s in states.iter_mut() {
@@ -188,23 +107,13 @@ impl FrozenTransformerBackbone {
         h
     }
 
-    /// Extracts the last position: `[1, n, d] → [1, d]`.
-    pub fn last_hidden(h: &Tensor) -> Tensor {
-        let dims = h.dims();
-        let (n, d) = (dims[1], dims[2]);
-        ops::slice_axis(h, 1, n - 1, n)
-            .or_bug("slice last")
-            .reshape(vec![1, d])
-            .or_bug("reshape last")
-    }
-
     /// Catalog scores via the tied item table (`ŷ = h · Mᵀ`). Accepts
     /// `[b, d]` or `[b, n, d]`; rows are independent accumulation chains,
     /// so batch scoring equals single-row scoring bitwise. With a
     /// quantised table, rows are dequantised inside the GEMM's packing
-    /// step (`matmul_transb_q`); in f32 mode this is the plain NT GEMM.
+    /// step; in f32 mode this is the plain NT GEMM.
     pub fn scores(&self, h: &Tensor) -> Tensor {
-        ops::matmul_transb_q(h, self.item_emb.table_q()).or_bug("score gemm")
+        self.item_emb.project(&Eager, h)
     }
 
     /// Dense f32 copy of the tied item table (`[vocab, d]`), dequantising
@@ -213,39 +122,9 @@ impl FrozenTransformerBackbone {
     pub fn item_table_f32(&self) -> Tensor {
         self.item_emb.table_q().dequantize()
     }
-
-    /// Declares the tape ops of `TransformerBackbone::forward` at eval:
-    /// item lookup, position lookup, `Ê = E + P`, embedding LayerNorm
-    /// (dropout records nothing at eval), then the masked + timeline
-    /// encoder stack.
-    pub fn forward_padded_trace(&self, out: &mut Vec<&'static str>) {
-        FrozenEmbedding::lookup_batch_trace(out);
-        FrozenEmbedding::lookup_flat_trace(out);
-        out.push("add"); // Ê = E + P
-        FrozenLayerNorm::op_trace(out);
-        self.encoder.op_trace(true, true, out);
-    }
-
-    /// Declares the tape ops of `TransformerBackbone::last_hidden`.
-    pub fn last_hidden_trace(out: &mut Vec<&'static str>) {
-        out.extend(["slice_axis", "reshape"]);
-    }
-
-    /// Declares the tape ops of `TransformerBackbone::scores` (fused NT
-    /// GEMM against the tied item table).
-    pub fn scores_trace(out: &mut Vec<&'static str>) {
-        out.push("matmul_transb");
-    }
 }
 
-impl InferModule for FrozenTransformerBackbone {
-    fn num_weights(&self) -> usize {
-        self.item_emb.num_weights()
-            + self.pos_emb.num_weights()
-            + self.emb_ln.num_weights()
-            + self.encoder.num_weights()
-    }
-
+impl InferModule for TransformerBackbone<Frozen> {
     fn weight_bytes(&self) -> usize {
         self.item_emb.weight_bytes()
             + self.pos_emb.weight_bytes()
@@ -254,7 +133,7 @@ impl InferModule for FrozenTransformerBackbone {
     }
 }
 
-impl Quantize for FrozenTransformerBackbone {
+impl Quantize for TransformerBackbone<Frozen> {
     fn quantize(&mut self, mode: QuantMode) {
         self.item_emb.quantize(mode);
         self.pos_emb.quantize(mode);
@@ -263,15 +142,16 @@ impl Quantize for FrozenTransformerBackbone {
 }
 
 impl Freeze for TransformerBackbone {
-    type Frozen = FrozenTransformerBackbone;
+    type Frozen = TransformerBackbone<Frozen>;
 
-    fn freeze(&self) -> FrozenTransformerBackbone {
-        FrozenTransformerBackbone {
+    fn freeze(&self) -> TransformerBackbone<Frozen> {
+        TransformerBackbone {
             item_emb: self.item_emb.freeze(),
             pos_emb: self.pos_emb.freeze(),
             emb_ln: self.emb_ln.freeze(),
+            emb_dropout: self.emb_dropout,
             encoder: self.encoder.freeze(),
-            dim: self.dim(),
+            dim: self.dim,
             heads: self.heads,
             causal: self.causal,
         }
@@ -282,13 +162,8 @@ impl Freeze for TransformerBackbone {
 // GRU4Rec
 // ---------------------------------------------------------------------------
 
-/// Frozen snapshot of a [`Gru4Rec`].
-pub struct FrozenGru4Rec {
-    item_emb: FrozenEmbedding,
-    gru: FrozenGru,
-    num_items: usize,
-    max_len: usize,
-}
+/// A [`Gru4Rec`] over frozen weights.
+pub type FrozenGru4Rec = Gru4Rec<Frozen>;
 
 /// Incremental per-user GRU cache: the running hidden state. Unlike the
 /// attention cache this is O(d) and never slides — the unpadded recurrence
@@ -310,7 +185,7 @@ impl GruState {
     }
 }
 
-impl FrozenGru4Rec {
+impl Gru4Rec<Frozen> {
     /// Catalog size (excluding padding index 0).
     pub fn num_items(&self) -> usize {
         self.num_items
@@ -330,10 +205,7 @@ impl FrozenGru4Rec {
             return vec![0.0; self.num_items + 1];
         }
         let (input, _pad) = encode_input_only(seq, self.max_len);
-        let x = self.item_emb.lookup_batch(std::slice::from_ref(&input));
-        let last = self.gru.forward_sequence_last(&x);
-        let logits = ops::matmul_transb_q(&last, self.item_emb.table_q()).or_bug("score gemm");
-        logits.row(0).to_vec()
+        self.score_rows(&Eager, input).row(0).to_vec()
     }
 
     /// Begins an incremental recurrence over `seq` (unpadded; mirrors
@@ -356,13 +228,13 @@ impl FrozenGru4Rec {
     pub fn append_incremental(&self, items: &[ItemId], states: &mut [&mut GruState]) -> Tensor {
         assert_eq!(items.len(), states.len(), "one item per state");
         let d = self.gru.dim();
-        let x = self.item_emb.lookup_flat(items);
+        let x = self.item_emb.forward_flat(&Eager, items);
         let mut hdata: Vec<f32> = Vec::with_capacity(states.len() * d);
         for s in states.iter() {
             hdata.extend_from_slice(s.h.row(0));
         }
         let h = Tensor::from_vec(hdata, vec![states.len(), d]);
-        let h_new = self.gru.step(&x, &h);
+        let h_new = self.gru.step(&Eager, &x, &h);
         for (i, s) in states.iter_mut().enumerate() {
             s.h = Tensor::from_vec(h_new.row(i).to_vec(), vec![1, d]);
             s.len += 1;
@@ -377,30 +249,7 @@ impl FrozenGru4Rec {
 
     /// Catalog scores from hidden states `[b, d]` via the tied table.
     pub fn scores(&self, h: &Tensor) -> Tensor {
-        ops::matmul_transb_q(h, self.item_emb.table_q()).or_bug("score gemm")
-    }
-
-    /// Declares the op sequence of the autograd reference for
-    /// [`FrozenGru4Rec::score_padded`] (`Gru4Rec`'s trait `score`): the
-    /// padded window embedding, `max_len` GRU steps, and the tied-table
-    /// projection. Entries marked autograd-only are values the training
-    /// path materialises but the frozen path provably never reads —
-    /// `forward_sequence` stacks every hidden state (per-step `reshape` +
-    /// final `concat`) and then slices the last one back out, while
-    /// `forward_sequence_last` keeps only the running hidden; the elided
-    /// ops are pure data movement, so bits are unaffected.
-    pub fn declared_score_trace(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        FrozenEmbedding::lookup_batch_trace(&mut out);
-        for _ in 0..self.max_len {
-            out.extend(["slice_axis", "reshape"]); // x_t from [b, n, d]
-            self.gru.step_op_trace(&mut out);
-            out.push("reshape"); // autograd-only: stack h_t as [b, 1, d]
-        }
-        out.push("concat"); // autograd-only: [b, n, d] of all hiddens
-        out.extend(["slice_axis", "reshape"]); // autograd-only: take last
-        out.push("matmul_transb"); // tied-table projection
-        out
+        self.item_emb.project(&Eager, h)
     }
 
     /// Query vector for maximum-inner-product retrieval: the final GRU
@@ -411,8 +260,7 @@ impl FrozenGru4Rec {
             return None;
         }
         let (input, _pad) = encode_input_only(seq, self.max_len);
-        let x = self.item_emb.lookup_batch(std::slice::from_ref(&input));
-        Some(self.gru.forward_sequence_last(&x).row(0).to_vec())
+        Some(self.last_hidden(&Eager, input).row(0).to_vec())
     }
 
     /// Dense f32 copy of the tied item table (`[num_items + 1, d]`).
@@ -426,23 +274,17 @@ impl FrozenGru4Rec {
         if seq.is_empty() {
             return vec![0.0; self.num_items + 1];
         }
-        let state = self.begin_incremental(seq);
-        let logits = self.scores(&state.h);
-        logits.row(0).to_vec()
+        self.score_rows(&Eager, seq.to_vec()).row(0).to_vec()
     }
 }
 
-impl InferModule for FrozenGru4Rec {
-    fn num_weights(&self) -> usize {
-        self.item_emb.num_weights() + self.gru.num_weights()
-    }
-
+impl InferModule for Gru4Rec<Frozen> {
     fn weight_bytes(&self) -> usize {
         self.item_emb.weight_bytes() + self.gru.weight_bytes()
     }
 }
 
-impl Quantize for FrozenGru4Rec {
+impl Quantize for Gru4Rec<Frozen> {
     fn quantize(&mut self, mode: QuantMode) {
         self.item_emb.quantize(mode);
         self.gru.quantize(mode);
@@ -450,10 +292,10 @@ impl Quantize for FrozenGru4Rec {
 }
 
 impl Freeze for Gru4Rec {
-    type Frozen = FrozenGru4Rec;
+    type Frozen = Gru4Rec<Frozen>;
 
-    fn freeze(&self) -> FrozenGru4Rec {
-        FrozenGru4Rec {
+    fn freeze(&self) -> Gru4Rec<Frozen> {
+        Gru4Rec {
             item_emb: self.item_emb.freeze(),
             gru: self.gru.freeze(),
             num_items: self.num_items,

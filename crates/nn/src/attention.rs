@@ -1,6 +1,6 @@
 //! Multi-head self-attention (Eqs. 5–7 of the paper).
 
-use autograd::{Graph, ParamRef, Var};
+use autograd::{Ctx, ParamRef, Store, Train};
 use rand::rngs::StdRng;
 use tensor::Tensor;
 
@@ -47,14 +47,14 @@ pub fn padding_additive_mask(pad: &[Vec<bool>], heads: usize) -> Tensor {
 /// Multi-head scaled dot-product self-attention with fused `d×d`
 /// query/key/value projections (equivalent to the paper's per-head
 /// `d × d/h` matrices `W_i^Q, W_i^K, W_i^V`) and an output projection.
-pub struct MultiHeadSelfAttention {
-    pub(crate) wq: Linear,
-    pub(crate) wk: Linear,
-    pub(crate) wv: Linear,
-    pub(crate) wo: Linear,
+pub struct MultiHeadSelfAttention<S: Store = Train> {
+    pub(crate) wq: Linear<S>,
+    pub(crate) wk: Linear<S>,
+    pub(crate) wv: Linear<S>,
+    pub(crate) wo: Linear<S>,
     pub(crate) heads: usize,
     pub(crate) dim: usize,
-    dropout: Dropout,
+    pub(crate) dropout: Dropout,
 }
 
 impl MultiHeadSelfAttention {
@@ -74,17 +74,19 @@ impl MultiHeadSelfAttention {
             dropout: Dropout::new(dropout),
         }
     }
+}
 
+impl<S: Store> MultiHeadSelfAttention<S> {
     /// Number of attention heads.
     pub fn heads(&self) -> usize {
         self.heads
     }
 
-    fn split_heads(&self, x: &Var, b: usize, n: usize) -> Var {
+    fn split_heads<C: Ctx>(&self, c: &C, x: &C::V, b: usize, n: usize) -> C::V {
         let dh = self.dim / self.heads;
-        x.reshape(vec![b, n, self.heads, dh])
-            .permute(&[0, 2, 1, 3])
-            .reshape(vec![b * self.heads, n, dh])
+        let x = c.reshape(x, vec![b, n, self.heads, dh]);
+        let x = c.permute(&x, &[0, 2, 1, 3]);
+        c.reshape(&x, vec![b * self.heads, n, dh])
     }
 
     /// Applies self-attention to `x: [b, n, dim]`.
@@ -92,34 +94,46 @@ impl MultiHeadSelfAttention {
     /// `mask` is an additive logits mask broadcastable to
     /// `[b·heads, n, n]` (e.g. [`causal_mask`], a padding mask, or their
     /// tensor sum); `None` means full bidirectional attention.
-    pub fn forward(
+    pub fn forward<C: Ctx<S = S>>(
         &self,
-        g: &Graph,
-        x: &Var,
+        c: &C,
+        x: &C::V,
         mask: Option<&Tensor>,
         rng: &mut StdRng,
         training: bool,
-    ) -> Var {
-        let dims = x.dims();
+    ) -> C::V {
+        self.forward_kv(c, x, mask, rng, training).0
+    }
+
+    /// [`forward`](Self::forward), also returning the split-head keys and
+    /// values (`[b·heads, n, head_dim]`) it attended over.
+    pub(crate) fn forward_kv<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        x: &C::V,
+        mask: Option<&Tensor>,
+        rng: &mut StdRng,
+        training: bool,
+    ) -> (C::V, C::V, C::V) {
+        let dims = c.dims(x);
         let (b, n) = (dims[0], dims[1]);
         debug_assert_eq!(dims[2], self.dim);
         let dh = self.dim / self.heads;
 
-        let q = self.split_heads(&self.wq.forward(g, x), b, n);
-        let k = self.split_heads(&self.wk.forward(g, x), b, n);
-        let v = self.split_heads(&self.wv.forward(g, x), b, n);
+        let q = self.split_heads(c, &self.wq.forward(c, x), b, n);
+        let k = self.split_heads(c, &self.wk.forward(c, x), b, n);
+        let v = self.split_heads(c, &self.wv.forward(c, x), b, n);
 
-        let mut scores = q.matmul_transb(&k).scale(1.0 / (dh as f32).sqrt());
+        let mut scores = c.scale(&c.matmul_transb(&q, &k), 1.0 / (dh as f32).sqrt());
         if let Some(m) = mask {
-            scores = scores.add_const(m);
+            scores = c.add_const(&scores, m);
         }
-        let attn = self.dropout.forward(&scores.softmax_last(), rng, training);
-        let ctx = attn
-            .matmul(&v)
-            .reshape(vec![b, self.heads, n, dh])
-            .permute(&[0, 2, 1, 3])
-            .reshape(vec![b, n, self.dim]);
-        self.wo.forward(g, &ctx)
+        let attn = self
+            .dropout
+            .apply(c, c.softmax_last(&scores), rng, training);
+        let ctx = c.reshape(&c.matmul(&attn, &v), vec![b, self.heads, n, dh]);
+        let ctx = c.reshape(&c.permute(&ctx, &[0, 2, 1, 3]), vec![b, n, self.dim]);
+        (self.wo.forward(c, &ctx), k, v)
     }
 }
 
@@ -135,6 +149,7 @@ impl Module for MultiHeadSelfAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autograd::Graph;
     use rand::SeedableRng;
     use tensor::init;
 

@@ -1,6 +1,6 @@
 //! Inverted dropout.
 
-use autograd::Var;
+use autograd::{Ctx, Value, Var};
 use rand::rngs::StdRng;
 use rand::Rng;
 use tensor::Tensor;
@@ -29,17 +29,22 @@ impl Dropout {
 
     /// Applies dropout. `training = false` or `p == 0` is identity.
     pub fn forward(&self, x: &Var, rng: &mut StdRng, training: bool) -> Var {
+        self.apply(&x.ctx(), x.clone(), rng, training)
+    }
+
+    /// [`Dropout::forward`] in any execution context. Identity records
+    /// nothing and, taking `x` by value, copies nothing.
+    pub fn apply<C: Ctx>(&self, c: &C, x: C::V, rng: &mut StdRng, training: bool) -> C::V {
         if !training || self.p == 0.0 {
-            return x.clone();
+            return x;
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let dims = x.dims();
-        let mut mask = Tensor::zeros(dims);
+        let mut mask = Tensor::zeros(c.dims(&x));
         for m in mask.data_mut() {
             *m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
         }
-        x.mul_const(&mask)
+        c.mul_const(&x, &mask)
     }
 }
 

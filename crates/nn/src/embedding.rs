@@ -1,6 +1,6 @@
 //! Item/position embedding table (the `M ∈ R^{N×d}` of Eq. 4).
 
-use autograd::{Graph, ParamRef, Parameter, Var};
+use autograd::{Ctx, Graph, ParamRef, Parameter, Store, Train, Var};
 use rand::rngs::StdRng;
 use tensor::init;
 
@@ -10,8 +10,8 @@ use crate::Module;
 ///
 /// Index 0 is conventionally the padding item; models typically multiply
 /// padded positions by a timeline mask, and evaluation never ranks item 0.
-pub struct Embedding {
-    pub(crate) table: ParamRef,
+pub struct Embedding<S: Store = Train> {
+    pub(crate) table: S::Mat,
     pub(crate) vocab: usize,
     pub(crate) dim: usize,
 }
@@ -26,6 +26,18 @@ impl Embedding {
         Embedding { table, vocab, dim }
     }
 
+    /// The full table as a graph var (for output projection `z · Mᵀ`).
+    pub fn full(&self, g: &Graph) -> Var {
+        g.param(&self.table)
+    }
+
+    /// Direct handle to the parameter (for analytics like Fig. 6).
+    pub fn table(&self) -> &ParamRef {
+        &self.table
+    }
+}
+
+impl<S: Store> Embedding<S> {
     /// Vocabulary size.
     pub fn vocab(&self) -> usize {
         self.vocab
@@ -37,13 +49,13 @@ impl Embedding {
     }
 
     /// Looks up a flat index list, returning `[indices.len(), dim]`.
-    pub fn forward_flat(&self, g: &Graph, indices: &[usize]) -> Var {
-        g.param(&self.table).index_select_rows(indices)
+    pub fn forward_flat<C: Ctx<S = S>>(&self, c: &C, indices: &[usize]) -> C::V {
+        c.gather(&self.table, indices)
     }
 
     /// Looks up a batch of fixed-length sequences, returning
     /// `[batch, seq_len, dim]`.
-    pub fn forward_batch(&self, g: &Graph, batch: &[Vec<usize>]) -> Var {
+    pub fn forward_batch<C: Ctx<S = S>>(&self, c: &C, batch: &[Vec<usize>]) -> C::V {
         let b = batch.len();
         let n = batch.first().map_or(0, Vec::len);
         let flat: Vec<usize> = batch
@@ -53,17 +65,12 @@ impl Embedding {
                 s.iter().copied()
             })
             .collect();
-        self.forward_flat(g, &flat).reshape(vec![b, n, self.dim])
+        c.reshape(&self.forward_flat(c, &flat), vec![b, n, self.dim])
     }
 
-    /// The full table as a graph var (for output projection `z · Mᵀ`).
-    pub fn full(&self, g: &Graph) -> Var {
-        g.param(&self.table)
-    }
-
-    /// Direct handle to the parameter (for analytics like Fig. 6).
-    pub fn table(&self) -> &ParamRef {
-        &self.table
+    /// Tied-table scores `x · Mᵀ` for `x: [.., dim]`.
+    pub fn project<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> C::V {
+        c.matmul_transb_w(x, &self.table)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Position-wise feed-forward network (Eq. 8).
 
-use autograd::{Graph, ParamRef, Var};
+use autograd::{Ctx, ParamRef, Store, Train};
 use rand::rngs::StdRng;
 
 use crate::{Dropout, Linear, Module};
@@ -15,11 +15,11 @@ pub enum Activation {
 }
 
 /// `FFN(x) = act(x·W₁ + b₁)·W₂ + b₂` applied position-wise.
-pub struct FeedForward {
-    pub(crate) l1: Linear,
-    pub(crate) l2: Linear,
+pub struct FeedForward<S: Store = Train> {
+    pub(crate) l1: Linear<S>,
+    pub(crate) l2: Linear<S>,
     pub(crate) activation: Activation,
-    dropout: Dropout,
+    pub(crate) dropout: Dropout,
 }
 
 impl FeedForward {
@@ -39,16 +39,25 @@ impl FeedForward {
             dropout: Dropout::new(dropout),
         }
     }
+}
 
+impl<S: Store> FeedForward<S> {
     /// Applies the FFN (no residual; the caller adds it per Eq. 8).
-    pub fn forward(&self, g: &Graph, x: &Var, rng: &mut StdRng, training: bool) -> Var {
-        let h = self.l1.forward(g, x);
+    pub fn forward<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        x: &C::V,
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let h = self.l1.forward(c, x);
         let h = match self.activation {
-            Activation::Relu => h.relu(),
-            Activation::Gelu => h.gelu(),
+            Activation::Relu => c.relu(&h),
+            Activation::Gelu => c.gelu(&h),
         };
-        let h = self.dropout.forward(&h, rng, training);
-        self.dropout.forward(&self.l2.forward(g, &h), rng, training)
+        let h = self.dropout.apply(c, h, rng, training);
+        let y = self.l2.forward(c, &h);
+        self.dropout.apply(c, y, rng, training)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Gated recurrent unit, for the GRU4Rec baseline.
 
-use autograd::{Graph, ParamRef, Var};
+use autograd::{Ctx, ParamRef, Store, Train};
 use rand::rngs::StdRng;
 use tensor::Tensor;
 
@@ -15,13 +15,13 @@ use crate::{Linear, Module};
 /// h̃  = tanh(x·Wh + (r⊙h)·Uh + bh)
 /// h' = (1−z)⊙h + z⊙h̃
 /// ```
-pub struct Gru {
-    pub(crate) wz: Linear,
-    pub(crate) uz: Linear,
-    pub(crate) wr: Linear,
-    pub(crate) ur: Linear,
-    pub(crate) wh: Linear,
-    pub(crate) uh: Linear,
+pub struct Gru<S: Store = Train> {
+    pub(crate) wz: Linear<S>,
+    pub(crate) uz: Linear<S>,
+    pub(crate) wr: Linear<S>,
+    pub(crate) ur: Linear<S>,
+    pub(crate) wh: Linear<S>,
+    pub(crate) uh: Linear<S>,
     pub(crate) dim: usize,
 }
 
@@ -38,39 +38,55 @@ impl Gru {
             dim,
         }
     }
+}
 
+impl<S: Store> Gru<S> {
     /// Hidden size.
     pub fn dim(&self) -> usize {
         self.dim
     }
 
     /// One step: `x: [b, dim]`, `h: [b, dim]` → new hidden `[b, dim]`.
-    pub fn step(&self, g: &Graph, x: &Var, h: &Var) -> Var {
-        let z = self.wz.forward(g, x).add(&self.uz.forward(g, h)).sigmoid();
-        let r = self.wr.forward(g, x).add(&self.ur.forward(g, h)).sigmoid();
-        let h_cand = self
-            .wh
-            .forward(g, x)
-            .add(&self.uh.forward(g, &r.mul(h)))
-            .tanh();
-        let one_minus_z = z.neg().add_scalar(1.0);
-        one_minus_z.mul(h).add(&z.mul(&h_cand))
+    pub fn step<C: Ctx<S = S>>(&self, c: &C, x: &C::V, h: &C::V) -> C::V {
+        let gate =
+            |w: &Linear<S>, u: &Linear<S>| c.sigmoid(&c.add(&w.forward(c, x), &u.forward(c, h)));
+        let z = gate(&self.wz, &self.uz);
+        let r = gate(&self.wr, &self.ur);
+        let wx = self.wh.forward(c, x);
+        let h_cand = c.tanh(&c.add(&wx, &self.uh.forward(c, &c.mul(&r, h))));
+        let one_minus_z = c.add_scalar(&c.scale(&z, -1.0), 1.0);
+        c.add(&c.mul(&one_minus_z, h), &c.mul(&z, &h_cand))
+    }
+
+    /// Input row `t` of `x: [b, n, dim]`, as `[b, dim]`.
+    fn input_at<C: Ctx<S = S>>(&self, c: &C, x: &C::V, t: usize) -> C::V {
+        let b = c.dims(x)[0];
+        c.reshape(&c.slice_axis(x, 1, t, t + 1), vec![b, self.dim])
     }
 
     /// Runs the GRU over a sequence `x: [b, n, dim]`, returning all hidden
     /// states stacked as `[b, n, dim]` (initial hidden is zero).
-    pub fn forward_sequence(&self, g: &Graph, x: &Var) -> Var {
-        let dims = x.dims();
+    pub fn forward_sequence<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> C::V {
+        let dims = c.dims(x);
         let (b, n) = (dims[0], dims[1]);
-        let mut h = g.constant(Tensor::zeros(vec![b, self.dim]));
-        let mut outputs: Vec<Var> = Vec::with_capacity(n);
+        let mut h = c.constant(Tensor::zeros(vec![b, self.dim]));
+        let mut outputs = Vec::with_capacity(n);
         for t in 0..n {
-            let xt = x.slice_axis(1, t, t + 1).reshape(vec![b, self.dim]);
-            h = self.step(g, &xt, &h);
-            outputs.push(h.reshape(vec![b, 1, self.dim]));
+            h = self.step(c, &self.input_at(c, x, t), &h);
+            outputs.push(c.reshape(&h, vec![b, 1, self.dim]));
         }
-        let refs: Vec<&Var> = outputs.iter().collect();
-        Var::concat(&refs, 1)
+        c.concat(&outputs.iter().collect::<Vec<_>>(), 1)
+    }
+
+    /// The last hidden state `[b, dim]` of the same recurrence, without
+    /// stacking the others.
+    pub fn forward_sequence_last<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> C::V {
+        let dims = c.dims(x);
+        let mut h = c.constant(Tensor::zeros(vec![dims[0], self.dim]));
+        for t in 0..dims[1] {
+            h = self.step(c, &self.input_at(c, x, t), &h);
+        }
+        h
     }
 }
 
@@ -86,6 +102,7 @@ impl Module for Gru {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autograd::Graph;
     use rand::SeedableRng;
     use tensor::init;
 

@@ -1,24 +1,12 @@
-//! Tape-free inference counterparts of the training modules.
+//! Serving storage and the incremental attention/GRU path.
 //!
-//! Every training module in this crate holds its weights as
-//! [`autograd::ParamRef`] (`Arc<RwLock<Parameter>>`) and runs its forward
-//! through the autograd `Var` graph, which records a tape node, clones
-//! shape metadata, and takes a lock per parameter read. None of that is
-//! needed at serving time. [`Freeze`] converts a trained module into a
-//! frozen twin holding plain contiguous [`Tensor`]s; the frozen forwards
-//! run straight on `tensor::ops` with no graph, no locks, and no gradient
-//! bookkeeping.
-//!
-//! # Bitwise parity contract
-//!
-//! The frozen forwards are **bitwise identical** to the autograd forwards
-//! on the same weights, by construction: each one composes the exact same
-//! `tensor::ops` calls (and `Tensor::map` closures) in the exact same
-//! order as the corresponding `Var` op chain. The speedup comes from
-//! skipping tape/lock/grad overhead and from incremental state reuse —
-//! never from reordering float arithmetic. Ops that merely move data
-//! (`reshape`, `slice_axis`, `concat`, `permute`) may be elided where the
-//! moved values are not read, since copies cannot change bits.
+//! Every module runs its one forward under either execution context (see
+//! [`autograd::ctx`]). [`Freeze`] snapshots a trained module's
+//! [`Train`](autograd::Train) weights into [`Frozen`] storage, detached
+//! from later training updates; the eager context then runs the same
+//! forward over those weights with no tape and no locks. [`Quantize`]
+//! re-encodes the frozen weight matrices for serving, and [`InferModule`]
+//! reports their resident footprint.
 //!
 //! # Incremental attention state
 //!
@@ -35,25 +23,21 @@
 //! exactly that convention; callers that need the training-time
 //! left-padded convention must use the full forwards.
 
+use autograd::{Eager, Frozen, ParamRef};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use tensor::bug::OrBug;
 use tensor::{ops, QuantMatrix, QuantMode, Tensor};
 
 use crate::{
-    Activation, Embedding, FeedForward, Gru, LayerNorm, Linear, MultiHeadSelfAttention,
-    TransformerEncoder, TransformerLayer,
+    Embedding, FeedForward, Gru, LayerNorm, Linear, MultiHeadSelfAttention, TransformerEncoder,
+    TransformerLayer,
 };
 
-/// Common surface of all frozen inference modules.
+/// Resident footprint of a frozen module.
 pub trait InferModule {
-    /// Total number of weight scalars held by this module.
-    fn num_weights(&self) -> usize;
-
-    /// Resident bytes of this module's weight storage. The default assumes
-    /// dense f32; modules whose matrices live in a [`QuantMatrix`]
-    /// override this to report the quantised footprint.
-    fn weight_bytes(&self) -> usize {
-        self.num_weights() * 4
-    }
+    /// Resident bytes of this module's weight storage.
+    fn weight_bytes(&self) -> usize;
 }
 
 /// In-place weight quantisation of a frozen module for serving.
@@ -68,313 +52,252 @@ pub trait Quantize {
     fn quantize(&mut self, mode: QuantMode);
 }
 
-/// Conversion from the trained `ParamRef` form into the frozen form.
+/// Conversion from the trained `ParamRef` storage into [`Frozen`] storage.
 ///
 /// Freezing clones the current parameter values out of their locks; the
 /// frozen module is fully detached from subsequent training updates.
 pub trait Freeze {
-    /// The frozen twin type.
+    /// The frozen module type.
     type Frozen: InferModule;
-    /// Snapshots current weights into a tape-free module.
+    /// Snapshots current weights.
     fn freeze(&self) -> Self::Frozen;
 }
 
-fn frozen_value(p: &autograd::ParamRef) -> Tensor {
+/// Snapshot of a weight vector.
+fn freeze_vec(p: &ParamRef) -> Tensor {
     p.borrow().value.clone()
 }
 
-// ---------------------------------------------------------------------------
-// Linear
-// ---------------------------------------------------------------------------
-
-/// Frozen [`Linear`]: `y = x · W (+ b)`.
-///
-/// The weight matrix lives in a [`QuantMatrix`]; in the default
-/// [`QuantMode::F32`] mode the forward is bitwise-identical to the
-/// autograd twin (`matmul_q` passes the stored tensor straight to
-/// `matmul`). The bias stays f32 in every mode.
-pub struct FrozenLinear {
-    weight: QuantMatrix,
-    bias: Option<Tensor>,
+/// Snapshot of a weight matrix, in f32 storage.
+fn freeze_mat(p: &ParamRef) -> QuantMatrix {
+    QuantMatrix::from_tensor(freeze_vec(p), QuantMode::F32).or_bug("weight matrix is rank 2")
 }
 
-impl FrozenLinear {
-    /// Applies the layer to `x: [.., in_dim]` (rank 2 or 3).
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let y = ops::matmul_q(x, &self.weight).or_bug("frozen linear matmul");
-        match &self.bias {
-            Some(b) => ops::add(&y, b).or_bug("frozen linear bias"),
-            None => y,
-        }
-    }
+/// The RNG the eager forwards take: dropout never draws from it at eval.
+pub fn eval_rng() -> StdRng {
+    StdRng::seed_from_u64(0)
+}
 
-    /// Declares the tape ops of `Linear::forward` (the autograd twin).
-    pub fn op_trace(&self, out: &mut Vec<&'static str>) {
-        out.push("matmul");
-        if self.bias.is_some() {
-            out.push("add");
+impl Freeze for Linear {
+    type Frozen = Linear<Frozen>;
+    fn freeze(&self) -> Linear<Frozen> {
+        Linear {
+            weight: freeze_mat(&self.weight),
+            bias: self.bias.as_ref().map(freeze_vec),
         }
-    }
-
-    /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
-        self.weight.cols()
     }
 }
 
-impl InferModule for FrozenLinear {
-    fn num_weights(&self) -> usize {
-        self.weight.rows() * self.weight.cols() + self.bias.as_ref().map_or(0, |b| b.data().len())
-    }
-
+impl InferModule for Linear<Frozen> {
     fn weight_bytes(&self) -> usize {
-        self.weight.resident_bytes() + self.bias.as_ref().map_or(0, |b| b.data().len() * 4)
+        self.weight.resident_bytes() + self.bias.as_ref().map_or(0, |b| b.numel() * 4)
     }
 }
 
-impl Quantize for FrozenLinear {
+impl Quantize for Linear<Frozen> {
     fn quantize(&mut self, mode: QuantMode) {
         self.weight.requantize(mode);
     }
 }
 
-impl Freeze for Linear {
-    type Frozen = FrozenLinear;
-    fn freeze(&self) -> FrozenLinear {
-        FrozenLinear {
-            weight: QuantMatrix::from_tensor(frozen_value(&self.weight), QuantMode::F32)
-                .or_bug("linear weight is rank 2"),
-            bias: self.bias.as_ref().map(frozen_value),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Embedding
-// ---------------------------------------------------------------------------
-
-/// Frozen [`Embedding`]: a `[vocab, dim]` lookup table, stored in a
-/// [`QuantMatrix`]. In the default f32 mode lookups and the tied scoring
-/// GEMM are bitwise-identical to the autograd twin; in bf16/int8 modes
-/// rows are dequantised on the fly and the table is the dominant share of
-/// the serving footprint reduction.
-pub struct FrozenEmbedding {
-    table: QuantMatrix,
-    vocab: usize,
-    dim: usize,
-}
-
-impl FrozenEmbedding {
-    /// Looks up a flat index list, returning `[indices.len(), dim]`.
-    pub fn lookup_flat(&self, indices: &[usize]) -> Tensor {
-        self.table
-            .select_rows(indices)
-            .or_bug("frozen embedding lookup")
-    }
-
-    /// Looks up a batch of equal-length sequences: `[batch, seq_len, dim]`.
-    pub fn lookup_batch(&self, batch: &[Vec<usize>]) -> Tensor {
-        let b = batch.len();
-        let n = batch.first().map_or(0, Vec::len);
-        let flat: Vec<usize> = batch
-            .iter()
-            .flat_map(|s| {
-                assert_eq!(s.len(), n, "all sequences in a batch must be padded equal");
-                s.iter().copied()
-            })
-            .collect();
-        self.lookup_flat(&flat)
-            .reshape(vec![b, n, self.dim])
-            .or_bug("frozen embedding reshape")
-    }
-
-    /// Declares the tape ops of `Embedding::forward_flat`.
-    pub fn lookup_flat_trace(out: &mut Vec<&'static str>) {
-        out.push("index_select_rows");
-    }
-
-    /// Declares the tape ops of `Embedding::forward_batch`.
-    pub fn lookup_batch_trace(out: &mut Vec<&'static str>) {
-        out.push("index_select_rows");
-        out.push("reshape");
-    }
-
-    /// The full table (tied output projection), in its stored encoding —
-    /// feed it to `ops::matmul_transb_q` for the scoring GEMM.
-    pub fn table_q(&self) -> &QuantMatrix {
-        &self.table
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Embedding dimension.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-}
-
-impl InferModule for FrozenEmbedding {
-    fn num_weights(&self) -> usize {
-        self.table.rows() * self.table.cols()
-    }
-
-    fn weight_bytes(&self) -> usize {
-        self.table.resident_bytes()
-    }
-}
-
-impl Quantize for FrozenEmbedding {
-    fn quantize(&mut self, mode: QuantMode) {
-        self.table.requantize(mode);
-    }
-}
-
 impl Freeze for Embedding {
-    type Frozen = FrozenEmbedding;
-    fn freeze(&self) -> FrozenEmbedding {
-        FrozenEmbedding {
-            table: QuantMatrix::from_tensor(frozen_value(&self.table), QuantMode::F32)
-                .or_bug("embedding table is rank 2"),
+    type Frozen = Embedding<Frozen>;
+    fn freeze(&self) -> Embedding<Frozen> {
+        Embedding {
+            table: freeze_mat(&self.table),
             vocab: self.vocab,
             dim: self.dim,
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// LayerNorm
-// ---------------------------------------------------------------------------
-
-/// Frozen [`LayerNorm`].
-pub struct FrozenLayerNorm {
-    gamma: Tensor,
-    beta: Tensor,
-    eps: f32,
-}
-
-impl FrozenLayerNorm {
-    /// Normalizes the last axis of `x` and applies the affine transform.
-    /// Mirrors `LayerNorm::forward` op-for-op.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let last = x.dims().len() - 1;
-        let mean = ops::mean_axis(x, last, true).or_bug("ln mean");
-        let centered = ops::sub(x, &mean).or_bug("ln center");
-        let sq = centered.map(|v| v * v);
-        let var = ops::mean_axis(&sq, last, true).or_bug("ln var");
-        let eps = self.eps;
-        let inv_std = var.map(|v| v + eps).map(f32::sqrt);
-        let normed = ops::div(&centered, &inv_std).or_bug("ln div");
-        let scaled = ops::mul(&normed, &self.gamma).or_bug("ln gamma");
-        ops::add(&scaled, &self.beta).or_bug("ln beta")
-    }
-
-    /// Declares the tape ops of `LayerNorm::forward`. On tape,
-    /// `mean_axis` is the composite `sum_axis`+`scale`, and the
-    /// `map` closures here mirror `square`/`add_scalar`/`sqrt` ops.
-    pub fn op_trace(out: &mut Vec<&'static str>) {
-        out.extend([
-            "sum_axis",
-            "scale", // mean
-            "sub",
-            "square",
-            "sum_axis",
-            "scale", // variance
-            "add_scalar",
-            "sqrt",
-            "div",
-            "mul", // gamma
-            "add", // beta
-        ]);
+impl InferModule for Embedding<Frozen> {
+    fn weight_bytes(&self) -> usize {
+        self.table.resident_bytes()
     }
 }
 
-impl InferModule for FrozenLayerNorm {
-    fn num_weights(&self) -> usize {
-        self.gamma.data().len() + self.beta.data().len()
+impl Quantize for Embedding<Frozen> {
+    fn quantize(&mut self, mode: QuantMode) {
+        self.table.requantize(mode);
+    }
+}
+
+impl Embedding<Frozen> {
+    /// The table in its stored encoding.
+    pub fn table_q(&self) -> &QuantMatrix {
+        &self.table
     }
 }
 
 impl Freeze for LayerNorm {
-    type Frozen = FrozenLayerNorm;
-    fn freeze(&self) -> FrozenLayerNorm {
-        FrozenLayerNorm {
-            gamma: frozen_value(&self.gamma),
-            beta: frozen_value(&self.beta),
+    type Frozen = LayerNorm<Frozen>;
+    fn freeze(&self) -> LayerNorm<Frozen> {
+        LayerNorm {
+            gamma: freeze_vec(&self.gamma),
+            beta: freeze_vec(&self.beta),
             eps: self.eps,
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// FeedForward
-// ---------------------------------------------------------------------------
-
-/// Frozen [`FeedForward`] (dropout is identity at inference).
-pub struct FrozenFeedForward {
-    l1: FrozenLinear,
-    l2: FrozenLinear,
-    activation: Activation,
-}
-
-impl FrozenFeedForward {
-    /// Applies the FFN position-wise (no residual; caller adds it).
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let h = self.l1.forward(x);
-        let h = match self.activation {
-            Activation::Relu => h.map(|v| v.max(0.0)),
-            Activation::Gelu => {
-                const C: f32 = 0.797_884_6; // sqrt(2/pi), as in Var::gelu
-                h.map(|v| 0.5 * v * (1.0 + (C * (v + 0.044715 * v * v * v)).tanh()))
-            }
-        };
-        self.l2.forward(&h)
-    }
-
-    /// Declares the tape ops of `FeedForward::forward` at eval (dropout
-    /// records nothing when not training).
-    pub fn op_trace(&self, out: &mut Vec<&'static str>) {
-        self.l1.op_trace(out);
-        out.push(match self.activation {
-            Activation::Relu => "relu",
-            Activation::Gelu => "gelu",
-        });
-        self.l2.op_trace(out);
+impl InferModule for LayerNorm<Frozen> {
+    fn weight_bytes(&self) -> usize {
+        (self.gamma.numel() + self.beta.numel()) * 4
     }
 }
 
-impl InferModule for FrozenFeedForward {
-    fn num_weights(&self) -> usize {
-        self.l1.num_weights() + self.l2.num_weights()
+impl Freeze for FeedForward {
+    type Frozen = FeedForward<Frozen>;
+    fn freeze(&self) -> FeedForward<Frozen> {
+        FeedForward {
+            l1: self.l1.freeze(),
+            l2: self.l2.freeze(),
+            activation: self.activation,
+            dropout: self.dropout,
+        }
     }
+}
 
+impl InferModule for FeedForward<Frozen> {
     fn weight_bytes(&self) -> usize {
         self.l1.weight_bytes() + self.l2.weight_bytes()
     }
 }
 
-impl Quantize for FrozenFeedForward {
+impl Quantize for FeedForward<Frozen> {
     fn quantize(&mut self, mode: QuantMode) {
         self.l1.quantize(mode);
         self.l2.quantize(mode);
     }
 }
 
-impl Freeze for FeedForward {
-    type Frozen = FrozenFeedForward;
-    fn freeze(&self) -> FrozenFeedForward {
-        FrozenFeedForward {
-            l1: self.l1.freeze(),
-            l2: self.l2.freeze(),
-            activation: self.activation,
+impl Freeze for MultiHeadSelfAttention {
+    type Frozen = MultiHeadSelfAttention<Frozen>;
+    fn freeze(&self) -> MultiHeadSelfAttention<Frozen> {
+        MultiHeadSelfAttention {
+            wq: self.wq.freeze(),
+            wk: self.wk.freeze(),
+            wv: self.wv.freeze(),
+            wo: self.wo.freeze(),
+            heads: self.heads,
+            dim: self.dim,
+            dropout: self.dropout,
+        }
+    }
+}
+
+impl InferModule for MultiHeadSelfAttention<Frozen> {
+    fn weight_bytes(&self) -> usize {
+        [&self.wq, &self.wk, &self.wv, &self.wo]
+            .iter()
+            .map(|l| l.weight_bytes())
+            .sum()
+    }
+}
+
+impl Quantize for MultiHeadSelfAttention<Frozen> {
+    fn quantize(&mut self, mode: QuantMode) {
+        for l in [&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo] {
+            l.quantize(mode);
+        }
+    }
+}
+
+impl Freeze for TransformerLayer {
+    type Frozen = TransformerLayer<Frozen>;
+    fn freeze(&self) -> TransformerLayer<Frozen> {
+        TransformerLayer {
+            mha: self.mha.freeze(),
+            ffn: self.ffn.freeze(),
+            ln1: self.ln1.freeze(),
+            ln2: self.ln2.freeze(),
+            dropout: self.dropout,
+        }
+    }
+}
+
+impl InferModule for TransformerLayer<Frozen> {
+    fn weight_bytes(&self) -> usize {
+        self.mha.weight_bytes()
+            + self.ffn.weight_bytes()
+            + self.ln1.weight_bytes()
+            + self.ln2.weight_bytes()
+    }
+}
+
+impl Quantize for TransformerLayer<Frozen> {
+    fn quantize(&mut self, mode: QuantMode) {
+        // LayerNorm vectors stay f32 in every mode.
+        self.mha.quantize(mode);
+        self.ffn.quantize(mode);
+    }
+}
+
+impl Freeze for TransformerEncoder {
+    type Frozen = TransformerEncoder<Frozen>;
+    fn freeze(&self) -> TransformerEncoder<Frozen> {
+        TransformerEncoder {
+            layers: self.layers.iter().map(Freeze::freeze).collect(),
+        }
+    }
+}
+
+impl InferModule for TransformerEncoder<Frozen> {
+    fn weight_bytes(&self) -> usize {
+        self.layers.iter().map(InferModule::weight_bytes).sum()
+    }
+}
+
+impl Quantize for TransformerEncoder<Frozen> {
+    fn quantize(&mut self, mode: QuantMode) {
+        for layer in &mut self.layers {
+            layer.quantize(mode);
+        }
+    }
+}
+
+impl Freeze for Gru {
+    type Frozen = Gru<Frozen>;
+    fn freeze(&self) -> Gru<Frozen> {
+        Gru {
+            wz: self.wz.freeze(),
+            uz: self.uz.freeze(),
+            wr: self.wr.freeze(),
+            ur: self.ur.freeze(),
+            wh: self.wh.freeze(),
+            uh: self.uh.freeze(),
+            dim: self.dim,
+        }
+    }
+}
+
+impl InferModule for Gru<Frozen> {
+    fn weight_bytes(&self) -> usize {
+        [&self.wz, &self.uz, &self.wr, &self.ur, &self.wh, &self.uh]
+            .iter()
+            .map(|l| l.weight_bytes())
+            .sum()
+    }
+}
+
+impl Quantize for Gru<Frozen> {
+    fn quantize(&mut self, mode: QuantMode) {
+        for l in [
+            &mut self.wz,
+            &mut self.uz,
+            &mut self.wr,
+            &mut self.ur,
+            &mut self.wh,
+            &mut self.uh,
+        ] {
+            l.quantize(mode);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Multi-head self-attention
+// Incremental attention
 // ---------------------------------------------------------------------------
 
 /// Cached key/value rows for one attention block of one sequence.
@@ -407,97 +330,38 @@ impl AttnKv {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Replaces the cache with one sequence's split-head keys and values
+    /// (`[heads, n, head_dim]`).
+    fn fill(&mut self, k: &Tensor, v: &Tensor) {
+        let (heads, n) = (k.dim(0), k.dim(1));
+        assert_eq!(heads, self.k.len(), "K/V collection is per-sequence");
+        let span = k.numel() / heads;
+        for h in 0..heads {
+            self.k[h] = k.data()[h * span..(h + 1) * span].to_vec();
+            self.v[h] = v.data()[h * span..(h + 1) * span].to_vec();
+        }
+        self.len = n;
+    }
 }
 
-/// Frozen [`MultiHeadSelfAttention`].
-pub struct FrozenMultiHeadSelfAttention {
-    wq: FrozenLinear,
-    wk: FrozenLinear,
-    wv: FrozenLinear,
-    wo: FrozenLinear,
-    heads: usize,
-    dim: usize,
-}
-
-impl FrozenMultiHeadSelfAttention {
-    fn split_heads(&self, x: &Tensor, b: usize, n: usize) -> Tensor {
-        let dh = self.dim / self.heads;
-        let r = x
-            .reshape(vec![b, n, self.heads, dh])
-            .or_bug("split reshape");
-        let p = ops::permute(&r, &[0, 2, 1, 3]).or_bug("split permute");
-        p.reshape(vec![b * self.heads, n, dh]).or_bug("split merge")
-    }
-
-    /// Full self-attention over `x: [b, n, dim]` with an optional additive
-    /// mask broadcastable to `[b·heads, n, n]`. Mirrors
-    /// `MultiHeadSelfAttention::forward` (eval mode) op-for-op.
-    pub fn forward(&self, x: &Tensor, mask: Option<&Tensor>) -> Tensor {
-        self.forward_collect(x, mask, None)
-    }
-
-    /// As [`FrozenMultiHeadSelfAttention::forward`], additionally filling
-    /// `collect` with this block's per-head K/V rows (requires `b == 1`).
-    pub fn forward_collect(
-        &self,
-        x: &Tensor,
-        mask: Option<&Tensor>,
-        collect: Option<&mut AttnKv>,
-    ) -> Tensor {
-        let dims = x.dims();
-        let (b, n) = (dims[0], dims[1]);
-        debug_assert_eq!(dims[2], self.dim);
-        let dh = self.dim / self.heads;
-
-        let q = self.split_heads(&self.wq.forward(x), b, n);
-        let k = self.split_heads(&self.wk.forward(x), b, n);
-        let v = self.split_heads(&self.wv.forward(x), b, n);
-
-        if let Some(kv) = collect {
-            assert_eq!(b, 1, "K/V collection is per-sequence");
-            for h in 0..self.heads {
-                let span = h * n * dh..(h + 1) * n * dh;
-                kv.k[h] = k.data()[span.clone()].to_vec();
-                kv.v[h] = v.data()[span].to_vec();
-            }
-            kv.len = n;
-        }
-
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut scores = ops::matmul_transb(&q, &k)
-            .or_bug("attn scores")
-            .map(|s| s * scale);
-        if let Some(m) = mask {
-            scores = ops::add(&scores, m).or_bug("attn mask");
-        }
-        let attn = ops::softmax_last(&scores);
-        let ctx = ops::matmul(&attn, &v).or_bug("attn ctx");
-        scores.recycle();
-        let ctx = ctx
-            .reshape(vec![b, self.heads, n, dh])
-            .or_bug("merge reshape");
-        let ctx = ops::permute(&ctx, &[0, 2, 1, 3]).or_bug("merge permute");
-        let ctx = ctx.reshape(vec![b, n, self.dim]).or_bug("merge flatten");
-        self.wo.forward(&ctx)
-    }
-
+impl MultiHeadSelfAttention<Frozen> {
     /// Appends one position per sequence: `x: [b, dim]` holds the new
     /// position's input row for `b` independent sequences whose caches are
     /// `kvs`. Returns the new positions' outputs `[b, dim]`.
     ///
-    /// Bitwise-identical to the last row of
-    /// [`FrozenMultiHeadSelfAttention::forward`] over the full (causally
-    /// masked, unpadded) sequence: the projections are row-independent
-    /// GEMMs, the causal mask contributes exactly `+0.0` to the final row
-    /// (mirrored below so `-0.0` scores normalize identically), and
-    /// softmax/context are per-row chains.
+    /// Bitwise-identical to the last row of the full forward over the
+    /// (causally masked, unpadded) sequence: the projections are
+    /// row-independent GEMMs, the causal mask contributes exactly `+0.0` to
+    /// the final row (mirrored below so `-0.0` scores normalize
+    /// identically), and softmax/context are per-row chains.
     pub fn step_append(&self, x: &Tensor, kvs: &mut [&mut AttnKv]) -> Tensor {
         let b = x.dims()[0];
         debug_assert_eq!(kvs.len(), b);
         let dh = self.dim / self.heads;
-        let q = self.wq.forward(x);
-        let k = self.wk.forward(x);
-        let v = self.wv.forward(x);
+        let q = self.wq.forward(&Eager, x);
+        let k = self.wk.forward(&Eager, x);
+        let v = self.wv.forward(&Eager, x);
         let scale = 1.0 / (dh as f32).sqrt();
         let mut ctx = Tensor::zeros(vec![b, self.dim]);
         for (bi, kv) in kvs.iter_mut().enumerate() {
@@ -524,162 +388,7 @@ impl FrozenMultiHeadSelfAttention {
             }
             kv.len += 1;
         }
-        self.wo.forward(&ctx)
-    }
-
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
-    /// Declares the tape ops of `MultiHeadSelfAttention::forward` at eval.
-    /// `masked` states whether an additive mask was supplied (it always is
-    /// in the backbone paths; bidirectional unmasked use drops `add_const`).
-    pub fn op_trace(&self, masked: bool, out: &mut Vec<&'static str>) {
-        for _ in 0..3 {
-            // wq/wk/wv projection + split_heads (reshape/permute/reshape).
-            out.extend(["matmul", "reshape", "permute", "reshape"]);
-        }
-        out.extend(["matmul_transb", "scale"]);
-        if masked {
-            out.push("add_const");
-        }
-        // softmax, context mix, merge_heads, output projection. Attention
-        // dropout records nothing at eval.
-        out.extend([
-            "softmax_last",
-            "matmul",
-            "reshape",
-            "permute",
-            "reshape",
-            "matmul",
-        ]);
-    }
-}
-
-impl InferModule for FrozenMultiHeadSelfAttention {
-    fn num_weights(&self) -> usize {
-        self.wq.num_weights()
-            + self.wk.num_weights()
-            + self.wv.num_weights()
-            + self.wo.num_weights()
-    }
-
-    fn weight_bytes(&self) -> usize {
-        self.wq.weight_bytes()
-            + self.wk.weight_bytes()
-            + self.wv.weight_bytes()
-            + self.wo.weight_bytes()
-    }
-}
-
-impl Quantize for FrozenMultiHeadSelfAttention {
-    fn quantize(&mut self, mode: QuantMode) {
-        self.wq.quantize(mode);
-        self.wk.quantize(mode);
-        self.wv.quantize(mode);
-        self.wo.quantize(mode);
-    }
-}
-
-impl Freeze for MultiHeadSelfAttention {
-    type Frozen = FrozenMultiHeadSelfAttention;
-    fn freeze(&self) -> FrozenMultiHeadSelfAttention {
-        FrozenMultiHeadSelfAttention {
-            wq: self.wq.freeze(),
-            wk: self.wk.freeze(),
-            wv: self.wv.freeze(),
-            wo: self.wo.freeze(),
-            heads: self.heads,
-            dim: self.dim,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Transformer layer / encoder
-// ---------------------------------------------------------------------------
-
-/// Frozen [`TransformerLayer`] (post-norm, SASRec style).
-pub struct FrozenTransformerLayer {
-    mha: FrozenMultiHeadSelfAttention,
-    ffn: FrozenFeedForward,
-    ln1: FrozenLayerNorm,
-    ln2: FrozenLayerNorm,
-}
-
-impl FrozenTransformerLayer {
-    /// Applies the block to `x: [b, n, dim]`.
-    pub fn forward(&self, x: &Tensor, mask: Option<&Tensor>) -> Tensor {
-        self.forward_collect(x, mask, None)
-    }
-
-    /// As [`FrozenTransformerLayer::forward`], collecting this layer's K/V
-    /// cache (requires `b == 1`).
-    pub fn forward_collect(
-        &self,
-        x: &Tensor,
-        mask: Option<&Tensor>,
-        collect: Option<&mut AttnKv>,
-    ) -> Tensor {
-        let attn = self.mha.forward_collect(x, mask, collect);
-        let h = self.ln1.forward(&ops::add(x, &attn).or_bug("resid1"));
-        let ff = self.ffn.forward(&h);
-        self.ln2.forward(&ops::add(&h, &ff).or_bug("resid2"))
-    }
-
-    /// One-position append for `b` independent sequences (`x: [b, dim]`).
-    pub fn step_append(&self, x: &Tensor, kvs: &mut [&mut AttnKv]) -> Tensor {
-        let attn = self.mha.step_append(x, kvs);
-        let h = self.ln1.forward(&ops::add(x, &attn).or_bug("resid1"));
-        let ff = self.ffn.forward(&h);
-        self.ln2.forward(&ops::add(&h, &ff).or_bug("resid2"))
-    }
-
-    /// Declares the tape ops of `TransformerLayer::forward` at eval.
-    pub fn op_trace(&self, masked: bool, out: &mut Vec<&'static str>) {
-        self.mha.op_trace(masked, out);
-        out.push("add"); // attention residual
-        FrozenLayerNorm::op_trace(out);
-        self.ffn.op_trace(out);
-        out.push("add"); // FFN residual
-        FrozenLayerNorm::op_trace(out);
-    }
-}
-
-impl InferModule for FrozenTransformerLayer {
-    fn num_weights(&self) -> usize {
-        self.mha.num_weights()
-            + self.ffn.num_weights()
-            + self.ln1.num_weights()
-            + self.ln2.num_weights()
-    }
-
-    fn weight_bytes(&self) -> usize {
-        // LayerNorm vectors stay f32 in every mode.
-        self.mha.weight_bytes()
-            + self.ffn.weight_bytes()
-            + self.ln1.weight_bytes()
-            + self.ln2.weight_bytes()
-    }
-}
-
-impl Quantize for FrozenTransformerLayer {
-    fn quantize(&mut self, mode: QuantMode) {
-        self.mha.quantize(mode);
-        self.ffn.quantize(mode);
-    }
-}
-
-impl Freeze for TransformerLayer {
-    type Frozen = FrozenTransformerLayer;
-    fn freeze(&self) -> FrozenTransformerLayer {
-        FrozenTransformerLayer {
-            mha: self.mha.freeze(),
-            ffn: self.ffn.freeze(),
-            ln1: self.ln1.freeze(),
-            ln2: self.ln2.freeze(),
-        }
+        self.wo.forward(&Eager, &ctx)
     }
 }
 
@@ -707,37 +416,10 @@ impl EncoderKv {
     }
 }
 
-/// Frozen [`TransformerEncoder`].
-pub struct FrozenTransformerEncoder {
-    layers: Vec<FrozenTransformerLayer>,
-}
-
-impl FrozenTransformerEncoder {
-    /// Number of layers.
-    pub fn n_layers(&self) -> usize {
-        self.layers.len()
-    }
-
+impl TransformerEncoder<Frozen> {
     /// Attention heads per layer (stacks are homogeneous).
     pub fn heads(&self) -> usize {
         self.layers.first().map_or(1, |l| l.mha.heads)
-    }
-
-    /// Runs the stack over `x: [b, n, dim]`, mirroring
-    /// `TransformerEncoder::forward` (eval mode) op-for-op, including the
-    /// multiplicative timeline mask before the stack and after each layer.
-    pub fn forward(&self, x: &Tensor, mask: Option<&Tensor>, timeline: Option<&Tensor>) -> Tensor {
-        let mut h = x.clone();
-        if let Some(t) = timeline {
-            h = ops::mul(&h, t).or_bug("timeline");
-        }
-        for layer in &self.layers {
-            h = layer.forward(&h, mask);
-            if let Some(t) = timeline {
-                h = ops::mul(&h, t).or_bug("timeline");
-            }
-        }
-        h
     }
 
     /// Encodes one unpadded sequence `x: [1, n, dim]` under `mask`,
@@ -750,9 +432,12 @@ impl FrozenTransformerEncoder {
         state: &mut EncoderKv,
     ) -> Tensor {
         debug_assert_eq!(state.layers.len(), self.layers.len());
+        let mut rng = eval_rng();
         let mut h = x.clone();
         for (layer, kv) in self.layers.iter().zip(state.layers.iter_mut()) {
-            h = layer.forward_collect(&h, mask, Some(kv));
+            let (out, k, v) = layer.forward_kv(&Eager, &h, mask, &mut rng, false);
+            kv.fill(&k, &v);
+            h = out;
         }
         h
     }
@@ -764,176 +449,13 @@ impl FrozenTransformerEncoder {
     /// The per-layer projections and FFN/LayerNorm run as one `[b, ..]`
     /// GEMM-friendly batch; only the attention mixing is per-sequence.
     pub fn append_batch(&self, x: &Tensor, states: &mut [&mut EncoderKv]) -> Tensor {
+        let mut rng = eval_rng();
         let mut h = x.clone();
         for (li, layer) in self.layers.iter().enumerate() {
             let mut kvs: Vec<&mut AttnKv> = states.iter_mut().map(|s| &mut s.layers[li]).collect();
-            h = layer.step_append(&h, &mut kvs);
+            let attn = layer.mha.step_append(&h, &mut kvs);
+            h = layer.residual_ffn(&Eager, &h, &attn, &mut rng, false);
         }
         h
-    }
-
-    /// Declares the tape ops of `TransformerEncoder::forward` at eval:
-    /// `timeline` applies the multiplicative mask before the stack and
-    /// after every layer, exactly as the training forward does.
-    pub fn op_trace(&self, masked: bool, timeline: bool, out: &mut Vec<&'static str>) {
-        if timeline {
-            out.push("mul_const");
-        }
-        for layer in &self.layers {
-            layer.op_trace(masked, out);
-            if timeline {
-                out.push("mul_const");
-            }
-        }
-    }
-}
-
-impl InferModule for FrozenTransformerEncoder {
-    fn num_weights(&self) -> usize {
-        self.layers.iter().map(InferModule::num_weights).sum()
-    }
-
-    fn weight_bytes(&self) -> usize {
-        self.layers.iter().map(InferModule::weight_bytes).sum()
-    }
-}
-
-impl Quantize for FrozenTransformerEncoder {
-    fn quantize(&mut self, mode: QuantMode) {
-        for layer in &mut self.layers {
-            layer.quantize(mode);
-        }
-    }
-}
-
-impl Freeze for TransformerEncoder {
-    type Frozen = FrozenTransformerEncoder;
-    fn freeze(&self) -> FrozenTransformerEncoder {
-        FrozenTransformerEncoder {
-            layers: self.layers.iter().map(Freeze::freeze).collect(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// GRU
-// ---------------------------------------------------------------------------
-
-/// Frozen [`Gru`].
-pub struct FrozenGru {
-    wz: FrozenLinear,
-    uz: FrozenLinear,
-    wr: FrozenLinear,
-    ur: FrozenLinear,
-    wh: FrozenLinear,
-    uh: FrozenLinear,
-    dim: usize,
-}
-
-impl FrozenGru {
-    /// Hidden size.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// One step for `b` independent sequences: `x: [b, dim]`,
-    /// `h: [b, dim]` → `[b, dim]`. Mirrors `Gru::step` op-for-op.
-    pub fn step(&self, x: &Tensor, h: &Tensor) -> Tensor {
-        let sigmoid = |t: Tensor| t.map(|v| 1.0 / (1.0 + (-v).exp()));
-        let z = sigmoid(ops::add(&self.wz.forward(x), &self.uz.forward(h)).or_bug("gru z"));
-        let r = sigmoid(ops::add(&self.wr.forward(x), &self.ur.forward(h)).or_bug("gru r"));
-        let rh = ops::mul(&r, h).or_bug("gru rh");
-        let h_cand = ops::add(&self.wh.forward(x), &self.uh.forward(&rh))
-            .or_bug("gru cand")
-            .map(f32::tanh);
-        let one_minus_z = z.map(|v| -v).map(|v| v + 1.0);
-        let a = ops::mul(&one_minus_z, h).or_bug("gru keep");
-        let b = ops::mul(&z, &h_cand).or_bug("gru update");
-        ops::add(&a, &b).or_bug("gru mix")
-    }
-
-    /// Declares the tape ops of one `Gru::step`. `wz`/`wr`/`wh` carry a
-    /// bias, `uz`/`ur`/`uh` do not, and the `map` closures in
-    /// [`FrozenGru::step`] mirror `sigmoid`/`tanh`/`neg`(= `scale`)/
-    /// `add_scalar` ops.
-    pub fn step_op_trace(&self, out: &mut Vec<&'static str>) {
-        for (w, u) in [(&self.wz, &self.uz), (&self.wr, &self.ur)] {
-            // z and r gates: Wx (+bias), Uh, add, sigmoid.
-            w.op_trace(out);
-            u.op_trace(out);
-            out.extend(["add", "sigmoid"]);
-        }
-        // candidate: Wx (+bias), r⊙h, Uh, add, tanh.
-        self.wh.op_trace(out);
-        out.push("mul");
-        self.uh.op_trace(out);
-        out.extend(["add", "tanh"]);
-        // h' = (1−z)⊙h + z⊙h̃.
-        out.extend(["scale", "add_scalar", "mul", "mul", "add"]);
-    }
-
-    /// Runs the GRU over `x: [b, n, dim]` (initial hidden zero) and
-    /// returns the **last** hidden state `[b, dim]`.
-    ///
-    /// Matches the last row of `Gru::forward_sequence` bitwise: the
-    /// training path's concat/slice merely move values.
-    pub fn forward_sequence_last(&self, x: &Tensor) -> Tensor {
-        let dims = x.dims();
-        let (b, n) = (dims[0], dims[1]);
-        let mut h = Tensor::zeros(vec![b, self.dim]);
-        for t in 0..n {
-            let xt = ops::slice_axis(x, 1, t, t + 1)
-                .or_bug("gru slice")
-                .reshape(vec![b, self.dim])
-                .or_bug("gru reshape");
-            h = self.step(&xt, &h);
-        }
-        h
-    }
-}
-
-impl InferModule for FrozenGru {
-    fn num_weights(&self) -> usize {
-        [&self.wz, &self.uz, &self.wr, &self.ur, &self.wh, &self.uh]
-            .iter()
-            .map(|l| l.num_weights())
-            .sum()
-    }
-
-    fn weight_bytes(&self) -> usize {
-        [&self.wz, &self.uz, &self.wr, &self.ur, &self.wh, &self.uh]
-            .iter()
-            .map(|l| l.weight_bytes())
-            .sum()
-    }
-}
-
-impl Quantize for FrozenGru {
-    fn quantize(&mut self, mode: QuantMode) {
-        for l in [
-            &mut self.wz,
-            &mut self.uz,
-            &mut self.wr,
-            &mut self.ur,
-            &mut self.wh,
-            &mut self.uh,
-        ] {
-            l.quantize(mode);
-        }
-    }
-}
-
-impl Freeze for Gru {
-    type Frozen = FrozenGru;
-    fn freeze(&self) -> FrozenGru {
-        FrozenGru {
-            wz: self.wz.freeze(),
-            uz: self.uz.freeze(),
-            wr: self.wr.freeze(),
-            ur: self.ur.freeze(),
-            wh: self.wh.freeze(),
-            uh: self.uh.freeze(),
-            dim: self.dim,
-        }
     }
 }

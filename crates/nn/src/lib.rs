@@ -6,8 +6,10 @@
 //! Every layer follows the same conventions:
 //!
 //! * construction takes an explicit `&mut StdRng` (reproducibility),
-//! * `forward` takes the [`autograd::Graph`] for the current step plus input
-//!   [`autograd::Var`]s,
+//! * `forward` is written once against an [`autograd::Ctx`]: under the
+//!   [`autograd::Graph`] it records the training tape, under
+//!   [`autograd::Eager`] it runs on plain tensors over [`Freeze`]d weights
+//!   (serving),
 //! * `parameters()` exposes the trainable leaves for optimizers and for the
 //!   meta-optimized freezing schedule.
 
@@ -30,11 +32,7 @@ pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use feedforward::{Activation, FeedForward};
 pub use gru::Gru;
-pub use infer::{
-    AttnKv, EncoderKv, Freeze, FrozenEmbedding, FrozenFeedForward, FrozenGru, FrozenLayerNorm,
-    FrozenLinear, FrozenMultiHeadSelfAttention, FrozenTransformerEncoder, FrozenTransformerLayer,
-    InferModule, Quantize,
-};
+pub use infer::{AttnKv, EncoderKv, Freeze, InferModule, Quantize};
 pub use linear::Linear;
 pub use norm::LayerNorm;
 pub use transformer::{TransformerEncoder, TransformerLayer};

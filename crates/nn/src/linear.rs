@@ -1,15 +1,15 @@
 //! Fully-connected (affine) layer.
 
-use autograd::{Graph, ParamRef, Parameter, Var};
+use autograd::{Ctx, ParamRef, Parameter, Store, Train};
 use rand::rngs::StdRng;
 use tensor::{init, Tensor};
 
 use crate::Module;
 
 /// `y = x · W (+ b)` for inputs of shape `[.., in_dim]` (rank 2 or 3).
-pub struct Linear {
-    pub(crate) weight: ParamRef,
-    pub(crate) bias: Option<ParamRef>,
+pub struct Linear<S: Store = Train> {
+    pub(crate) weight: S::Mat,
+    pub(crate) bias: Option<S::Vec>,
 }
 
 impl Linear {
@@ -33,14 +33,16 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.weight.borrow().value.dim(1)
     }
+}
 
+impl<S: Store> Linear<S> {
     /// Applies the layer. `x` has shape `[.., in_dim]` (rank 2 or 3).
-    pub fn forward(&self, g: &Graph, x: &Var) -> Var {
-        let mut y = x.matmul(&g.param(&self.weight));
-        if let Some(b) = &self.bias {
-            y = y.add(&g.param(b));
+    pub fn forward<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> C::V {
+        let y = c.matmul_w(x, &self.weight);
+        match &self.bias {
+            Some(b) => c.add_w(&y, b),
+            None => y,
         }
-        y
     }
 }
 
@@ -57,6 +59,7 @@ impl Module for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autograd::Graph;
     use rand::SeedableRng;
 
     #[test]

@@ -1,6 +1,6 @@
 //! Layer normalization over the last axis.
 
-use autograd::{Graph, ParamRef, Parameter, Var};
+use autograd::{Ctx, ParamRef, Parameter, Store, Train};
 use tensor::Tensor;
 
 use crate::Module;
@@ -9,9 +9,9 @@ use crate::Module;
 ///
 /// Composed from autograd primitives, so its gradient is exact by
 /// construction (covered by the composite gradient checks).
-pub struct LayerNorm {
-    pub(crate) gamma: ParamRef,
-    pub(crate) beta: ParamRef,
+pub struct LayerNorm<S: Store = Train> {
+    pub(crate) gamma: S::Vec,
+    pub(crate) beta: S::Vec,
     pub(crate) eps: f32,
 }
 
@@ -24,16 +24,18 @@ impl LayerNorm {
             eps: 1e-5,
         }
     }
+}
 
+impl<S: Store> LayerNorm<S> {
     /// Normalizes the last axis of `x` and applies the affine transform.
-    pub fn forward(&self, g: &Graph, x: &Var) -> Var {
-        let last = x.dims().len() - 1;
-        let mean = x.mean_axis(last, true);
-        let centered = x.sub(&mean);
-        let var = centered.square().mean_axis(last, true);
-        let inv_std = var.add_scalar(self.eps).sqrt();
-        let normed = centered.div(&inv_std);
-        normed.mul(&g.param(&self.gamma)).add(&g.param(&self.beta))
+    pub fn forward<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> C::V {
+        let last = c.dims(x).len() - 1;
+        let mean = c.mean_axis(x, last, true);
+        let centered = c.sub(x, &mean);
+        let var = c.mean_axis(&c.square(&centered), last, true);
+        let inv_std = c.sqrt(&c.add_scalar(&var, self.eps));
+        let normed = c.div(&centered, &inv_std);
+        c.add_w(&c.mul_w(&normed, &self.gamma), &self.beta)
     }
 }
 
@@ -46,6 +48,7 @@ impl Module for LayerNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autograd::Graph;
 
     #[test]
     fn output_is_standardized() {

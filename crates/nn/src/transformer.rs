@@ -1,6 +1,6 @@
 //! Stacked self-attention blocks (Eqs. 9–10): the paper's `SAN(·)`.
 
-use autograd::{Graph, ParamRef, Var};
+use autograd::{Ctx, ParamRef, Store, Train};
 use rand::rngs::StdRng;
 use tensor::Tensor;
 
@@ -8,12 +8,12 @@ use crate::{Activation, Dropout, FeedForward, LayerNorm, Module, MultiHeadSelfAt
 
 /// One SAN block: attention + residual + LayerNorm, FFN + residual +
 /// LayerNorm (post-norm, SASRec style).
-pub struct TransformerLayer {
-    pub(crate) mha: MultiHeadSelfAttention,
-    pub(crate) ffn: FeedForward,
-    pub(crate) ln1: LayerNorm,
-    pub(crate) ln2: LayerNorm,
-    dropout: Dropout,
+pub struct TransformerLayer<S: Store = Train> {
+    pub(crate) mha: MultiHeadSelfAttention<S>,
+    pub(crate) ffn: FeedForward<S>,
+    pub(crate) ln1: LayerNorm<S>,
+    pub(crate) ln2: LayerNorm<S>,
+    pub(crate) dropout: Dropout,
 }
 
 impl TransformerLayer {
@@ -35,22 +35,50 @@ impl TransformerLayer {
             dropout: Dropout::new(dropout),
         }
     }
+}
 
+impl<S: Store> TransformerLayer<S> {
     /// Applies the block to `x: [b, n, dim]` with an optional additive
     /// attention mask.
-    pub fn forward(
+    pub fn forward<C: Ctx<S = S>>(
         &self,
-        g: &Graph,
-        x: &Var,
+        c: &C,
+        x: &C::V,
         mask: Option<&Tensor>,
         rng: &mut StdRng,
         training: bool,
-    ) -> Var {
-        let attn = self.mha.forward(g, x, mask, rng, training);
-        let attn = self.dropout.forward(&attn, rng, training);
-        let h = self.ln1.forward(g, &x.add(&attn));
-        let ff = self.ffn.forward(g, &h, rng, training);
-        self.ln2.forward(g, &h.add(&ff))
+    ) -> C::V {
+        self.forward_kv(c, x, mask, rng, training).0
+    }
+
+    /// [`forward`](Self::forward), also returning the attention block's
+    /// split-head keys and values.
+    pub(crate) fn forward_kv<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        x: &C::V,
+        mask: Option<&Tensor>,
+        rng: &mut StdRng,
+        training: bool,
+    ) -> (C::V, C::V, C::V) {
+        let (attn, k, v) = self.mha.forward_kv(c, x, mask, rng, training);
+        let attn = self.dropout.apply(c, attn, rng, training);
+        (self.residual_ffn(c, x, &attn, rng, training), k, v)
+    }
+
+    /// Everything after attention: `ln2(h + FFN(h))` with
+    /// `h = ln1(x + attn)`.
+    pub(crate) fn residual_ffn<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        x: &C::V,
+        attn: &C::V,
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let h = self.ln1.forward(c, &c.add(x, attn));
+        let ff = self.ffn.forward(c, &h, rng, training);
+        self.ln2.forward(c, &c.add(&h, &ff))
     }
 }
 
@@ -65,8 +93,8 @@ impl Module for TransformerLayer {
 }
 
 /// A stack of [`TransformerLayer`]s: `F^(l) = SAN(F^(l−1))` (Eq. 10).
-pub struct TransformerEncoder {
-    pub(crate) layers: Vec<TransformerLayer>,
+pub struct TransformerEncoder<S: Store = Train> {
+    pub(crate) layers: Vec<TransformerLayer<S>>,
 }
 
 impl TransformerEncoder {
@@ -84,7 +112,9 @@ impl TransformerEncoder {
             .collect();
         TransformerEncoder { layers }
     }
+}
 
+impl<S: Store> TransformerEncoder<S> {
     /// Number of layers.
     pub fn n_layers(&self) -> usize {
         self.layers.len()
@@ -95,23 +125,23 @@ impl TransformerEncoder {
     /// `timeline` is an optional `[b, n, 1]`-broadcastable multiplicative
     /// mask (1 for real positions, 0 for padding) applied after every layer
     /// so padded positions stay zero, as in SASRec.
-    pub fn forward(
+    pub fn forward<C: Ctx<S = S>>(
         &self,
-        g: &Graph,
-        x: &Var,
+        c: &C,
+        x: &C::V,
         mask: Option<&Tensor>,
         timeline: Option<&Tensor>,
         rng: &mut StdRng,
         training: bool,
-    ) -> Var {
-        let mut h = x.clone();
-        if let Some(t) = timeline {
-            h = h.mul_const(t);
-        }
+    ) -> C::V {
+        let mut h = match timeline {
+            Some(t) => c.mul_const(x, t),
+            None => x.clone(),
+        };
         for layer in &self.layers {
-            h = layer.forward(g, &h, mask, rng, training);
+            h = layer.forward(c, &h, mask, rng, training);
             if let Some(t) = timeline {
-                h = h.mul_const(t);
+                h = c.mul_const(&h, t);
             }
         }
         h
@@ -128,6 +158,7 @@ impl Module for TransformerEncoder {
 mod tests {
     use super::*;
     use crate::causal_mask;
+    use autograd::Graph;
     use rand::SeedableRng;
     use tensor::init;
 

@@ -3,7 +3,7 @@
 //! incremental attention/GRU paths must reproduce the full re-encode
 //! exactly at every prefix length.
 
-use autograd::Graph;
+use autograd::{Eager, Graph};
 use nn::{
     causal_mask, Activation, AttnKv, EncoderKv, FeedForward, Freeze, Gru, LayerNorm, Linear,
     Module, MultiHeadSelfAttention, TransformerEncoder,
@@ -25,11 +25,11 @@ fn linear_parity() {
         let x = init::randn(&mut r, vec![3, 6], 0.0, 1.0);
         let g = Graph::new();
         let want = l.forward(&g, &g.constant(x.clone())).value();
-        assert_eq!(fl.forward(&x).data(), want.data());
+        assert_eq!(fl.forward(&Eager, &x).data(), want.data());
         // Rank-3 inputs too.
         let x3 = init::randn(&mut r, vec![2, 5, 6], 0.0, 1.0);
         let want3 = l.forward(&g, &g.constant(x3.clone())).value();
-        assert_eq!(fl.forward(&x3).data(), want3.data());
+        assert_eq!(fl.forward(&Eager, &x3).data(), want3.data());
     }
 }
 
@@ -44,7 +44,7 @@ fn layernorm_parity() {
     let x = init::randn(&mut r, vec![2, 3, 5], 0.0, 2.0);
     let g = Graph::new();
     let want = ln.forward(&g, &g.constant(x.clone())).value();
-    assert_eq!(fln.forward(&x).data(), want.data());
+    assert_eq!(fln.forward(&Eager, &x).data(), want.data());
 }
 
 #[test]
@@ -58,7 +58,10 @@ fn feedforward_parity_both_activations() {
         let want = ffn
             .forward(&g, &g.constant(x.clone()), &mut rng(0), false)
             .value();
-        assert_eq!(f.forward(&x).data(), want.data());
+        assert_eq!(
+            f.forward(&Eager, &x, &mut rng(0), false).data(),
+            want.data()
+        );
     }
 }
 
@@ -73,11 +76,17 @@ fn attention_parity_with_mask() {
     let want = mha
         .forward(&g, &g.constant(x.clone()), Some(&m), &mut rng(0), false)
         .value();
-    assert_eq!(f.forward(&x, Some(&m)).data(), want.data());
+    assert_eq!(
+        f.forward(&Eager, &x, Some(&m), &mut rng(0), false).data(),
+        want.data()
+    );
     let want_nomask = mha
         .forward(&g, &g.constant(x.clone()), None, &mut rng(0), false)
         .value();
-    assert_eq!(f.forward(&x, None).data(), want_nomask.data());
+    assert_eq!(
+        f.forward(&Eager, &x, None, &mut rng(0), false).data(),
+        want_nomask.data()
+    );
 }
 
 #[test]
@@ -100,7 +109,11 @@ fn encoder_parity_with_timeline() {
             false,
         )
         .value();
-    assert_eq!(f.forward(&x, Some(&m), Some(&timeline)).data(), want.data());
+    assert_eq!(
+        f.forward(&Eager, &x, Some(&m), Some(&timeline), &mut rng(0), false)
+            .data(),
+        want.data()
+    );
 }
 
 /// The incremental K/V path must equal the full causal re-encode at every
@@ -193,7 +206,7 @@ fn gru_parity_and_incremental() {
     let want = gru
         .step(&g, &g.constant(x1.clone()), &g.constant(h1.clone()))
         .value();
-    assert_eq!(f.step(&x1, &h1).data(), want.data());
+    assert_eq!(f.step(&Eager, &x1, &h1).data(), want.data());
 
     // last-hidden parity vs the training sequence loop
     let hs = gru.forward_sequence(&g, &g.constant(x.clone())).value();
@@ -203,15 +216,15 @@ fn gru_parity_and_incremental() {
             want_last.push(hs.at(&[b, 4, j]));
         }
     }
-    assert_eq!(f.forward_sequence_last(&x).data(), &want_last[..]);
+    assert_eq!(f.forward_sequence_last(&Eager, &x).data(), &want_last[..]);
 
     // incremental recurrence equals the full loop at every prefix
     let mut h = Tensor::zeros(vec![1, 6]);
     for t in 0..5 {
         let xt = Tensor::from_vec(x.data()[t * 6..(t + 1) * 6].to_vec(), vec![1, 6]);
-        h = f.step(&xt, &h);
+        h = f.step(&Eager, &xt, &h);
         let prefix = Tensor::from_vec(x.data()[..(t + 1) * 6].to_vec(), vec![1, t + 1, 6]);
-        assert_eq!(h.data(), f.forward_sequence_last(&prefix).data());
+        assert_eq!(h.data(), f.forward_sequence_last(&Eager, &prefix).data());
     }
 }
 
@@ -220,9 +233,9 @@ fn freeze_snapshots_are_detached_from_training() {
     let mut r = rng(9);
     let l = Linear::new(&mut r, "l", 3, 3, false);
     let frozen = l.freeze();
-    let before = frozen.forward(&Tensor::ones(vec![1, 3]));
+    let before = frozen.forward(&Eager, &Tensor::ones(vec![1, 3]));
     l.parameters()[0].borrow_mut().value = Tensor::zeros(vec![3, 3]);
-    let after = frozen.forward(&Tensor::ones(vec![1, 3]));
+    let after = frozen.forward(&Eager, &Tensor::ones(vec![1, 3]));
     assert_eq!(
         before.data(),
         after.data(),

@@ -1,7 +1,7 @@
 //! Quantised storage for frozen (inference-only) weight matrices.
 //!
 //! `msgc serve` can halve (bf16) or quarter (int8) the resident bytes of
-//! `Frozen*` module weights. A [`QuantMatrix`] wraps one rank-2 row-major
+//! frozen module weights. A [`QuantMatrix`] wraps one rank-2 row-major
 //! weight in one of three stores:
 //!
 //! * **f32** — the original [`Tensor`], untouched. This is the default

@@ -45,8 +45,8 @@ fn usage() -> ExitCode {
          [--trace-out FILE] [--trace-sample N] [--slo-p99-ms F] [--min-hit-rate F] \
          [--min-recall F] [--canary-every-s N] [--canary-probes N]\n  \
          msgc top ADDR [--interval-ms N] [--iters N]\n  \
-         msgc check [--model NAME | --all] [--cost] [--determinism] [--frozen-parity] \
-         [--audit-json FILE] [--inject-fault <shape|freeze|reassoc|cost|parity>]\n  \
+         msgc check [--model NAME | --all] [--cost] [--determinism] \
+         [--audit-json FILE] [--inject-fault <shape|freeze|reassoc|cost>]\n  \
          msgc report METRICS.jsonl [--trace TRACE.jsonl]\n\n\
          SPEC = path to user,item,rating,timestamp CSV, or synth:<preset>:<seed>"
     );
@@ -61,7 +61,6 @@ const BOOL_FLAGS: &[&str] = &[
     "strict-health",
     "cost",
     "determinism",
-    "frozen-parity",
     "ann",
 ];
 
@@ -905,13 +904,13 @@ fn cmd_report(metrics_path: &str, args: &Args) -> Result<(), String> {
 
 /// `msgc check`: run the static graph auditor (shape inference,
 /// gradient-flow/freeze contracts, numeric sanitation, cost/liveness,
-/// reassociation-safety, frozen-forward parity) over one model or the
-/// whole registered zoo. Exits non-zero if any audit fails, so it slots
-/// into CI. All six passes always run and gate cleanliness; `--cost`,
-/// `--determinism`, and `--frozen-parity` print extra per-stage detail.
-/// `--audit-json FILE` writes the machine-readable report. `--inject-fault
-/// <shape|freeze|reassoc|cost|parity>` deliberately breaks the traced
-/// tape first, to prove the detectors fire.
+/// reassociation-safety) over one model or the whole registered zoo.
+/// Exits non-zero if any audit fails, so it slots into CI. All five
+/// passes always run and gate cleanliness; `--cost` and `--determinism`
+/// print extra per-stage detail. `--audit-json FILE` writes the
+/// machine-readable report. `--inject-fault <shape|freeze|reassoc|cost>`
+/// deliberately breaks the traced tape first, to prove the detectors
+/// fire.
 fn cmd_check(args: &Args) -> Result<(), String> {
     use meta_sgcl_repro::analysis::{self, Fault};
 
@@ -921,10 +920,9 @@ fn cmd_check(args: &Args) -> Result<(), String> {
         Some("freeze") => Some(Fault::Freeze),
         Some("reassoc") => Some(Fault::Reassoc),
         Some("cost") => Some(Fault::Cost),
-        Some("parity") => Some(Fault::Parity),
         Some(other) => {
             return Err(format!(
-                "unknown fault kind `{other}` (shape|freeze|reassoc|cost|parity)"
+                "unknown fault kind `{other}` (shape|freeze|reassoc|cost)"
             ))
         }
     };
@@ -1001,22 +999,6 @@ fn cmd_check(args: &Args) -> Result<(), String> {
                     s.determinism_summary.reassoc_safe,
                     s.determinism.len(),
                 );
-            }
-        }
-        if args.get("frozen-parity").is_some() {
-            match &report.parity {
-                None => println!(
-                    "    [frozen-parity] {}: no frozen twin declared",
-                    report.model
-                ),
-                Some(p) => println!(
-                    "    [frozen-parity] {}: {} declared op(s) vs {} taped op(s) at `{}` — {}",
-                    report.model,
-                    p.declared_len,
-                    p.actual_len,
-                    p.path,
-                    if p.is_clean() { "match" } else { "DIVERGED" },
-                ),
             }
         }
         if !report.is_clean() {
@@ -1141,7 +1123,8 @@ mod tests {
             "--all",
             "--cost",
             "--determinism",
-            "--frozen-parity",
+            "--model",
+            "GRU4Rec",
             "--audit-json",
             "audit.json",
             "--inject-fault",
@@ -1150,7 +1133,7 @@ mod tests {
         .unwrap();
         assert_eq!(args.get("cost"), Some("true"));
         assert_eq!(args.get("determinism"), Some("true"));
-        assert_eq!(args.get("frozen-parity"), Some("true"));
+        assert_eq!(args.get("model"), Some("GRU4Rec"));
         assert_eq!(args.get("audit-json"), Some("audit.json"));
         assert_eq!(args.get("inject-fault"), Some("reassoc"));
     }
