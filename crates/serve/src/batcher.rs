@@ -1,8 +1,9 @@
-//! Micro-batching: a single worker drains a request queue, coalescing
-//! whatever arrives within a bounded wait into one [`Engine::handle_batch`]
-//! call, so concurrent users share GEMM work.
+//! Continuous batching: a single worker blocks for a request, takes
+//! whatever else is already queued into the same [`Engine::handle_batch`]
+//! call, and dispatches at once, so concurrent users share GEMM work
+//! without the worker ever idling for company.
 
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -16,7 +17,8 @@ use crate::engine::{Engine, FrozenScorer, ReqObs, Request, Response};
 /// [`Batcher::submit_obs`] alongside the response.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobReport {
-    /// Queue wait: submit → batch dispatch (includes the coalescing wait).
+    /// Queue wait: submit → batch dispatch (time spent behind the batch
+    /// that was scoring when the request arrived, plus the drain).
     pub enqueue_ns: u64,
     /// Batch assembly: first-job pickup → dispatch (same for every request
     /// in the batch).
@@ -34,9 +36,10 @@ struct Job {
 
 /// Hands requests from any number of threads to a single batching worker.
 ///
-/// The worker blocks for the first request, then keeps collecting until
-/// either `batch_max` requests are queued or `batch_wait` has elapsed —
-/// the standard latency/throughput trade.
+/// The worker blocks for the first request, drains whatever is already
+/// queued (up to `batch_max`) and dispatches at once. It never waits for
+/// company: under load the queue fills while a batch is scoring, so the
+/// drain alone coalesces concurrent requests.
 pub struct Batcher<M: FrozenScorer> {
     num_items: usize,
     tx: Option<mpsc::Sender<Job>>,
@@ -45,45 +48,26 @@ pub struct Batcher<M: FrozenScorer> {
 }
 
 impl<M: FrozenScorer> Batcher<M> {
-    /// Starts the worker thread.
-    pub fn new(engine: Arc<Engine<M>>, batch_max: usize, batch_wait: Duration) -> Self {
+    /// Starts the worker thread. `_batch_wait` is ignored: the worker
+    /// never waits for company, and a wait of zero meets any cap.
+    pub fn new(engine: Arc<Engine<M>>, batch_max: usize, _batch_wait: Duration) -> Self {
         let num_items = engine.model().num_items();
         let (tx, rx) = mpsc::channel::<Job>();
         let worker = std::thread::spawn(move || {
             while let Ok(first) = rx.recv() {
                 let received = Instant::now();
-                let mut jobs = vec![first];
-                let deadline = received + batch_wait;
-                while jobs.len() < batch_max.max(1) {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    match rx.recv_timeout(deadline - now) {
-                        Ok(job) => jobs.push(job),
-                        Err(RecvTimeoutError::Timeout) => break,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                // The deadline bounds how long we *wait*, not how much we
-                // take: requests already queued (e.g. while the previous
-                // batch was scoring, or with `batch_wait = 0`) coalesce
-                // for free. Without this drain they would each dispatch
-                // as a batch of one — head-of-line serialisation at the
-                // flush boundary.
-                while jobs.len() < batch_max.max(1) {
-                    match rx.try_recv() {
-                        Ok(job) => jobs.push(job),
-                        Err(_) => break,
-                    }
-                }
-                // Queueing delay the coalescing wait added on top of the
-                // scoring work itself: first-job receipt → batch dispatch.
+                // Requests queued while the previous batch was scoring
+                // coalesce into this one; nothing else is waited for.
+                let jobs: Vec<Job> = std::iter::once(first)
+                    .chain(rx.try_iter().take(batch_max.saturating_sub(1)))
+                    .collect();
+                // Drain time: first-job receipt → batch dispatch.
                 // Wall-clock, so non-deterministic by nature.
                 let dispatch = Instant::now();
-                let assemble_ns = (dispatch - received).as_nanos() as u64;
+                let assemble = dispatch - received;
                 metrics::histogram("serve.batch.wait_us", false)
-                    .record((dispatch - received).as_micros() as u64);
+                    .record(assemble.as_micros() as u64);
+                let assemble_ns = assemble.as_nanos() as u64;
                 let reqs: Vec<Request> = jobs.iter().map(|j| j.req.clone()).collect();
                 // Phase timing costs clock reads inside the engine; only
                 // pay for it when a sampled trace rides in this batch.

@@ -317,8 +317,19 @@ pub fn top_k(scores: &[f32], k: usize) -> (Vec<ItemId>, Vec<f32>) {
 /// is boxed to keep each slot small: most sessions (every one in
 /// [`Mode::Full`]) have none.
 struct Session<S> {
+    /// The items scoring reads: the whole history when the model is
+    /// uncapped, otherwise only its last `window_cap` items.
     history: Vec<ItemId>,
     state: Option<Box<S>>,
+}
+
+impl<S> Session<S> {
+    /// Drops all but the last `cap` history items (`0` = keep all).
+    fn trim(&mut self, cap: usize) {
+        if cap > 0 && self.history.len() > cap {
+            self.history.drain(..self.history.len() - cap);
+        }
+    }
 }
 
 /// Per-user sessions plus the scoring dispatch over a frozen model.
@@ -462,15 +473,22 @@ impl<M: FrozenScorer> Engine<M> {
         self.sessions.lock().or_bug("sessions lock poisoned")
     }
 
-    /// The incremental window for a history: the last `window_cap` items
-    /// (or everything, when uncapped).
-    fn window<'a>(&self, history: &'a [ItemId]) -> &'a [ItemId] {
-        let cap = self.model.window_cap();
-        if cap == 0 {
-            history
-        } else {
-            &history[history.len().saturating_sub(cap)..]
+    /// Applies a request to its user's session (creating it if needed) and
+    /// returns the window to score. Only the window is kept, so a session's
+    /// history stays bounded by `window_cap` however long the user lives;
+    /// every scoring path reads the same last `window_cap` items.
+    fn record(&self, req: &Request) -> Vec<ItemId> {
+        let mut sessions = self.lock_sessions();
+        let session = sessions.entry(req.user()).or_insert_with(|| Session {
+            history: Vec::new(),
+            state: None,
+        });
+        match req {
+            Request::Score { history, .. } => session.history.clone_from(history),
+            Request::Append { item, .. } => session.history.push(*item),
         }
+        session.trim(self.model.window_cap());
+        session.history.clone()
     }
 
     /// Scores a batch of requests, returning responses in request order.
@@ -555,18 +573,7 @@ impl<M: FrozenScorer> Engine<M> {
     fn handle_full(&self, req: &Request, timed: bool) -> (Response, ReqObs) {
         let mut obs = ReqObs::default();
         let user = req.user();
-        let history = {
-            let mut sessions = self.lock_sessions();
-            let session = sessions.entry(user).or_insert_with(|| Session {
-                history: Vec::new(),
-                state: None,
-            });
-            match req {
-                Request::Score { history, .. } => session.history = history.clone(),
-                Request::Append { item, .. } => session.history.push(*item),
-            }
-            session.history.clone()
-        };
+        let history = self.record(req);
         if history.is_empty() {
             metrics::counter("serve.cold_start", false).inc();
             obs.cold_start = true;
@@ -686,10 +693,12 @@ impl<M: FrozenScorer> Engine<M> {
             self.model.append_batch(&items, &mut states)
         });
         metrics::counter("serve.cache.hit", false).add(group.len() as u64);
+        let cap = self.model.window_cap();
         for (((idx, user, item, k), (_, session)), user_scores) in
             group.iter().zip(taken.iter_mut()).zip(scores)
         {
             session.history.push(*item);
+            session.trim(cap);
             let ((items, scores), retrieve_ns) = timed_ns(timed, || top_k(&user_scores, *k));
             obs[*idx].cache_hit = true;
             obs[*idx].forward_ns = forward_ns;
@@ -712,20 +721,8 @@ impl<M: FrozenScorer> Engine<M> {
     fn handle_slow(&self, req: &Request, timed: bool) -> (Response, ReqObs) {
         let mut obs = ReqObs::default();
         let user = req.user();
-        let history = {
-            let mut sessions = self.lock_sessions();
-            let session = sessions.entry(user).or_insert_with(|| Session {
-                history: Vec::new(),
-                state: None,
-            });
-            match req {
-                Request::Score { history, .. } => session.history = history.clone(),
-                Request::Append { item, .. } => session.history.push(*item),
-            }
-            session.history.clone()
-        };
-        let window = self.window(&history);
-        if window.is_empty() {
+        let history = self.record(req);
+        if history.is_empty() {
             // An empty history has no hidden state to score from; serve
             // the deterministic cold-start ranking instead of the
             // meaningless all-zero catalog the encoder would produce.
@@ -747,7 +744,7 @@ impl<M: FrozenScorer> Engine<M> {
         metrics::counter("serve.cache.miss", false).inc();
         metrics::counter("serve.reencode", false).inc();
         obs.reencode = true;
-        let ((state, scores), forward_ns) = timed_ns(timed, || self.model.begin(window));
+        let ((state, scores), forward_ns) = timed_ns(timed, || self.model.begin(&history));
         obs.forward_ns = forward_ns;
         self.lock_sessions()
             .get_mut(&user)

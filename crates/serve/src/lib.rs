@@ -11,11 +11,13 @@
 //!   `score_sequence` bitwise; in [`Mode::Incremental`] appends are
 //!   single-step K/V-cache extensions with slide-on-overflow.
 //! * [`Batcher`] — a single worker that coalesces concurrent requests
-//!   into one GEMM-friendly batch (micro-batching with a bounded wait).
+//!   into one GEMM-friendly batch (continuous batching: it takes what is
+//!   already queued and never waits for more).
 //! * [`server`] — a line-delimited-JSON TCP front end (`msgc serve`).
 //!
 //! Serving metrics flow through the [`telemetry`] registry:
-//! `serve.requests`, `serve.batch.size`, `serve.batch.wait_us`,
+//! `serve.requests`, `serve.batch.size`, `serve.batch.wait_us` (the
+//! worker's drain of the queue, first-job receipt → dispatch),
 //! `serve.cache.hit`, `serve.cache.miss`, `serve.reencode`.
 //!
 //! Optional weight quantisation for serving lives in [`quant`]:

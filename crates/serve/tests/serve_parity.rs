@@ -91,6 +91,58 @@ fn incremental_mode_matches_left_aligned_reference() {
     }
 }
 
+/// A session keeps only the model's window of history; a user appended
+/// far past it must still get exactly the offline answer for the whole
+/// history, in both modes (full: padded `score_sequence`; incremental:
+/// left-aligned `score_left_aligned`, each handed the untrimmed history).
+#[test]
+fn long_lived_session_matches_offline_full_history() {
+    let m = model(1);
+    for mode in [Mode::Full, Mode::Incremental] {
+        let engine = Engine::new(m.freeze(), mode);
+        let offline = |h: &[usize]| match mode {
+            Mode::Full => m.score_sequence(h),
+            Mode::Incremental => m.score_left_aligned(h),
+        };
+        // Opening histories shorter and longer than the window (max_len 6).
+        for (user, opening) in [(3u64, 2usize), (4, 9)] {
+            let mut history: Vec<usize> = (0..opening).map(|i| 1 + (i * 5) % 12).collect();
+            let r = engine.handle_batch(&[Request::Score {
+                user,
+                history: history.clone(),
+                k: 4,
+                topk: None,
+            }]);
+            assert_eq!(r[0], top_k_response(user, &offline(&history), 4));
+            // More than five windows of appends.
+            for i in 0..32usize {
+                let item = 1 + (i * 7 + 3) % 12;
+                history.push(item);
+                let r = engine.handle_batch(&[Request::Append {
+                    user,
+                    item,
+                    k: 4,
+                    topk: None,
+                }]);
+                assert_eq!(
+                    r[0],
+                    top_k_response(user, &offline(&history), 4),
+                    "{mode:?}, user {user}, append {i}"
+                );
+            }
+        }
+    }
+}
+
+fn top_k_response(user: u64, scores: &[f32], k: usize) -> Response {
+    let (items, scores) = top_k(scores, k);
+    Response {
+        user,
+        items,
+        scores,
+    }
+}
+
 #[test]
 fn mixed_batch_coalesces_and_stays_exact() {
     let m = model(0);

@@ -40,7 +40,7 @@ fn usage() -> ExitCode {
          msgc evaluate --data SPEC --model MODEL [--dim N] [--max-len N]\n  \
          msgc recommend --data SPEC --model MODEL --user N [--k N] [--dim N] [--max-len N]\n  \
          msgc serve --data SPEC --model MODEL [--addr HOST:PORT] [--mode full|incremental] \
-         [--batch-max N] [--batch-wait-us N] [--quantize none|bf16|int8] \
+         [--batch-max N] [--quantize none|bf16|int8] \
          [--ann] [--ann-ef N] [--topk exact|ann] [--dim N] [--max-len N] \
          [--trace-out FILE] [--trace-sample N] [--slo-p99-ms F] [--min-hit-rate F] \
          [--min-recall F] [--canary-every-s N] [--canary-probes N]\n  \
@@ -92,7 +92,6 @@ const VALUE_FLAGS: &[&str] = &[
     "addr",
     "mode",
     "batch-max",
-    "batch-wait-us",
     "quantize",
     "audit-json",
     "sampled-softmax",
@@ -377,7 +376,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     let addr = args.get("addr").unwrap_or("127.0.0.1:7878");
     let batch_max: usize = args.get_or("batch-max", 16)?;
-    let batch_wait_us: u64 = args.get_or("batch-wait-us", 200)?;
     if batch_max == 0 {
         return Err("--batch-max must be at least 1".into());
     }
@@ -467,11 +465,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     // One synthetic pass through every scoring path so the first real
     // request doesn't pay pool-population and dispatch-probe cold costs.
     engine.warm_up();
-    let batcher = Arc::new(Batcher::new(
-        Arc::clone(&engine),
-        batch_max,
-        Duration::from_micros(batch_wait_us),
-    ));
+    let batcher = Arc::new(Batcher::new(Arc::clone(&engine), batch_max, Duration::ZERO));
 
     // Observability: tracing is opt-in (--trace-out), metering and the
     // admin endpoint are always on.
@@ -522,7 +516,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
-        "serving {} items on {bound} (mode {mode:?}, batch-max {batch_max}, batch-wait {batch_wait_us}us, \
+        "serving {} items on {bound} (mode {mode:?}, batch-max {batch_max}, \
          quantize {quant}, topk {default_topk:?}{}, admin endpoint on, trace sample 1/{})",
         num_items,
         if want_ann {
@@ -1085,6 +1079,12 @@ mod tests {
     fn parse_rejects_unknown_flag_by_name() {
         let err = Args::parse(&argv(&["--data", "d.csv", "--bogus", "1"])).unwrap_err();
         assert!(err.contains("--bogus"), "error must name the flag: {err}");
+    }
+
+    #[test]
+    fn parse_rejects_removed_batch_wait_flag() {
+        let err = Args::parse(&argv(&["--batch-wait-us", "5"])).unwrap_err();
+        assert!(err.contains("--batch-wait-us"), "{err}");
     }
 
     #[test]
