@@ -45,9 +45,10 @@ const TRANSIENT_FACTOR: u64 = 2;
 /// many tape allocations fall into it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolClass {
-    /// Element count of the class (all members allocate exactly this).
+    /// Capacity of the class in elements: every member's length rounds up
+    /// to it ([`pool::class_len`]).
     pub numel: usize,
-    /// Tape nodes of this size — each is one pooled allocation per step.
+    /// Tape nodes in this class — each is one pooled allocation per step.
     pub allocations: usize,
 }
 
@@ -57,6 +58,12 @@ impl PoolClass {
     /// through to the system allocator every step.
     pub fn overflow(&self) -> usize {
         self.allocations.saturating_sub(pool::PER_CLASS_CAP)
+    }
+
+    /// Bytes the class's free list holds at its steady state, before the
+    /// pool-wide [`pool::RETAINED_BYTES`] budget.
+    pub fn retained_bytes(&self) -> u64 {
+        (self.allocations.min(pool::PER_CLASS_CAP) * self.numel * 4) as u64
     }
 }
 
@@ -98,8 +105,11 @@ pub struct CostReport {
     /// Predicted peak live bytes of one forward+backward step.
     pub predicted_peak_bytes: u64,
     /// Pool size classes this tape exercises (numel >=
-    /// [`pool::MIN_POOLED_LEN`]), descending by element count.
+    /// [`pool::MIN_POOLED_LEN`]), descending by capacity.
     pub pool_classes: Vec<PoolClass>,
+    /// Bytes the pool holds once the step's buffers are recycled: the
+    /// classes' retained bytes, capped by [`pool::RETAINED_BYTES`].
+    pub pool_retained_bytes: u64,
     /// Nodes that could not be priced (recorded/inferred disagreement).
     pub diagnostics: Vec<CostDiagnostic>,
 }
@@ -169,6 +179,7 @@ pub fn analyze(nodes: &[NodeInfo], loss: usize) -> CostReport {
         }
         let ne = numel(&n.dims) as usize;
         if ne >= pool::MIN_POOLED_LEN {
+            let ne = pool::class_len(ne);
             match class_counts.iter_mut().find(|(c, _)| *c == ne) {
                 Some((_, count)) => *count += 1,
                 None => class_counts.push((ne, 1)),
@@ -181,6 +192,15 @@ pub fn analyze(nodes: &[NodeInfo], loss: usize) -> CostReport {
         tape_bytes + closure_bytes + backward_peak_bytes + param_grad_bytes + transient_bytes;
 
     class_counts.sort_by_key(|c| std::cmp::Reverse(c.0));
+    let pool_classes: Vec<PoolClass> = class_counts
+        .into_iter()
+        .map(|(numel, allocations)| PoolClass { numel, allocations })
+        .collect();
+    let pool_retained_bytes = pool_classes
+        .iter()
+        .map(PoolClass::retained_bytes)
+        .sum::<u64>()
+        .min(pool::RETAINED_BYTES as u64);
     CostReport {
         flops,
         tape_bytes,
@@ -189,10 +209,8 @@ pub fn analyze(nodes: &[NodeInfo], loss: usize) -> CostReport {
         param_grad_bytes,
         transient_bytes,
         predicted_peak_bytes,
-        pool_classes: class_counts
-            .into_iter()
-            .map(|(numel, allocations)| PoolClass { numel, allocations })
-            .collect(),
+        pool_classes,
+        pool_retained_bytes,
         diagnostics,
     }
 }
@@ -317,5 +335,23 @@ mod tests {
         assert_eq!(r.pool_classes[0].numel, big);
         assert_eq!(r.pool_classes[0].allocations, 3);
         assert_eq!(r.pool_classes[0].overflow(), 0);
+        assert_eq!(r.pool_retained_bytes, 3 * big as u64 * 4);
+    }
+
+    #[test]
+    fn nearby_lengths_share_a_pool_class() {
+        let g = Graph::new();
+        // 1100 and 1200 both round up to the 1280-element class; 1300
+        // rounds to 1536.
+        for len in [1100, 1200, 1300] {
+            let _ = g.constant(Tensor::ones(vec![len]));
+        }
+        let r = analyze(&g.snapshot(), 0);
+        let classes: Vec<(usize, usize)> = r
+            .pool_classes
+            .iter()
+            .map(|c| (c.numel, c.allocations))
+            .collect();
+        assert_eq!(classes, vec![(1536, 1), (1280, 2)]);
     }
 }

@@ -66,7 +66,7 @@ pub fn to_json(reports: &[AuditReport]) -> String {
                     "\"closure_bytes\":{clo},",
                     "\"backward_peak_bytes\":{bwd},\"param_grad_bytes\":{pg},",
                     "\"transient_bytes\":{tr},\"predicted_peak_bytes\":{peak},",
-                    "\"pool_classes\":[{pool}],",
+                    "\"pool_classes\":[{pool}],\"pool_retained_bytes\":{pool_kept},",
                     "\"fixed_order_nodes\":{fo},\"reassoc_safe_nodes\":{rs},",
                     "\"shape\":{shape},\"flow\":{flow},\"numeric\":{numeric},",
                     "\"cost\":{cost},\"determinism\":{det}}}"
@@ -84,6 +84,7 @@ pub fn to_json(reports: &[AuditReport]) -> String {
                 tr = s.cost.transient_bytes,
                 peak = s.cost.predicted_peak_bytes,
                 pool = pool.join(","),
+                pool_kept = s.cost.pool_retained_bytes,
                 fo = s.determinism_summary.fixed_order,
                 rs = s.determinism_summary.reassoc_safe,
                 shape = string_array(&s.shape),

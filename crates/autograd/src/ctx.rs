@@ -108,6 +108,10 @@ pub trait Ctx {
     fn sigmoid(&self, a: &Self::V) -> Self::V;
     /// Elementwise hyperbolic tangent.
     fn tanh(&self, a: &Self::V) -> Self::V;
+    /// Elementwise natural exponential.
+    fn exp(&self, a: &Self::V) -> Self::V;
+    /// Elementwise clamp to `[lo, hi]`.
+    fn clamp(&self, a: &Self::V, lo: f32, hi: f32) -> Self::V;
     /// Sum along `axis`.
     fn sum_axis(&self, a: &Self::V, axis: usize, keepdim: bool) -> Self::V;
     /// Mean along `axis`: `sum_axis` then `scale`, as on the tape.
@@ -137,6 +141,9 @@ pub trait Value: Clone {
     type Ctx: Ctx<V = Self>;
     /// A handle to that context.
     fn ctx(&self) -> Self::Ctx;
+    /// This value on `g`'s tape: a recorded value is already there, an
+    /// eager one enters as a constant.
+    fn into_var(self, g: &Graph) -> Var;
 }
 
 impl Ctx for Graph {
@@ -206,6 +213,12 @@ impl Ctx for Graph {
     fn tanh(&self, a: &Var) -> Var {
         a.tanh()
     }
+    fn exp(&self, a: &Var) -> Var {
+        a.exp()
+    }
+    fn clamp(&self, a: &Var, lo: f32, hi: f32) -> Var {
+        a.clamp(lo, hi)
+    }
     fn sum_axis(&self, a: &Var, axis: usize, keepdim: bool) -> Var {
         a.sum_axis(axis, keepdim)
     }
@@ -236,6 +249,9 @@ impl Value for Var {
     type Ctx = Graph;
     fn ctx(&self) -> Graph {
         self.graph.clone()
+    }
+    fn into_var(self, _g: &Graph) -> Var {
+        self
     }
 }
 
@@ -311,6 +327,12 @@ impl Ctx for Eager {
     fn tanh(&self, a: &Tensor) -> Tensor {
         a.map(f32::tanh)
     }
+    fn exp(&self, a: &Tensor) -> Tensor {
+        a.map(f32::exp)
+    }
+    fn clamp(&self, a: &Tensor, lo: f32, hi: f32) -> Tensor {
+        a.map(|x| x.clamp(lo, hi))
+    }
     fn sum_axis(&self, a: &Tensor, axis: usize, keepdim: bool) -> Tensor {
         ops::sum_axis(a, axis, keepdim).or_bug("sum_axis")
     }
@@ -341,5 +363,8 @@ impl Value for Tensor {
     type Ctx = Eager;
     fn ctx(&self) -> Eager {
         Eager
+    }
+    fn into_var(self, g: &Graph) -> Var {
+        g.constant(self)
     }
 }

@@ -103,6 +103,8 @@ fn run_ops<C: Ctx>(
         ("gelu", c.gelu(&x)),
         ("sigmoid", c.sigmoid(&x)),
         ("tanh", c.tanh(&x)),
+        ("exp", c.exp(&x)),
+        ("clamp", c.clamp(&x, -0.8, 1.1)),
         ("sum_axis last", c.sum_axis(&x, nd - 1, true)),
         ("sum_axis first", c.sum_axis(&x, 0, false)),
         ("mean_axis", c.mean_axis(&x, nd - 1, true)),

@@ -9,16 +9,16 @@
 //! | `full` | double ELBO (Eq. 28)         | every parameter   | —           |
 //! | `meta` | contrastive `L_cl` (Eq. 26)  | `Enc_σ'` only     | all others  |
 //!
-//! The `meta` trace runs the *same* code path as training stage 2
-//! ([`MetaSgcl`]'s `meta_stage_loss` with the main modules frozen), so the
-//! auditor's gradient-flow pass reproduces the
+//! The `meta` trace runs the *same* code as training stage 2 (the
+//! `meta_prefix` and `meta_stage_loss` of [`MetaSgcl`], with the main
+//! modules frozen). Training runs the prefix eagerly over a frozen
+//! snapshot; the trace records it, so the frozen main parameters are on
+//! the tape and the auditor's gradient-flow pass reproduces the
 //! `meta_stage_only_updates_sigma_prime` invariant statically.
 
 use autograd::Graph;
 use models::audit::{audit_batch, Auditable, StageContract, StageTrace};
-use models::backbone::TransformerBackbone;
 use models::cl::info_nce_masked;
-use models::vae::standard_normal_like;
 use models::SequentialRecommender;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,7 +58,8 @@ impl Auditable for MetaSgcl {
                 // captures requires-grad at entry time, so restoring the
                 // flags afterwards does not alter the recorded graph.
                 self.set_main_trainable(false);
-                let loss = self.meta_stage_loss(&g, &batch, &mut rng);
+                let prefix = self.meta_prefix(&g, &batch, &mut rng);
+                let loss = self.meta_stage_loss(&g, prefix, &batch);
                 self.set_main_trainable(true);
                 loss
             }
@@ -81,7 +82,8 @@ impl MetaSgcl {
         let mut rng = StdRng::seed_from_u64(seed);
         let batch = audit_batch(seqs, self.cfg.net.max_len, seed);
         let g = Graph::new();
-        let loss = self.meta_stage_loss(&g, &batch, &mut rng);
+        let prefix = self.meta_prefix(&g, &batch, &mut rng);
+        let loss = self.meta_stage_loss(&g, prefix, &batch);
         StageTrace {
             stage: "meta".into(),
             graph: g,
@@ -98,23 +100,20 @@ impl MetaSgcl {
         let mut rng = StdRng::seed_from_u64(seed);
         let batch = audit_batch(seqs, self.cfg.net.max_len, seed);
         let g = Graph::new();
-        let features = self.encode(&g, &batch.inputs, &batch.pad, &mut rng, true);
-        let v1 = self.view(&g, &features, &batch.pad, false, false, &mut rng, true);
+        let prefix = self.meta_prefix(&g, &batch, &mut rng);
         // Deliberately broken second view (Eq. 15): σ' is computed but
         // detached, mirroring a forgotten stop-gradient bug.
-        let mu = self.enc_mu.forward(&g, &features);
         let logvar = self
             .enc_logvar_prime
-            .forward(&g, &features)
+            .forward(&g, &prefix.features)
             .clamp(-8.0, 8.0)
             .detach();
-        let sigma = logvar.scale(0.5).exp();
-        let eps = standard_normal_like(&mu.dims(), &mut rng);
-        let z2 = mu.add(&sigma.mul_const(&eps));
-        let z2_last = TransformerBackbone::last_hidden(&z2);
+        let z2 = prefix
+            .mu
+            .add(&logvar.scale(0.5).exp().mul_const(&prefix.eps));
         let loss = info_nce_masked(
-            &v1.z_last,
-            &z2_last,
+            &prefix.z1,
+            &z2,
             self.cfg.tau,
             self.cfg.similarity,
             &batch.last_target,

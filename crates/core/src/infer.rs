@@ -107,7 +107,7 @@ impl MetaSgcl<Frozen> {
         let mu = self.enc_mu.forward(&Eager, &h);
         let (dec_state, last) = match &self.decoder {
             Some(dec) => {
-                let mut kv = EncoderKv::new(dec.n_layers(), dec.heads());
+                let mut kv = EncoderKv::new(dec.n_layers(), dec.heads(), self.max_len());
                 let dh = dec.encode_collect(&mu, Some(&causal_mask(window.len())), &mut kv);
                 (Some(kv), TransformerBackbone::last_hidden(&dh))
             }

@@ -56,6 +56,8 @@ pub mod infer;
 mod model;
 mod obs;
 mod train;
+#[cfg(test)]
+mod train_reference;
 
 pub use checkpoint::{TrainCheckpoint, TrainProgress};
 pub use config::{Ablation, MetaSgclConfig, SecondView, TrainStrategy};

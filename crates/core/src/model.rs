@@ -7,32 +7,38 @@ use models::vae::standard_normal_like;
 use nn::infer::eval_rng;
 use nn::{Linear, Module, TransformerEncoder};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use recdata::{encode_input_only, ItemId};
+use rand::{Rng, SeedableRng};
+use recdata::{encode_input_only, item_crop, item_mask, item_reorder, Batch, ItemId};
+use tensor::Tensor;
 
-use crate::config::MetaSgclConfig;
+use crate::config::{MetaSgclConfig, SecondView};
 use crate::train::TrainingHistory;
 
 /// One latent view and its decoder output.
 pub(crate) struct View {
-    /// Per-position latent `z` (`[b, n, d]`). Read by tests and kept for
-    /// downstream extensions (e.g. per-position contrastive variants).
-    #[allow(dead_code)]
-    pub z: Var,
     /// Sequence summary: the latent at the last position (`[b, d]`).
     pub z_last: Var,
-    /// Decoder output (`[b, n, d]`) — the hidden states the catalog logits
-    /// are scored from. The sampled-softmax path scores these against a
-    /// candidate subset instead of materializing `logits`.
+    /// Decoder output (`[b, n, d]`): the hidden states the reconstruction
+    /// loss scores against the item table (Eq. 22).
     pub h: Var,
-    /// Per-position catalog logits from the decoder (`[b, n, V]`).
-    /// `None` when the caller asked for `with_logits = false` (meta stage,
-    /// sampled-softmax training), skipping the `O(|V|)` GEMM entirely.
-    pub logits: Option<Var>,
     /// Posterior mean (shared across views).
     pub mu: Var,
     /// Posterior log-variance of this view.
     pub logvar: Var,
+}
+
+/// What stage 2's contrastive loss (Eq. 26) reads of the frozen model, at
+/// the last position only (`[b, d]` each): view 1's sample, and the
+/// features, mean and noise the second view samples from.
+pub(crate) struct MetaPrefix<V> {
+    /// View 1's last-position latent (`Enc_σ`).
+    pub z1: V,
+    /// Encoder features the second view's variance head reads.
+    pub features: V,
+    /// Posterior mean of the second view.
+    pub mu: V,
+    /// The second view's noise, last rows of a full `[b, n, d]` draw.
+    pub eps: Tensor,
 }
 
 /// The Meta-SGCL sequential recommender. `MetaSgcl<Frozen>` is the
@@ -162,33 +168,16 @@ impl MetaSgcl {
         Self::set_trainable(&self.meta_parameters(), trainable);
     }
 
-    /// Encoder pass: `F^{(L)}` features for a batch (Eqs. 4–10).
-    pub(crate) fn encode(
-        &self,
-        g: &Graph,
-        inputs: &[Vec<ItemId>],
-        pad: &[Vec<bool>],
-        rng: &mut StdRng,
-        training: bool,
-    ) -> Var {
-        self.backbone.forward(g, inputs, pad, rng, training)
-    }
-
     /// Builds one latent view from encoder features (Eqs. 11–15) and runs
     /// the Seq2Seq decoder (Eq. 13). `meta_sigma` selects `Enc_σ'` instead
-    /// of `Enc_σ`. `with_logits` controls whether the full-catalog scores
-    /// (Eq. 22) are materialized; callers that never read them
-    /// (contrastive-only meta stage, sampled-softmax training) pass
-    /// `false` and skip the `O(|V|)` GEMM. Deterministic scoring (`z = μ`)
-    /// does not build a view: see `padded_last_hidden`.
-    #[allow(clippy::too_many_arguments)]
+    /// of `Enc_σ`. Deterministic scoring (`z = μ`) does not build a view:
+    /// see `padded_last_hidden`.
     pub(crate) fn view(
         &self,
         g: &Graph,
         features: &Var,
         pad: &[Vec<bool>],
         meta_sigma: bool,
-        with_logits: bool,
         rng: &mut StdRng,
         training: bool,
     ) -> View {
@@ -198,10 +187,8 @@ impl MetaSgcl {
         } else {
             &self.enc_logvar
         };
-        let logvar = head.forward(g, features).clamp(-8.0, 8.0);
-        let sigma = logvar.scale(0.5).exp();
         let eps = standard_normal_like(&mu.dims(), rng);
-        let z = mu.add(&sigma.mul_const(&eps));
+        let (logvar, z) = Self::reparameterize(g, head, features, &mu, &eps);
         // Decode: either the explicit Transformer decoder over the latent
         // sequence (same masks as the encoder), or the Eq. 22 path scoring
         // the latent directly against the tied item table.
@@ -213,16 +200,24 @@ impl MetaSgcl {
             }
             None => z.clone(),
         };
-        let logits = with_logits.then(|| self.backbone.scores(g, &h));
-        let z_last = TransformerBackbone::last_hidden(&z);
         View {
-            z,
-            z_last,
+            z_last: TransformerBackbone::last_hidden(&z),
             h,
-            logits,
             mu,
             logvar,
         }
+    }
+
+    /// Both latent views of a batch from one encoder pass (Eqs. 11–15):
+    /// view 1 samples with `Enc_σ`, view 2 with the configured generator.
+    pub(crate) fn views(&self, g: &Graph, batch: &Batch, rng: &mut StdRng) -> (View, View) {
+        let features = self.encode(g, &batch.inputs, &batch.pad, rng, true);
+        let v1 = self.view(g, &features, &batch.pad, false, rng, true);
+        let v2 = match self.second_features(g, batch, rng) {
+            None => self.view(g, &features, &batch.pad, true, rng, true),
+            Some((f2, pads)) => self.view(g, &f2, &pads, false, rng, true),
+        };
+        (v1, v2)
     }
 
     /// Saves all parameters to a checkpoint file.
@@ -284,6 +279,125 @@ impl MetaSgcl {
 }
 
 impl<S: Store> MetaSgcl<S> {
+    /// Encoder pass: `F^{(L)}` features for a batch (Eqs. 4–10).
+    pub(crate) fn encode<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        inputs: &[Vec<ItemId>],
+        pad: &[Vec<bool>],
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        self.backbone.forward(c, inputs, pad, rng, training)
+    }
+
+    /// The reparameterised sample of Eqs. 14–15: `head` gives the clamped
+    /// log-variance, and `z = μ + exp(½·logvar) ⊙ eps`. Returns
+    /// `(logvar, z)`.
+    pub(crate) fn reparameterize<C: Ctx<S = S>>(
+        c: &C,
+        head: &Linear<S>,
+        features: &C::V,
+        mu: &C::V,
+        eps: &Tensor,
+    ) -> (C::V, C::V) {
+        let logvar = c.clamp(&head.forward(c, features), -8.0, 8.0);
+        let sigma = c.exp(&c.scale(&logvar, 0.5));
+        let z = c.add(mu, &c.mul_const(&sigma, eps));
+        (logvar, z)
+    }
+
+    /// Encoder features of the second view when it does not sample from
+    /// view 1's (`None` for `Enc_σ'`), with the padding they were encoded
+    /// under: a second dropout pass, or a pass over a hand-augmented copy
+    /// of the batch.
+    pub(crate) fn second_features<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        batch: &Batch,
+        rng: &mut StdRng,
+    ) -> Option<(C::V, Vec<Vec<bool>>)> {
+        match self.cfg.second_view {
+            SecondView::MetaSigma => None,
+            SecondView::Dropout => {
+                // Model augmentation: a fresh dropout-perturbed encoder
+                // pass feeding the primary (Enc_σ) posterior.
+                let f2 = self.encode(c, &batch.inputs, &batch.pad, rng, true);
+                Some((f2, batch.pad.clone()))
+            }
+            SecondView::DataAugmentation => {
+                let (inputs, pads) = self.augment(batch, rng);
+                let f2 = self.encode(c, &inputs, &pads, rng, true);
+                Some((f2, pads))
+            }
+        }
+    }
+
+    /// Hand-crafted augmentation of the raw inputs (crop, mask or
+    /// reorder, one drawn per sequence). The mask token is out of
+    /// vocabulary here, so masked items fall back to the padding id.
+    fn augment(&self, batch: &Batch, rng: &mut StdRng) -> (Vec<Vec<ItemId>>, Vec<Vec<bool>>) {
+        let max_len = self.cfg.net.max_len;
+        let n_items = self.cfg.net.num_items;
+        let mut inputs = Vec::with_capacity(batch.len());
+        let mut pads = Vec::with_capacity(batch.len());
+        for input in &batch.inputs {
+            let raw: Vec<ItemId> = input.iter().copied().filter(|&x| x != 0).collect();
+            let aug: Vec<ItemId> = match rng.gen_range(0..3) {
+                0 => item_crop(&raw, 0.8, rng),
+                1 => item_mask(&raw, 0.2, n_items, rng)
+                    .into_iter()
+                    .map(|x| if x > n_items { 0 } else { x })
+                    .collect(),
+                _ => item_reorder(&raw, 0.3, rng),
+            };
+            let (inp, pd) = encode_input_only(&aug, max_len);
+            inputs.push(inp);
+            pads.push(pd);
+        }
+        (inputs, pads)
+    }
+
+    /// The part of stage 2 that no trainable weight feeds (Eq. 26's
+    /// inputs up to the second view's variance head), on the last
+    /// position only: the heads and the reparameterisation are
+    /// row-independent, and the contrastive loss reads only `z_last`.
+    ///
+    /// Training runs it eagerly over a frozen snapshot; the auditor runs it
+    /// on the tape. The noise is drawn at the full `[b, n, d]` shape, in
+    /// the order the full-row views draw it, so the RNG stream is that of
+    /// the full views minus the decoder, whose output stage 2 never reads.
+    pub(crate) fn meta_prefix<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        batch: &Batch,
+        rng: &mut StdRng,
+    ) -> MetaPrefix<C::V> {
+        let noise_dims = [batch.len(), batch.seq_len(), self.cfg.net.dim];
+        let last_noise = |rng: &mut StdRng| {
+            TransformerBackbone::last_hidden(&standard_normal_like(&noise_dims, rng))
+        };
+        let features =
+            TransformerBackbone::last_hidden(&self.encode(c, &batch.inputs, &batch.pad, rng, true));
+        let mu = self.enc_mu.forward(c, &features);
+        let eps1 = last_noise(rng);
+        let (_, z1) = Self::reparameterize(c, &self.enc_logvar, &features, &mu, &eps1);
+        let (features, mu) = match self.second_features(c, batch, rng) {
+            None => (features, mu),
+            Some((f2, _)) => {
+                let f2 = TransformerBackbone::last_hidden(&f2);
+                let mu2 = self.enc_mu.forward(c, &f2);
+                (f2, mu2)
+            }
+        };
+        MetaPrefix {
+            z1,
+            features,
+            mu,
+            eps: last_noise(rng),
+        }
+    }
+
     /// Deterministic (`z = μ`) hidden state `[1, d]` at the last position
     /// of the right-anchored padded window: the query side of Eq. 22 that
     /// offline scoring and serving share. `seq` must be non-empty.
@@ -360,8 +474,8 @@ mod tests {
         let inputs = vec![vec![0, 0, 1, 2, 3, 4]];
         let pad = vec![vec![true, true, false, false, false, false]];
         let f = m.encode(&g, &inputs, &pad, &mut rng, false);
-        let v1 = m.view(&g, &f, &pad, false, false, &mut rng, false);
-        let v2 = m.view(&g, &f, &pad, true, false, &mut rng, false);
+        let v1 = m.view(&g, &f, &pad, false, &mut rng, false);
+        let v2 = m.view(&g, &f, &pad, true, &mut rng, false);
         assert_eq!(v1.mu.value().data(), v2.mu.value().data(), "μ is shared");
         assert_ne!(
             v1.logvar.value().data(),
@@ -389,9 +503,9 @@ mod tests {
         let inputs = vec![vec![1, 2, 3, 4, 5, 6]];
         let pad = vec![vec![false; 6]];
         let f = m.encode(&g, &inputs, &pad, &mut rng, false);
-        let v1 = m.view(&g, &f, &pad, false, false, &mut rng, false);
-        let v2 = m.view(&g, &f, &pad, false, false, &mut rng, false);
-        assert_ne!(v1.z.value().data(), v2.z.value().data());
+        let v1 = m.view(&g, &f, &pad, false, &mut rng, false);
+        let v2 = m.view(&g, &f, &pad, false, &mut rng, false);
+        assert_ne!(v1.h.value().data(), v2.h.value().data());
         let _ = &mut m;
     }
 }

@@ -1,16 +1,17 @@
 //! Training: the double-ELBO objective (Eqs. 16, 23–28) and the two
 //! schedules — joint learning and the meta-optimized two-step strategy.
 
-use autograd::{GradientSet, Graph, Var};
+use autograd::{Eager, GradientSet, Graph, Value, Var, IGNORE_INDEX};
 use models::cl::info_nce_masked;
 use models::sampled::{self, SoftmaxMode};
 use models::vae::gaussian_kl;
 use models::{SequentialRecommender, TrainConfig};
+use nn::Freeze;
 use optim::{apply_step, Adam, KlAnnealing};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use recdata::{encode_input_only, item_crop, item_mask, item_reorder, Batch, Batcher, ItemId};
+use recdata::{Batch, Batcher, ItemId};
 use tensor::bug::OrBug;
 
 use std::fmt;
@@ -24,7 +25,8 @@ use crate::config::{SecondView, TrainStrategy};
 use crate::exec::{
     reduce_outcomes, BatchStats, Executor, NullObserver, ShardOutcome, TrainObserver,
 };
-use crate::model::MetaSgcl;
+use crate::infer::FrozenMetaSgcl;
+use crate::model::{MetaPrefix, MetaSgcl, View};
 use crate::obs::RunTelemetry;
 
 /// Loss components of one epoch (averaged over batches).
@@ -90,7 +92,7 @@ impl TrainingHistory {
 /// Scalar loss pieces of one batch forward.
 pub(crate) struct BatchLosses {
     pub(crate) total: Var,
-    rec: f64,
+    pub(crate) rec: f64,
     kl_a: f64,
     kl_b: f64,
     cl: f64,
@@ -133,35 +135,39 @@ impl MetaSgcl {
         softmax: &SoftmaxMode,
         rng: &mut StdRng,
     ) -> BatchLosses {
-        let (b, n) = (batch.len(), batch.seq_len());
+        let (b, n, d) = (batch.len(), batch.seq_len(), self.cfg.net.dim);
         let vocab = self.backbone.vocab();
-        let targets = sampled::flat_targets(batch);
-        let with_logits = !softmax.is_sampled();
+        let (v1, v2) = self.views(g, batch, rng);
 
-        let features = self.encode(g, &batch.inputs, &batch.pad, rng, true);
-        let v1 = self.view(g, &features, &batch.pad, false, with_logits, rng, true);
-        let v2 = self.second_view(g, &features, batch, with_logits, rng);
-
-        // L_rs1 + L_rs2 (Eq. 23). Candidates (sampled mode) are drawn once
-        // per shard, after both views consumed their dropout/noise draws,
-        // and shared by the two reconstruction terms.
+        // L_rs1 + L_rs2 (Eq. 23) over the positions that have a real next
+        // item, in ascending order. The other rows' probabilities are never
+        // read and their gradient is exactly zero, and every op up to the
+        // loss is row-independent, so scoring only these rows keeps the
+        // loss and every gradient bit for bit.
+        let flat = sampled::flat_targets(batch);
+        let rows: Vec<usize> = (0..flat.len())
+            .filter(|&r| flat[r] != IGNORE_INDEX)
+            .collect();
+        let targets: Vec<usize> = rows.iter().map(|&r| flat[r]).collect();
+        let scored = |v: &View| v.h.reshape(vec![b * n, d]).index_select_rows(&rows);
+        // Candidates (sampled mode) are drawn once per shard, after both
+        // views consumed their dropout/noise draws, and shared by the two
+        // reconstruction terms.
         let rec = match sampled::draw_candidates(&targets, vocab - 1, softmax, rng) {
             Some(cands) => {
                 let table = self.backbone.item_table_var(g);
-                let rec1 = sampled::sampled_ce(&v1.h, &table, &targets, &cands);
-                let rec2 = sampled::sampled_ce(&v2.h, &table, &targets, &cands);
+                let rec1 = sampled::sampled_ce(&scored(&v1), &table, &targets, &cands);
+                let rec2 = sampled::sampled_ce(&scored(&v2), &table, &targets, &cands);
                 rec1.add(&rec2)
             }
             None => {
-                let rec1 = v1
-                    .logits
-                    .or_bug("full-softmax view logits")
-                    .reshape(vec![b * n, vocab])
+                let rec1 = self
+                    .backbone
+                    .scores(g, &scored(&v1))
                     .cross_entropy_with_logits(&targets);
-                let rec2 = v2
-                    .logits
-                    .or_bug("full-softmax view logits")
-                    .reshape(vec![b * n, vocab])
+                let rec2 = self
+                    .backbone
+                    .scores(g, &scored(&v2))
                     .cross_entropy_with_logits(&targets);
                 rec1.add(&rec2)
             }
@@ -208,64 +214,26 @@ impl MetaSgcl {
         }
     }
 
-    /// Builds the second view according to the configured generator.
-    fn second_view(
+    /// Stage-2 objective: the contrastive loss alone (Eq. 26), from view 1
+    /// and the second view's inputs in `prefix`. Only the second view's
+    /// variance head, its sample and the loss are recorded; with the main
+    /// modules frozen, `Enc_σ'` is the only parameter the tape reaches.
+    pub(crate) fn meta_stage_loss<V: Value>(
         &self,
         g: &Graph,
-        features: &Var,
+        prefix: MetaPrefix<V>,
         batch: &Batch,
-        with_logits: bool,
-        rng: &mut StdRng,
-    ) -> crate::model::View {
-        match self.cfg.second_view {
-            SecondView::MetaSigma => {
-                self.view(g, features, &batch.pad, true, with_logits, rng, true)
-            }
-            SecondView::Dropout => {
-                // Model augmentation: a fresh dropout-perturbed encoder pass
-                // feeding the primary (Enc_σ) posterior.
-                let f2 = self.encode(g, &batch.inputs, &batch.pad, rng, true);
-                self.view(g, &f2, &batch.pad, false, with_logits, rng, true)
-            }
-            SecondView::DataAugmentation => {
-                // Hand-crafted augmentation of the raw inputs. The mask
-                // token is out of vocabulary here, so masked items fall
-                // back to the padding id.
-                let max_len = self.cfg.net.max_len;
-                let n_items = self.cfg.net.num_items;
-                let mut inputs = Vec::with_capacity(batch.len());
-                let mut pads = Vec::with_capacity(batch.len());
-                for input in &batch.inputs {
-                    let raw: Vec<ItemId> = input.iter().copied().filter(|&x| x != 0).collect();
-                    let aug: Vec<ItemId> = match rng.gen_range(0..3) {
-                        0 => item_crop(&raw, 0.8, rng),
-                        1 => item_mask(&raw, 0.2, n_items, rng)
-                            .into_iter()
-                            .map(|x| if x > n_items { 0 } else { x })
-                            .collect(),
-                        _ => item_reorder(&raw, 0.3, rng),
-                    };
-                    let (inp, pd) = encode_input_only(&aug, max_len);
-                    inputs.push(inp);
-                    pads.push(pd);
-                }
-                let f2 = self.encode(g, &inputs, &pads, rng, true);
-                self.view(g, &f2, &pads, false, with_logits, rng, true)
-            }
-        }
-    }
-
-    /// Stage-2 objective: the contrastive loss alone, recomputed from a
-    /// fresh forward pass with everything but `Enc_σ'` frozen.
-    pub(crate) fn meta_stage_loss(&self, g: &Graph, batch: &Batch, rng: &mut StdRng) -> Var {
-        // Contrastive-only objective: neither view's catalog logits are
-        // read, so neither is materialized (`with_logits = false`).
-        let features = self.encode(g, &batch.inputs, &batch.pad, rng, true);
-        let v1 = self.view(g, &features, &batch.pad, false, false, rng, true);
-        let v2 = self.second_view(g, &features, batch, false, rng);
+    ) -> Var {
+        let head = match self.cfg.second_view {
+            SecondView::MetaSigma => &self.enc_logvar_prime,
+            SecondView::Dropout | SecondView::DataAugmentation => &self.enc_logvar,
+        };
+        let features = prefix.features.into_var(g);
+        let mu = prefix.mu.into_var(g);
+        let (_, z2) = Self::reparameterize(g, head, &features, &mu, &prefix.eps);
         info_nce_masked(
-            &v1.z_last,
-            &v2.z_last,
+            &prefix.z1.into_var(g),
+            &z2,
             self.cfg.tau,
             self.cfg.similarity,
             &batch.last_target,
@@ -314,11 +282,13 @@ impl MetaSgcl {
         }
     }
 
-    /// Stage-2 shard work: contrastive loss only, with everything but
-    /// `Enc_σ'` frozen by the caller. Returns `None` for shards with fewer
-    /// than two rows (no in-shard negatives exist).
+    /// Stage-2 shard work: the contrastive loss only. The frozen prefix
+    /// runs eagerly over `frozen`, the snapshot taken after this batch's
+    /// stage-1 update; only `Enc_σ'` onward is recorded. Returns `None` for
+    /// shards with fewer than two rows (no in-shard negatives exist).
     fn contrastive_shard(
         &self,
+        frozen: &FrozenMetaSgcl,
         shard: &Batch,
         seed: u64,
         sanitize: bool,
@@ -331,7 +301,8 @@ impl MetaSgcl {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = Graph::new();
         let fwd = trace.map(|(t, parent)| t.begin("forward", parent));
-        let loss = self.meta_stage_loss(&g, shard, &mut rng);
+        let prefix = frozen.meta_prefix(&Eager, shard, &mut rng);
+        let loss = self.meta_stage_loss(&g, prefix, shard);
         if let (Some((t, _)), Some(span)) = (trace, fwd) {
             t.end(span, &[("shard", Field::U64(shard_idx as u64))]);
         }
@@ -375,7 +346,8 @@ impl MetaSgcl {
 
     /// Fans the contrastive stage over the shards; gradients of eligible
     /// shards (≥ 2 rows) are mean-reduced with weights renormalized over the
-    /// eligible rows. `None` when no shard has two rows.
+    /// eligible rows. `None` when no shard has two rows. The model is
+    /// frozen once here and the shards share the snapshot.
     fn contrastive_step(
         &self,
         exec: &Executor,
@@ -384,8 +356,10 @@ impl MetaSgcl {
         sanitize: bool,
         trace: Option<(&Tracer, SpanId)>,
     ) -> Option<GradientSet> {
+        let frozen = self.freeze();
         let collected = exec.map_shards(shards, |i, shard| {
             self.contrastive_shard(
+                &frozen,
                 shard,
                 Executor::shard_seed(batch_seed, 2, i as u64),
                 sanitize,
@@ -611,7 +585,7 @@ impl MetaSgcl {
                         stats.grad_norm = applied.grad_norm.map(f64::from);
                         self.set_meta_trainable(true);
                         // Stage 2: re-encode with the just-updated encoder,
-                        // freeze it, and adapt Enc_σ' to the contrastive
+                        // frozen, and adapt Enc_σ' to the contrastive
                         // objective (Eq. 26).
                         self.set_main_trainable(false);
                         let stage2 = telem.span("stage2", batch_sid);
@@ -863,7 +837,8 @@ mod tests {
         let mut opt = Adam::new(meta_params.clone(), 1e-2);
         m.set_main_trainable(false);
         let g = Graph::new();
-        let loss = m.meta_stage_loss(&g, &batch, &mut rng);
+        let prefix = m.meta_prefix(&g, &batch, &mut rng);
+        let loss = m.meta_stage_loss(&g, prefix, &batch);
         loss.backward();
         opt.step();
         m.set_main_trainable(true);

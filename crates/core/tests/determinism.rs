@@ -1,12 +1,13 @@
 //! Determinism contract of the data-parallel executor: thread count must
 //! not change a single bit of the trained parameters, and shard-gradient
-//! merging must reproduce the single-shard gradient.
+//! merging must reproduce the single-shard gradient. Neither may the
+//! buffer pool: recycled storage must be indistinguishable from fresh.
 
 use autograd::{GradientSet, Graph, Parameter};
 use meta_sgcl::{MetaSgcl, MetaSgclConfig, TrainStrategy};
 use models::{NetConfig, SequentialRecommender, TrainConfig};
 use recdata::ItemId;
-use tensor::Tensor;
+use tensor::{pool, Tensor};
 
 fn ring(users: usize, items: usize, len: usize) -> Vec<Vec<ItemId>> {
     (0..users)
@@ -70,6 +71,51 @@ fn threads_do_not_change_trained_parameters_joint() {
             a, b,
             "parameter {i} differs between threads=1 and threads=4"
         );
+    }
+}
+
+#[test]
+fn buffer_pool_does_not_change_checkpoints() {
+    // Every checkpoint file of a short two-step run, by name, in order.
+    let checkpoint_bytes = |tag: &str| -> Vec<(String, Vec<u8>)> {
+        let dir = std::env::temp_dir().join("msgc_determinism_test").join(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        let train = ring(20, 6, 8);
+        let mut m = MetaSgcl::new(small_cfg(6, TrainStrategy::MetaTwoStep));
+        let tc = TrainConfig {
+            epochs: 2,
+            batch_size: 10,
+            shard_size: 4,
+            threads: 2,
+            save_every: 1,
+            keep_last: 0,
+            ckpt_dir: Some(dir.to_string_lossy().into_owned()),
+            ..Default::default()
+        };
+        m.train_model(&train, &tc).expect("training failed");
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+            .expect("checkpoint dir")
+            .map(|e| {
+                let path = e.expect("dir entry").path();
+                let name = path.file_name().expect("file name");
+                let name = name.to_string_lossy().into_owned();
+                (name, std::fs::read(&path).expect("read checkpoint"))
+            })
+            .collect();
+        files.sort();
+        let _ = std::fs::remove_dir_all(&dir);
+        files
+    };
+    pool::set_enabled(true);
+    let pooled = checkpoint_bytes("pool-on");
+    pool::set_enabled(false);
+    let plain = checkpoint_bytes("pool-off");
+    pool::set_enabled(true);
+    assert_eq!(pooled.len(), 4, "one checkpoint per optimizer step");
+    assert_eq!(pooled.len(), plain.len());
+    for ((name, a), (other, b)) in pooled.iter().zip(&plain) {
+        assert_eq!(name, other);
+        assert!(a == b, "{name} differs with the pool on and off");
     }
 }
 

@@ -65,7 +65,11 @@ impl TransformerBackbone<Frozen> {
             self.max_len()
         );
         let x = self.embed(&Eager, &[seq.to_vec()], &mut eval_rng(), false);
-        let mut enc = EncoderKv::new(self.encoder.n_layers(), self.encoder.heads());
+        let mut enc = EncoderKv::new(
+            self.encoder.n_layers(),
+            self.encoder.heads(),
+            self.max_len(),
+        );
         let h = self
             .encoder
             .encode_collect(&x, Some(&causal_mask(seq.len())), &mut enc);

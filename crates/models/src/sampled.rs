@@ -76,13 +76,6 @@ pub enum SoftmaxMode {
     },
 }
 
-impl SoftmaxMode {
-    /// `true` when training uses the sampled objective.
-    pub fn is_sampled(&self) -> bool {
-        matches!(self, SoftmaxMode::Sampled { .. })
-    }
-}
-
 /// Proposal distribution for negative candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NegativeSampler {

@@ -309,15 +309,22 @@ pub struct AttnKv {
     k: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
     len: usize,
+    /// The most positions the cache will hold. The first append grows
+    /// each buffer to exactly this many rows, not to twice the rows it
+    /// began with; `begin` does not reserve it, because a session that is
+    /// never appended to would carry the unused rows.
+    window: usize,
 }
 
 impl AttnKv {
-    /// Empty cache for `heads` attention heads.
-    pub fn new(heads: usize) -> Self {
+    /// Empty cache for `heads` attention heads that will hold at most
+    /// `window` positions.
+    pub fn new(heads: usize, window: usize) -> Self {
         AttnKv {
             k: vec![Vec::new(); heads],
             v: vec![Vec::new(); heads],
             len: 0,
+            window,
         }
     }
 
@@ -365,8 +372,12 @@ impl MultiHeadSelfAttention<Frozen> {
         let scale = 1.0 / (dh as f32).sqrt();
         let mut ctx = Tensor::zeros(vec![b, self.dim]);
         for (bi, kv) in kvs.iter_mut().enumerate() {
+            // A no-op once the buffers hold the window.
+            let room = (kv.window.max(kv.len + 1) - kv.len) * dh;
             for h in 0..self.heads {
                 let span = h * dh..(h + 1) * dh;
+                kv.k[h].reserve_exact(room);
+                kv.v[h].reserve_exact(room);
                 kv.k[h].extend_from_slice(&k.row(bi)[span.clone()]);
                 kv.v[h].extend_from_slice(&v.row(bi)[span.clone()]);
                 let len = kv.k[h].len() / dh;
@@ -398,10 +409,11 @@ pub struct EncoderKv {
 }
 
 impl EncoderKv {
-    /// Empty caches for an `n_layers`-deep stack with `heads` heads.
-    pub fn new(n_layers: usize, heads: usize) -> Self {
+    /// Empty caches for an `n_layers`-deep stack with `heads` heads that
+    /// will hold at most `window` positions.
+    pub fn new(n_layers: usize, heads: usize, window: usize) -> Self {
         EncoderKv {
-            layers: (0..n_layers).map(|_| AttnKv::new(heads)).collect(),
+            layers: (0..n_layers).map(|_| AttnKv::new(heads, window)).collect(),
         }
     }
 
@@ -457,5 +469,47 @@ impl TransformerEncoder<Frozen> {
             h = layer.residual_ffn(&Eager, &h, &attn, &mut rng, false);
         }
         h
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{causal_mask, Freeze, TransformerEncoder};
+    use rand::SeedableRng;
+    use tensor::init;
+
+    /// A session's K/V buffers hold exactly what `begin` encoded, and the
+    /// first append grows them to the window and never past it, whatever
+    /// length the session began with.
+    #[test]
+    fn kv_capacity_never_exceeds_the_window() {
+        let (window, dim, heads) = (6, 8, 2);
+        let dh = dim / heads;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let f = TransformerEncoder::new(&mut rng, "enc", 2, dim, heads, 0.0).freeze();
+        for begin in 1..=window {
+            let x = init::randn(&mut rng, vec![1, begin, dim], 0.0, 1.0);
+            let mut kv = EncoderKv::new(f.n_layers(), heads, window);
+            f.encode_collect(&x, Some(&causal_mask(begin)), &mut kv);
+            for len in begin..=window {
+                if len > begin {
+                    let row = init::randn(&mut rng, vec![1, dim], 0.0, 1.0);
+                    f.append_batch(&row, &mut [&mut kv]);
+                }
+                assert_eq!(kv.len(), len);
+                let rows = if len == begin { begin } else { window };
+                for layer in &kv.layers {
+                    for buf in layer.k.iter().chain(&layer.v) {
+                        assert_eq!(buf.len(), len * dh);
+                        assert_eq!(
+                            buf.capacity(),
+                            rows * dh,
+                            "began with {begin} rows, now {len}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

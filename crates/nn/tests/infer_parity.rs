@@ -130,7 +130,7 @@ fn incremental_attention_equals_full_reencode() {
     // K/V), then append the rest one at a time.
     let seed_len = 3;
     let x0 = Tensor::from_vec(rows.data()[..seed_len * 8].to_vec(), vec![1, seed_len, 8]);
-    let mut state = EncoderKv::new(f.n_layers(), f.heads());
+    let mut state = EncoderKv::new(f.n_layers(), f.heads(), n);
     let h0 = f.encode_collect(&x0, Some(&causal_mask(seed_len)), &mut state);
     let mut incr_last = h0
         .reshape(vec![seed_len, 8])
@@ -141,7 +141,7 @@ fn incremental_attention_equals_full_reencode() {
     for t in seed_len..n {
         // Full re-encode of the prefix 0..=t (the oracle).
         let xt = Tensor::from_vec(rows.data()[..(t + 1) * 8].to_vec(), vec![1, t + 1, 8]);
-        let mut fresh = EncoderKv::new(f.n_layers(), f.heads());
+        let mut fresh = EncoderKv::new(f.n_layers(), f.heads(), n);
         let full = f.encode_collect(&xt, Some(&causal_mask(t + 1)), &mut fresh);
         let full_last = full.reshape(vec![t + 1, 8]).unwrap().row(t).to_vec();
 
@@ -170,7 +170,7 @@ fn batched_append_equals_single_appends() {
     let b_rows = init::randn(&mut r, vec![2, 8], 0.0, 1.0);
     let mk = |rows: &Tensor, n: usize| {
         let x = Tensor::from_vec(rows.data()[..n * 8].to_vec(), vec![1, n, 8]);
-        let mut s = EncoderKv::new(f.n_layers(), f.heads());
+        let mut s = EncoderKv::new(f.n_layers(), f.heads(), n + 1);
         f.encode_collect(&x, Some(&causal_mask(n)), &mut s);
         s
     };
@@ -245,7 +245,7 @@ fn freeze_snapshots_are_detached_from_training() {
 
 #[test]
 fn attn_kv_reports_len() {
-    let kv = AttnKv::new(2);
+    let kv = AttnKv::new(2, 4);
     assert!(kv.is_empty());
     assert_eq!(kv.len(), 0);
 }

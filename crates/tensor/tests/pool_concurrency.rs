@@ -1,11 +1,13 @@
 //! Multi-threaded stress tests for `tensor::pool`: concurrent
 //! acquire/recycle must never hand out dirty "zeroed" buffers, never lose
 //! or duplicate storage, keep the hit/miss counters consistent, and keep
-//! per-class growth bounded.
+//! per-class growth and the bytes retained across classes bounded.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tensor::pool;
 
 /// Sizes above the pooling threshold (1024) plus a distinct offset per
@@ -112,7 +114,9 @@ fn stats_monotone_and_consistent_under_contention() {
 fn per_class_growth_is_bounded() {
     let _serial = serial();
     pool::set_enabled(true);
-    let len = 8192 + 11; // distinct class, untouched by other tests
+    // A class capacity (7·2^11), untouched by other tests: a buffer of
+    // exactly this length is recycled into the class it is taken from.
+    let len = 14336;
     let burst = 200;
     std::thread::scope(|s| {
         for _ in 0..4 {
@@ -151,4 +155,45 @@ fn disabled_pool_is_safe_under_threads() {
         }
     });
     pool::set_enabled(true);
+}
+
+/// Variable shapes cannot inflate the pool: 10k requests of random sizes
+/// from 1 KiB to 4 MiB, recycled in bursts, never leave more than the
+/// retained-bytes budget on the free lists, and every checkout is exact
+/// and clean.
+#[test]
+fn random_lengths_stay_within_the_retained_budget() {
+    let _serial = serial();
+    pool::set_enabled(true);
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut held: Vec<Vec<f32>> = Vec::new();
+    let (h0, _) = pool::stats();
+    for i in 0..10_000 {
+        // Log-uniform bytes, so every size class sees traffic.
+        let bytes = 1024.0 * 4096f64.powf(rng.gen::<f64>());
+        let len = bytes as usize / 4;
+        let mut v = if i % 3 == 0 {
+            let v = pool::take_raw(len);
+            assert_eq!(v.len(), len, "take_raw length");
+            v
+        } else {
+            let v = pool::take_zeroed(len);
+            assert_eq!(v.len(), len, "take_zeroed length");
+            assert!(v.iter().all(|&x| x == 0.0), "take_zeroed contents");
+            v
+        };
+        v.iter_mut().for_each(|x| *x = 2.5);
+        held.push(v);
+        if held.len() >= 12 || rng.gen::<f32>() < 0.3 {
+            held.drain(..).for_each(pool::recycle);
+        }
+        assert!(
+            pool::retained_bytes() <= pool::RETAINED_BYTES,
+            "pool retains {} B past its {} B budget",
+            pool::retained_bytes(),
+            pool::RETAINED_BYTES
+        );
+    }
+    let (h1, _) = pool::stats();
+    assert!(h1 > h0, "no reuse across size classes");
 }

@@ -980,6 +980,10 @@ fn cmd_check(args: &Args) -> Result<(), String> {
                         c.overflow()
                     );
                 }
+                println!(
+                    "      pool retains {} B after the step",
+                    s.cost.pool_retained_bytes
+                );
             }
         }
         if args.get("determinism").is_some() {
