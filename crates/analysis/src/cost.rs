@@ -298,6 +298,26 @@ mod tests {
     }
 
     #[test]
+    fn segmented_attention_is_priced_on_its_kept_weights() {
+        // Segments of 3 and 2 rows, 2 heads of width 2, causal: each head
+        // keeps 3·4/2 + 2·3/2 = 9 weights, 18 in all.
+        let segs = tensor::Segments::new(vec![0, 3, 5], true);
+        let w = Parameter::shared("w", Tensor::ones(vec![5, 4]));
+        let g = Graph::new();
+        let x = g.param(&w);
+        let keep = Tensor::ones(vec![18]);
+        let att = x.seg_attention(&x, &x, &segs, 2, Some(&keep));
+        let loss = att.sum_all();
+        let snap = g.snapshot();
+        let r = analyze(&snap, loss.node_id());
+        assert!(r.is_clean());
+        // 18 weights × (2·2 + 2·2 + 1), plus the sum over 20 outputs.
+        assert_eq!(r.flops, 18 * 9 + 20);
+        // Q, K, V (20 floats each), the 18 weights and the 18-entry mask.
+        assert_eq!(r.closure_bytes, (3 * 20 + 18 + 18) * 4);
+    }
+
+    #[test]
     fn unreachable_loss_prices_no_backward() {
         let g = Graph::new();
         let x = g.constant(Tensor::ones(vec![4]));

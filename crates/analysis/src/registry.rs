@@ -344,6 +344,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn attention_runs_as_one_segmented_op_per_layer() {
+        // Every Transformer family's tape, in every stage, attends through
+        // the registered segmented op; no attention softmax is recorded
+        // apart from it.
+        let seqs = audit_sequences(AUDIT_ITEMS, AUDIT_USERS, AUDIT_LEN);
+        for name in MODELS
+            .iter()
+            .filter(|m| !matches!(**m, "GRU4Rec" | "Caser"))
+        {
+            let mut model = build(name).expect("registered");
+            for contract in model.audit_contracts() {
+                let trace = model.trace_stage(&contract.stage, &seqs, AUDIT_SEED);
+                let snap = trace.graph.snapshot();
+                let seg = snap
+                    .iter()
+                    .filter(|n| matches!(n.sig, ShapeSig::SegAttention { .. }))
+                    .count();
+                let what = format!("{name}/{}", contract.stage);
+                assert!(seg > 0, "{what}: no segmented attention on the tape");
+                assert!(
+                    !snap.iter().any(|n| n.op == "softmax_last"),
+                    "{what}: an attention softmax outside the segmented op"
+                );
+            }
+        }
+    }
+
     /// Registry completeness, derived from the tapes themselves: every op
     /// any audited stage records must carry a reassociation class and a
     /// shape signature that reproduces the recorded output shape. No

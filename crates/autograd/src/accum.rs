@@ -94,6 +94,16 @@ impl GradientSet {
     }
 }
 
+impl Drop for GradientSet {
+    /// A set lives for one step (a shard's, or the merged batch's); its
+    /// pooled buffers serve the next step's sets.
+    fn drop(&mut self) {
+        for (_, g) in self.entries.drain(..) {
+            g.recycle();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,6 +22,7 @@
 //! `tests/ctx_props.rs` checks every op.
 
 use tensor::bug::OrBug;
+use tensor::segment::{self, Segments};
 use tensor::{ops, QuantMatrix, Tensor};
 
 use crate::graph::{Graph, ParamRef, Var};
@@ -133,6 +134,20 @@ pub trait Ctx {
     fn slice_axis(&self, a: &Self::V, axis: usize, start: usize, end: usize) -> Self::V;
     /// Concatenation along `axis`.
     fn concat(&self, parts: &[&Self::V], axis: usize) -> Self::V;
+    /// Rows `indices` of a rank-2 value.
+    fn select_rows(&self, a: &Self::V, indices: &[usize]) -> Self::V;
+    /// Multi-head attention inside each segment of packed `[R, d]` rows
+    /// (see [`tensor::segment`]), with an optional dropout keep-mask over
+    /// the attention weights.
+    fn seg_attention(
+        &self,
+        q: &Self::V,
+        k: &Self::V,
+        v: &Self::V,
+        segs: &Segments,
+        heads: usize,
+        keep: Option<&Tensor>,
+    ) -> Self::V;
 }
 
 /// A value that knows its context, for helpers that take only values.
@@ -242,6 +257,20 @@ impl Ctx for Graph {
     }
     fn concat(&self, parts: &[&Var], axis: usize) -> Var {
         Var::concat(parts, axis)
+    }
+    fn select_rows(&self, a: &Var, indices: &[usize]) -> Var {
+        a.index_select_rows(indices)
+    }
+    fn seg_attention(
+        &self,
+        q: &Var,
+        k: &Var,
+        v: &Var,
+        segs: &Segments,
+        heads: usize,
+        keep: Option<&Tensor>,
+    ) -> Var {
+        q.seg_attention(k, v, segs, heads, keep)
     }
 }
 
@@ -356,6 +385,23 @@ impl Ctx for Eager {
     }
     fn concat(&self, parts: &[&Tensor], axis: usize) -> Tensor {
         ops::concat(parts, axis).or_bug("concat")
+    }
+    fn select_rows(&self, a: &Tensor, indices: &[usize]) -> Tensor {
+        ops::index_select_rows(a, indices).or_bug("select_rows")
+    }
+    fn seg_attention(
+        &self,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        segs: &Segments,
+        heads: usize,
+        keep: Option<&Tensor>,
+    ) -> Tensor {
+        let (out, probs) =
+            segment::seg_attention(q, k, v, segs, heads, keep).or_bug("seg_attention");
+        probs.recycle();
+        out
     }
 }
 

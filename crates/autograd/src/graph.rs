@@ -214,7 +214,10 @@ impl Graph {
     /// `d root / d root = 1`, and deposits gradients into trainable
     /// parameter leaves.
     pub fn backward_from(&self, root: &Var) {
-        self.backward_with(root, &mut |p, grad| p.borrow_mut().grad.add_assign(&grad));
+        self.backward_with(root, &mut |p, grad| {
+            p.borrow_mut().grad.add_assign(&grad);
+            grad.recycle();
+        });
     }
 
     /// Like [`Graph::backward_from`], but instead of writing into the shared
@@ -225,7 +228,10 @@ impl Graph {
     /// order (see [`GradientSet::merge_scaled`]).
     pub fn backward_collect(&self, root: &Var) -> GradientSet {
         let mut set = GradientSet::new();
-        self.backward_with(root, &mut |p, grad| set.accumulate(p, &grad, 1.0));
+        self.backward_with(root, &mut |p, grad| {
+            set.accumulate(p, &grad, 1.0);
+            grad.recycle();
+        });
         set
     }
 

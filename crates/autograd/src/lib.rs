@@ -46,6 +46,7 @@ pub mod ctx;
 mod graph;
 pub mod meta;
 pub mod numeric;
+mod ops_attention;
 mod ops_basic;
 mod ops_matmul;
 mod ops_reduce;

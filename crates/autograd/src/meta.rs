@@ -76,6 +76,16 @@ pub enum ShapeSig {
         /// Number of selected rows.
         count: usize,
     },
+    /// Segmented attention over packed `[R, d]` query, key and value rows
+    /// (see [`tensor::segment`]); the output has the query's shape.
+    SegAttention {
+        /// Attention heads (column groups of the rows).
+        heads: usize,
+        /// Attention weights over every segment and head.
+        cells: usize,
+        /// Whether a dropout keep-mask (one entry per weight) rides along.
+        masked: bool,
+    },
 }
 
 impl ShapeSig {
@@ -140,6 +150,7 @@ impl ShapeSig {
             ShapeSig::GatherRows { count } => {
                 rules::gather_rows(sole("gather_rows")?, *count).map(Some)
             }
+            ShapeSig::SegAttention { heads, .. } => rules::seg_attention(inputs, *heads).map(Some),
         }
     }
 }
@@ -169,6 +180,13 @@ impl ShapeSig {
             ShapeSig::MatmulTransA => {
                 let k = inputs.first().and_then(|a| a.first()).copied().unwrap_or(0) as u64;
                 2 * numel(out) * k
+            }
+            // Per weight: a `d_h` dot product for the score and a `d_h`
+            // multiply-add into the context (2 FLOPs each), plus one op
+            // for the softmax, as an elementwise op charges.
+            ShapeSig::SegAttention { heads, cells, .. } => {
+                let dh = out.get(1).map_or(0, |d| d / heads.max(&1)) as u64;
+                *cells as u64 * (4 * dh + 1)
             }
             // Global/axis reductions and the fused loss heads touch every
             // input element once.
@@ -221,6 +239,14 @@ pub fn capture_bytes(op: &str, sig: &ShapeSig, inputs: &[&[usize]], out: &[usize
         // The masked product keeps its constant operand (shape in the sig).
         "mul_const" => match sig {
             ShapeSig::BroadcastWith(c) => bytes(c),
+            _ => return None,
+        },
+        // Segmented attention keeps its three operands, its weights and,
+        // with dropout, the keep-mask over them.
+        "seg_attention" => match sig {
+            ShapeSig::SegAttention { cells, masked, .. } => {
+                3 * in0 + bytes(&[*cells]) * (1 + u64::from(*masked))
+            }
             _ => return None,
         },
         _ => return None,

@@ -10,7 +10,7 @@ use autograd::{Ctx, Eager, Graph, Parameter};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tensor::{init, QuantMatrix, QuantMode, Tensor};
+use tensor::{init, QuantMatrix, QuantMode, Segments, Tensor};
 
 /// One case's operands. `x`, `y` and `pos` are `[.., m, k]`.
 struct Case {
@@ -161,6 +161,54 @@ proptest! {
             prop_assert_eq!(want.dims(), t.dims(), "{name}: shape");
             prop_assert!(bits(&want) == bits(t), "{name}: eager bits differ from the tape");
             prop_assert_eq!(g.dims(var), Eager.dims(t), "{name}: dims");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The packed-row ops: a segmented attention over ragged segments
+    /// (empty ones included), causal or not, with or without a dropout
+    /// keep-mask, and a row gather.
+    #[test]
+    fn segmented_ops_are_bitwise_equal_across_contexts(
+        l0 in 0usize..7,
+        l1 in 0usize..7,
+        l2 in 0usize..7,
+        heads in 1usize..3,
+        head_dim in 1usize..5,
+        causal in 0usize..2,
+        dropout in 0usize..2,
+        seed in 0u64..100_000,
+    ) {
+        let (causal, dropout) = (causal == 1, dropout == 1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut offsets = vec![0];
+        for len in [l0, l1, l2] {
+            offsets.push(offsets[offsets.len() - 1] + len);
+        }
+        let segs = Segments::new(offsets, causal);
+        let (r, d) = (segs.rows(), heads * head_dim);
+        let qkv: Vec<Tensor> = (0..3)
+            .map(|_| init::uniform(&mut rng, vec![r, d], -2.0, 2.0))
+            .collect();
+        let keep = dropout.then(|| {
+            let cells = segs.cells(heads);
+            let data = (0..cells).map(|_| if rng.gen::<f32>() < 0.3 { 0.0 } else { 1.25 });
+            Tensor::from_vec(data.collect(), vec![cells])
+        });
+        let picks: Vec<usize> = (0..4).map(|_| rng.gen_range(0..r.max(1))).collect();
+
+        let g = Graph::new();
+        let [q, k, v] = [0, 1, 2].map(|i| g.constant(qkv[i].clone()));
+        let recorded = g.seg_attention(&q, &k, &v, &segs, heads, keep.as_ref()).value();
+        let eager = Eager.seg_attention(&qkv[0], &qkv[1], &qkv[2], &segs, heads, keep.as_ref());
+        prop_assert_eq!(recorded.dims(), &[r, d]);
+        prop_assert!(bits(&recorded) == bits(&eager), "seg_attention");
+        if r > 0 {
+            let recorded = g.select_rows(&q, &picks).value();
+            prop_assert!(bits(&recorded) == bits(&Eager.select_rows(&qkv[0], &picks)), "select_rows");
         }
     }
 }

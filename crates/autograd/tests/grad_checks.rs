@@ -435,3 +435,34 @@ fn backward_is_bitwise_identical_across_simd_dispatch() {
     };
     assert_eq!(run(true), run(false));
 }
+
+#[test]
+fn grad_seg_attention() {
+    // Three segments (one empty), two heads of width 2, causal and
+    // bidirectional, with and without a dropout keep-mask.
+    for causal in [true, false] {
+        let segs = tensor::Segments::new(vec![0, 3, 3, 5], causal);
+        let cells = segs.cells(2);
+        for keep in [
+            None,
+            Some(Tensor::from_vec(
+                (0..cells)
+                    .map(|i| if i % 3 == 1 { 0.0 } else { 1.5 })
+                    .collect(),
+                vec![cells],
+            )),
+        ] {
+            let q = p_signed("q", vec![5, 4], 70);
+            let k = p_signed("k", vec![5, 4], 71);
+            let v = p_signed("v", vec![5, 4], 72);
+            let w = init::uniform(&mut StdRng::seed_from_u64(73), vec![5, 4], -1.0, 1.0);
+            let segs = segs.clone();
+            assert_grads_close(&[q.clone(), k.clone(), v.clone()], 1e-3, TOL, move |g| {
+                g.param(&q)
+                    .seg_attention(&g.param(&k), &g.param(&v), &segs, 2, keep.as_ref())
+                    .mul_const(&w)
+                    .sum_all()
+            });
+        }
+    }
+}

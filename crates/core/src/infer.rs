@@ -18,6 +18,12 @@
 //!   single-row attention step per layer instead of a full re-encode. When
 //!   a cache reaches `max_len` the caller re-begins from the last
 //!   `max_len` items (a slide, counted as one re-encode).
+//!
+//! The two windowings are not equally good. The model is trained only on
+//! right-anchored positions (the last item at position `max_len − 1`),
+//! while the incremental cache puts it at `len − 1`; on the same
+//! checkpoints incremental scoring measured 2.6–4.6% lower validation
+//! NDCG@10 than full mode (ROADMAP item 3).
 
 use autograd::{Eager, Frozen};
 use models::{BackboneState, TransformerBackbone};

@@ -5,7 +5,7 @@ use autograd::{Ctx, Graph, ParamRef, Store, Train, Var};
 use models::backbone::TransformerBackbone;
 use models::vae::standard_normal_like;
 use nn::infer::eval_rng;
-use nn::{Linear, Module, TransformerEncoder};
+use nn::{Linear, Module, Packing, TransformerEncoder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recdata::{encode_input_only, item_crop, item_mask, item_reorder, Batch, ItemId};
@@ -176,7 +176,7 @@ impl MetaSgcl {
         &self,
         g: &Graph,
         features: &Var,
-        pad: &[Vec<bool>],
+        pack: &Packing,
         meta_sigma: bool,
         rng: &mut StdRng,
         training: bool,
@@ -190,13 +190,12 @@ impl MetaSgcl {
         let eps = standard_normal_like(&mu.dims(), rng);
         let (logvar, z) = Self::reparameterize(g, head, features, &mu, &eps);
         // Decode: either the explicit Transformer decoder over the latent
-        // sequence (same masks as the encoder), or the Eq. 22 path scoring
-        // the latent directly against the tied item table.
+        // sequence's real rows (the encoder's packing), or the Eq. 22 path
+        // scoring the latent directly against the tied item table.
         let h = match &self.decoder {
             Some(dec) => {
-                let mask = self.backbone.attention_mask(pad);
-                let timeline = TransformerBackbone::timeline_mask(pad);
-                dec.forward(g, &z, Some(&mask), Some(&timeline), rng, training)
+                let rows = dec.forward(g, &pack.pack(g, &z), pack, rng, training);
+                pack.unpack(g, &rows)
             }
             None => z.clone(),
         };
@@ -211,11 +210,15 @@ impl MetaSgcl {
     /// Both latent views of a batch from one encoder pass (Eqs. 11–15):
     /// view 1 samples with `Enc_σ`, view 2 with the configured generator.
     pub(crate) fn views(&self, g: &Graph, batch: &Batch, rng: &mut StdRng) -> (View, View) {
-        let features = self.encode(g, &batch.inputs, &batch.pad, rng, true);
-        let v1 = self.view(g, &features, &batch.pad, false, rng, true);
+        let pack = self.backbone.packing(&batch.pad);
+        let features = pack.unpack(g, &self.encode(g, &batch.inputs, &pack, rng));
+        let v1 = self.view(g, &features, &pack, false, rng, true);
         let v2 = match self.second_features(g, batch, rng) {
-            None => self.view(g, &features, &batch.pad, true, rng, true),
-            Some((f2, pads)) => self.view(g, &f2, &pads, false, rng, true),
+            None => self.view(g, &features, &pack, true, rng, true),
+            Some((f2, pack2)) => {
+                let f2 = pack2.unpack(g, &f2);
+                self.view(g, &f2, &pack2, false, rng, true)
+            }
         };
         (v1, v2)
     }
@@ -250,9 +253,12 @@ impl MetaSgcl {
     /// [`TransformerBackbone::forward_left_aligned`]. This is the autograd
     /// reference the frozen incremental path is gated against bitwise.
     ///
-    /// Note this is a *different* (equally valid) windowing than
-    /// [`MetaSgcl::score_sequence`]'s right-anchored padded positions; the
-    /// two agree only when `seq.len() == max_len` exactly fills the window.
+    /// This is a *different* windowing than [`MetaSgcl::score_sequence`]'s
+    /// right-anchored positions, and not an equally good one: the model is
+    /// trained only on right-anchored positions, and scoring this way
+    /// measured 2.6–4.6% lower validation NDCG@10 than `score_sequence` on
+    /// the same checkpoints (ROADMAP item 3). The two agree only when
+    /// `seq.len() == max_len` exactly fills the window.
     pub fn score_left_aligned(&self, seq: &[ItemId]) -> Vec<f32> {
         if seq.is_empty() {
             return vec![0.0; self.cfg.net.num_items + 1];
@@ -266,8 +272,9 @@ impl MetaSgcl {
         let mu = self.enc_mu.forward(&g, &features);
         let h = match &self.decoder {
             Some(dec) => {
-                let mask = nn::causal_mask(window.len());
-                dec.forward(&g, &mu, Some(&mask), None, &mut rng, false)
+                let pack = Packing::new(&[vec![false; window.len()]], true);
+                let rows = dec.forward(&g, &pack.pack(&g, &mu), &pack, &mut rng, false);
+                pack.unpack(&g, &rows)
             }
             None => mu,
         };
@@ -279,16 +286,16 @@ impl MetaSgcl {
 }
 
 impl<S: Store> MetaSgcl<S> {
-    /// Encoder pass: `F^{(L)}` features for a batch (Eqs. 4–10).
+    /// Training encoder pass (dropout on): `F^{(L)}` features of a
+    /// batch's real cells, packed as `pack` lists them (Eqs. 4–10).
     pub(crate) fn encode<C: Ctx<S = S>>(
         &self,
         c: &C,
         inputs: &[Vec<ItemId>],
-        pad: &[Vec<bool>],
+        pack: &Packing,
         rng: &mut StdRng,
-        training: bool,
     ) -> C::V {
-        self.backbone.forward(c, inputs, pad, rng, training)
+        self.backbone.forward_packed(c, inputs, pack, rng, true)
     }
 
     /// The reparameterised sample of Eqs. 14–15: `head` gives the clamped
@@ -307,28 +314,28 @@ impl<S: Store> MetaSgcl<S> {
         (logvar, z)
     }
 
-    /// Encoder features of the second view when it does not sample from
-    /// view 1's (`None` for `Enc_σ'`), with the padding they were encoded
-    /// under: a second dropout pass, or a pass over a hand-augmented copy
-    /// of the batch.
+    /// Packed encoder features of the second view when it does not sample
+    /// from view 1's (`None` for `Enc_σ'`), with the packing they were
+    /// encoded under: a second dropout pass, or a pass over a
+    /// hand-augmented copy of the batch.
     pub(crate) fn second_features<C: Ctx<S = S>>(
         &self,
         c: &C,
         batch: &Batch,
         rng: &mut StdRng,
-    ) -> Option<(C::V, Vec<Vec<bool>>)> {
+    ) -> Option<(C::V, Packing)> {
         match self.cfg.second_view {
             SecondView::MetaSigma => None,
             SecondView::Dropout => {
                 // Model augmentation: a fresh dropout-perturbed encoder
                 // pass feeding the primary (Enc_σ) posterior.
-                let f2 = self.encode(c, &batch.inputs, &batch.pad, rng, true);
-                Some((f2, batch.pad.clone()))
+                let pack = self.backbone.packing(&batch.pad);
+                Some((self.encode(c, &batch.inputs, &pack, rng), pack))
             }
             SecondView::DataAugmentation => {
                 let (inputs, pads) = self.augment(batch, rng);
-                let f2 = self.encode(c, &inputs, &pads, rng, true);
-                Some((f2, pads))
+                let pack = self.backbone.packing(&pads);
+                Some((self.encode(c, &inputs, &pack, rng), pack))
             }
         }
     }
@@ -377,15 +384,15 @@ impl<S: Store> MetaSgcl<S> {
         let last_noise = |rng: &mut StdRng| {
             TransformerBackbone::last_hidden(&standard_normal_like(&noise_dims, rng))
         };
-        let features =
-            TransformerBackbone::last_hidden(&self.encode(c, &batch.inputs, &batch.pad, rng, true));
+        let pack = self.backbone.packing(&batch.pad);
+        let features = pack.last_rows(c, &self.encode(c, &batch.inputs, &pack, rng));
         let mu = self.enc_mu.forward(c, &features);
         let eps1 = last_noise(rng);
         let (_, z1) = Self::reparameterize(c, &self.enc_logvar, &features, &mu, &eps1);
         let (features, mu) = match self.second_features(c, batch, rng) {
             None => (features, mu),
-            Some((f2, _)) => {
-                let f2 = TransformerBackbone::last_hidden(&f2);
+            Some((f2, pack2)) => {
+                let f2 = pack2.last_rows(c, &f2);
                 let mu2 = self.enc_mu.forward(c, &f2);
                 (f2, mu2)
             }
@@ -401,21 +408,25 @@ impl<S: Store> MetaSgcl<S> {
     /// Deterministic (`z = μ`) hidden state `[1, d]` at the last position
     /// of the right-anchored padded window: the query side of Eq. 22 that
     /// offline scoring and serving share. `seq` must be non-empty.
+    ///
+    /// The window is one segment of its `L ≤ max_len` real rows, each at
+    /// its right-anchored position, so a history of `L` items encodes `L`
+    /// rows. Without a decoder only the last row goes through `Enc_μ`.
     pub(crate) fn padded_last_hidden<C: Ctx<S = S>>(&self, c: &C, seq: &[ItemId]) -> C::V {
         let (input, pad) = encode_input_only(seq, self.cfg.net.max_len);
-        let pad = [pad];
+        let pack = self.backbone.packing(&[pad]);
         let mut rng = eval_rng();
-        let features = self.backbone.forward(c, &[input], &pad, &mut rng, false);
-        let mu = self.enc_mu.forward(c, &features);
-        let h = match &self.decoder {
+        let features = self
+            .backbone
+            .forward_packed(c, &[input], &pack, &mut rng, false);
+        match &self.decoder {
             Some(dec) => {
-                let mask = self.backbone.attention_mask(&pad);
-                let timeline = TransformerBackbone::timeline_mask(&pad);
-                dec.forward(c, &mu, Some(&mask), Some(&timeline), &mut rng, false)
+                let mu = self.enc_mu.forward(c, &features);
+                let h = dec.forward(c, &mu, &pack, &mut rng, false);
+                pack.last_rows(c, &h)
             }
-            None => mu,
-        };
-        TransformerBackbone::last_hidden(&h)
+            None => self.enc_mu.forward(c, &pack.last_rows(c, &features)),
+        }
     }
 }
 
@@ -472,10 +483,12 @@ mod tests {
         let g = Graph::new();
         let mut rng = StdRng::seed_from_u64(1);
         let inputs = vec![vec![0, 0, 1, 2, 3, 4]];
-        let pad = vec![vec![true, true, false, false, false, false]];
-        let f = m.encode(&g, &inputs, &pad, &mut rng, false);
-        let v1 = m.view(&g, &f, &pad, false, &mut rng, false);
-        let v2 = m.view(&g, &f, &pad, true, &mut rng, false);
+        let pack = m
+            .backbone
+            .packing(&[vec![true, true, false, false, false, false]]);
+        let f = pack.unpack(&g, &m.encode(&g, &inputs, &pack, &mut rng));
+        let v1 = m.view(&g, &f, &pack, false, &mut rng, false);
+        let v2 = m.view(&g, &f, &pack, true, &mut rng, false);
         assert_eq!(v1.mu.value().data(), v2.mu.value().data(), "μ is shared");
         assert_ne!(
             v1.logvar.value().data(),
@@ -501,10 +514,10 @@ mod tests {
         let g = Graph::new();
         let mut rng = StdRng::seed_from_u64(2);
         let inputs = vec![vec![1, 2, 3, 4, 5, 6]];
-        let pad = vec![vec![false; 6]];
-        let f = m.encode(&g, &inputs, &pad, &mut rng, false);
-        let v1 = m.view(&g, &f, &pad, false, &mut rng, false);
-        let v2 = m.view(&g, &f, &pad, false, &mut rng, false);
+        let pack = m.backbone.packing(&[vec![false; 6]]);
+        let f = pack.unpack(&g, &m.encode(&g, &inputs, &pack, &mut rng));
+        let v1 = m.view(&g, &f, &pack, false, &mut rng, false);
+        let v2 = m.view(&g, &f, &pack, false, &mut rng, false);
         assert_ne!(v1.h.value().data(), v2.h.value().data());
         let _ = &mut m;
     }

@@ -4,7 +4,8 @@
 //! its frozen prefix eagerly on the last position only. Both claim to keep
 //! every output bit. These tests rebuild each objective the full-row way on
 //! one tape (every position scored; the whole frozen encoder and every
-//! head row recorded) and compare the loss and every gradient by bits.
+//! head row recorded) and compare the loss and every gradient by bits,
+//! with and without an explicit decoder.
 
 use autograd::{Eager, GradientSet, Graph, Var};
 use models::cl::info_nce_masked;
@@ -22,7 +23,7 @@ use crate::model::MetaSgcl;
 const ITEMS: usize = 23;
 const MAX_LEN: usize = 7;
 
-fn model(seed: u64, second_view: SecondView) -> MetaSgcl {
+fn model(seed: u64, second_view: SecondView, decoder_layers: usize) -> MetaSgcl {
     MetaSgcl::new(MetaSgclConfig {
         net: NetConfig {
             max_len: MAX_LEN,
@@ -36,6 +37,7 @@ fn model(seed: u64, second_view: SecondView) -> MetaSgcl {
         alpha: 0.3,
         beta: 0.2,
         second_view,
+        decoder_layers,
         ..MetaSgclConfig::for_items(ITEMS)
     })
 }
@@ -141,14 +143,20 @@ fn stage2_sigma_prime_gradient_matches_the_full_tape() {
         SecondView::Dropout,
         SecondView::DataAugmentation,
     ] {
-        for seed in 0..3u64 {
-            let m = model(seed, second_view);
+        for (seed, decoder_layers) in [(0u64, 0), (1, 0), (2, 0), (3, 1)] {
+            let mut m = model(seed, second_view, decoder_layers);
             m.set_main_trainable(false);
             let frozen = m.freeze();
+            // Stage 2 never reads the decoder and its prefix skips it, its
+            // dropout draws included, so the full tape is recorded without
+            // it (the other parameters are the same `ParamRef`s).
+            let decoder = m.decoder.take();
             let whole = batch(100 + seed);
             for shard_size in 2..=16 {
                 let shard = &whole.shard(shard_size)[0];
-                let what = format!("{second_view:?}, seed {seed}, shard {shard_size}");
+                let what = format!(
+                    "{second_view:?}, seed {seed}, decoder {decoder_layers}, shard {shard_size}"
+                );
 
                 let g = Graph::new();
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -171,6 +179,7 @@ fn stage2_sigma_prime_gradient_matches_the_full_tape() {
                 }
                 assert_same_grads(&m, &want, &got, &what);
             }
+            m.decoder = decoder;
             m.set_main_trainable(true);
         }
     }
@@ -190,12 +199,14 @@ fn stage1_loss_and_gradients_match_full_rows() {
         },
     ];
     for softmax in modes {
-        for seed in 0..3u64 {
-            let m = model(seed, SecondView::MetaSigma);
+        for (seed, decoder_layers) in [(0u64, 0), (1, 0), (2, 0), (3, 1), (4, 2)] {
+            let m = model(seed, SecondView::MetaSigma, decoder_layers);
             let whole = batch(200 + seed);
             for shard_size in [3, 8, 16] {
                 let shard = &whole.shard(shard_size)[0];
-                let what = format!("{softmax:?}, seed {seed}, shard {shard_size}");
+                let what = format!(
+                    "{softmax:?}, seed {seed}, decoder {decoder_layers}, shard {shard_size}"
+                );
 
                 let g = Graph::new();
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);

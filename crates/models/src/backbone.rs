@@ -1,6 +1,13 @@
 //! The shared SASRec-style Transformer backbone: item + position
 //! embeddings, embedding LayerNorm/dropout, and a stacked self-attention
-//! encoder with causal and padding masks.
+//! encoder, causal or bidirectional.
+//!
+//! A left-padded batch runs padding-free: the backbone packs its real
+//! cells ([`Packing`]), every row-wise op runs on those rows, and attention
+//! is one segmented op per layer. [`TransformerBackbone::forward`] returns
+//! the padded `[b, n, d]` layout with zero rows at the padding; readers of
+//! only each sequence's last row take it from the packed rows
+//! ([`TransformerBackbone::forward_packed`], [`Packing::last_rows`]).
 //!
 //! Every attention-based model in this reproduction (SASRec, BERT4Rec,
 //! VSAN, DuoRec, ContrastVAE, ACVAE, and Meta-SGCL itself) is this backbone
@@ -8,13 +15,10 @@
 //! about objectives rather than implementation details.
 
 use autograd::{Ctx, Graph, ParamRef, Store, Train, Value, Var};
-use nn::{
-    causal_mask, padding_additive_mask, Dropout, Embedding, LayerNorm, Module, TransformerEncoder,
-};
+use nn::{Dropout, Embedding, LayerNorm, Module, Packing, TransformerEncoder};
 use rand::rngs::StdRng;
 use recdata::ItemId;
-use tensor::bug::OrBug;
-use tensor::{ops, Tensor};
+use tensor::Tensor;
 
 /// Item+position embedding and Transformer encoder stack.
 pub struct TransformerBackbone<S: Store = Train> {
@@ -125,15 +129,10 @@ impl<S: Store> TransformerBackbone<S> {
         self.pos_emb.vocab()
     }
 
-    /// Builds the combined additive attention mask for a batch.
-    pub fn attention_mask(&self, pad: &[Vec<bool>]) -> Tensor {
-        let n = pad.first().map_or(0, Vec::len);
-        let pad_mask = padding_additive_mask(pad, self.heads);
-        if self.causal {
-            ops::add(&pad_mask, &causal_mask(n)).or_bug("mask broadcast")
-        } else {
-            pad_mask
-        }
+    /// The packing of a batch with padding `pad`, attending as this
+    /// backbone does.
+    pub fn packing(&self, pad: &[Vec<bool>]) -> Packing {
+        Packing::new(pad, self.causal)
     }
 
     /// Adds position embeddings to item embeddings `e` (`[b, n, d]` with
@@ -166,7 +165,41 @@ impl<S: Store> TransformerBackbone<S> {
         self.add_positions(c, &e, &pos, rng, training)
     }
 
-    /// Full forward: returns hidden states `[b, n, dim]` (Eq. 10's `F^(l)`).
+    /// Embeds the real cells of a batch (Eq. 4: `Ê = E + P`), packed:
+    /// item and position rows per cell, each cell's position its padded
+    /// column, then LayerNorm and dropout (drawn at the padded shape).
+    fn embed_packed<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        inputs: &[Vec<ItemId>],
+        pack: &Packing,
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let n = pack.window();
+        let items: Vec<ItemId> = pack.cells().iter().map(|&c| inputs[c / n][c % n]).collect();
+        let e = self.item_emb.forward_flat(c, &items);
+        let p = self.pos_emb.forward_flat(c, &pack.positions());
+        let x = self.emb_ln.forward(c, &c.add(&e, &p));
+        self.emb_dropout.apply_rows(c, x, Some(pack), rng, training)
+    }
+
+    /// Packed forward: hidden rows `[R, dim]` of `pack`'s real cells
+    /// (Eq. 10's `F^(l)` without the padding).
+    pub fn forward_packed<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        inputs: &[Vec<ItemId>],
+        pack: &Packing,
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let x = self.embed_packed(c, inputs, pack, rng, training);
+        self.encoder.forward(c, &x, pack, rng, training)
+    }
+
+    /// Full forward: returns hidden states `[b, n, dim]` (Eq. 10's
+    /// `F^(l)`), zero at padded cells.
     pub fn forward<C: Ctx<S = S>>(
         &self,
         c: &C,
@@ -175,16 +208,21 @@ impl<S: Store> TransformerBackbone<S> {
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
-        let x = self.embed(c, inputs, rng, training);
-        self.encode_embedded(c, &x, pad, rng, training)
+        #[cfg(test)]
+        if crate::packed_reference::padded() {
+            return crate::packed_reference::padded_forward(self, c, inputs, pad, rng, training);
+        }
+        let pack = self.packing(pad);
+        let h = self.forward_packed(c, inputs, &pack, rng, training);
+        pack.unpack(c, &h)
     }
 
     /// Left-aligned, unpadded forward for one sequence: positions are
     /// `0..seq.len()` (anchored at the *start*, not the right edge), the
-    /// mask is causal only, and there is no timeline mask because nothing
-    /// is padding. These are the semantics the incremental serving path
-    /// caches under — appending an item leaves every earlier position's
-    /// embedding (and, by causality, hidden state) unchanged.
+    /// attention is causal, and nothing is padding. These are the
+    /// semantics the incremental serving path caches under — appending an
+    /// item leaves every earlier position's embedding (and, by causality,
+    /// hidden state) unchanged. Returns `[1, len, dim]`.
     ///
     /// Requires `seq.len() <= max_len` (the position table has `max_len`
     /// rows).
@@ -195,14 +233,14 @@ impl<S: Store> TransformerBackbone<S> {
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
-        let x = self.embed(c, &[seq.to_vec()], rng, training);
-        let mask = causal_mask(seq.len());
-        self.encoder
-            .forward(c, &x, Some(&mask), None, rng, training)
+        let pack = Packing::new(&[vec![false; seq.len()]], true);
+        let h = self.forward_packed(c, &[seq.to_vec()], &pack, rng, training);
+        pack.unpack(c, &h)
     }
 
-    /// Runs the encoder on a pre-built embedding var (used by models that
-    /// modify the embedding first, e.g. the VAE decoder over `z`).
+    /// Runs the encoder on a pre-built `[b, n, dim]` embedding (for models
+    /// that modify the embedding first): packs its real rows, encodes
+    /// them, and returns `[b, n, dim]`, zero at padded cells.
     pub fn encode_embedded<C: Ctx<S = S>>(
         &self,
         c: &C,
@@ -211,10 +249,11 @@ impl<S: Store> TransformerBackbone<S> {
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
-        let mask = self.attention_mask(pad);
-        let timeline = TransformerBackbone::timeline_mask(pad);
-        self.encoder
-            .forward(c, x, Some(&mask), Some(&timeline), rng, training)
+        let pack = self.packing(pad);
+        let h = self
+            .encoder
+            .forward(c, &pack.pack(c, x), &pack, rng, training);
+        pack.unpack(c, &h)
     }
 
     /// Extracts the representation at the last position: `[b, n, d] → [b, d]`.

@@ -34,6 +34,8 @@ mod cl4srec;
 mod contrastvae;
 mod duorec;
 mod gru4rec;
+#[cfg(test)]
+mod packed_reference;
 mod pop;
 mod sasrec;
 mod vsan;

@@ -4,7 +4,7 @@ use autograd::{Ctx, ParamRef, Store, Train};
 use rand::rngs::StdRng;
 use tensor::Tensor;
 
-use crate::{Dropout, Linear, Module};
+use crate::{Dropout, Linear, Module, Packing};
 
 /// Additive causal mask of shape `[n, n]`: position `i` may attend to
 /// positions `j ≤ i`; future positions receive `−1e9` ("we block all items
@@ -16,28 +16,6 @@ pub fn causal_mask(n: usize) -> Tensor {
         for (j, v) in row.iter_mut().enumerate() {
             if j > i {
                 *v = -1e9;
-            }
-        }
-    }
-    m
-}
-
-/// Additive key-padding mask of shape `[batch·heads, 1, n]`: padded key
-/// positions receive `−1e9` for every query. `pad[b][j]` is true when the
-/// j-th position of sequence `b` is padding.
-pub fn padding_additive_mask(pad: &[Vec<bool>], heads: usize) -> Tensor {
-    let b = pad.len();
-    let n = pad.first().map_or(0, Vec::len);
-    let mut m = Tensor::zeros(vec![b * heads, 1, n]);
-    let data = m.data_mut();
-    for (bi, row) in pad.iter().enumerate() {
-        debug_assert_eq!(row.len(), n);
-        for h in 0..heads {
-            let base = (bi * heads + h) * n;
-            for (j, &is_pad) in row.iter().enumerate() {
-                if is_pad {
-                    data[base + j] = -1e9;
-                }
             }
         }
     }
@@ -89,11 +67,30 @@ impl<S: Store> MultiHeadSelfAttention<S> {
         c.reshape(&x, vec![b * self.heads, n, dh])
     }
 
-    /// Applies self-attention to `x: [b, n, dim]`.
-    ///
-    /// `mask` is an additive logits mask broadcastable to
-    /// `[b·heads, n, n]` (e.g. [`causal_mask`], a padding mask, or their
-    /// tensor sum); `None` means full bidirectional attention.
+    /// Applies self-attention to the packed rows `x: [R, dim]` of `pack`:
+    /// each sequence attends within its own rows, one segmented attention
+    /// op for the whole batch.
+    pub fn forward_packed<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        x: &C::V,
+        pack: &Packing,
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let q = self.wq.forward(c, x);
+        let k = self.wk.forward(c, x);
+        let v = self.wv.forward(c, x);
+        let keep = self.dropout.attention_keep(pack, self.heads, rng, training);
+        let ctx = c.seg_attention(&q, &k, &v, pack.segments(), self.heads, keep.as_ref());
+        self.wo.forward(c, &ctx)
+    }
+
+    /// Applies self-attention to `x: [b, n, dim]` under an additive logits
+    /// mask broadcastable to `[b·heads, n, n]` (e.g. [`causal_mask`]);
+    /// `None` means full bidirectional attention. The incremental serving
+    /// path encodes through this form to collect each head's keys and
+    /// values.
     pub fn forward<C: Ctx<S = S>>(
         &self,
         c: &C,
@@ -160,15 +157,6 @@ mod tests {
         assert_eq!(m.at(&[0, 1]), -1e9);
         assert_eq!(m.at(&[2, 1]), 0.0);
         assert_eq!(m.at(&[1, 2]), -1e9);
-    }
-
-    #[test]
-    fn padding_mask_marks_keys() {
-        let m = padding_additive_mask(&[vec![true, false], vec![false, false]], 2);
-        assert_eq!(m.dims(), &[4, 1, 2]);
-        assert_eq!(m.at(&[0, 0, 0]), -1e9); // batch 0, head 0, key 0 padded
-        assert_eq!(m.at(&[1, 0, 0]), -1e9); // batch 0, head 1
-        assert_eq!(m.at(&[2, 0, 0]), 0.0); // batch 1 unpadded
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use autograd::{Ctx, ParamRef, Store, Train};
 use rand::rngs::StdRng;
 
-use crate::{Dropout, Linear, Module};
+use crate::{Dropout, Linear, Module, Packing};
 
 /// Activation used inside [`FeedForward`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,14 +50,27 @@ impl<S: Store> FeedForward<S> {
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
+        self.forward_rows(c, x, None, rng, training)
+    }
+
+    /// [`forward`](Self::forward) over rows that may be the packed rows of
+    /// a padded batch (see [`Dropout::apply_rows`]).
+    pub(crate) fn forward_rows<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        x: &C::V,
+        rows: Option<&Packing>,
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
         let h = self.l1.forward(c, x);
         let h = match self.activation {
             Activation::Relu => c.relu(&h),
             Activation::Gelu => c.gelu(&h),
         };
-        let h = self.dropout.apply(c, h, rng, training);
+        let h = self.dropout.apply_rows(c, h, rows, rng, training);
         let y = self.l2.forward(c, &h);
-        self.dropout.apply(c, y, rng, training)
+        self.dropout.apply_rows(c, y, rows, rng, training)
     }
 }
 

@@ -466,7 +466,7 @@ impl TransformerEncoder<Frozen> {
         for (li, layer) in self.layers.iter().enumerate() {
             let mut kvs: Vec<&mut AttnKv> = states.iter_mut().map(|s| &mut s.layers[li]).collect();
             let attn = layer.mha.step_append(&h, &mut kvs);
-            h = layer.residual_ffn(&Eager, &h, &attn, &mut rng, false);
+            h = layer.residual_ffn(&Eager, &h, &attn, None, &mut rng, false);
         }
         h
     }

@@ -25,9 +25,10 @@ pub mod infer;
 pub mod io;
 mod linear;
 mod norm;
+mod packed;
 mod transformer;
 
-pub use attention::{causal_mask, padding_additive_mask, MultiHeadSelfAttention};
+pub use attention::{causal_mask, MultiHeadSelfAttention};
 pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use feedforward::{Activation, FeedForward};
@@ -35,6 +36,7 @@ pub use gru::Gru;
 pub use infer::{AttnKv, EncoderKv, Freeze, InferModule, Quantize};
 pub use linear::Linear;
 pub use norm::LayerNorm;
+pub use packed::Packing;
 pub use transformer::{TransformerEncoder, TransformerLayer};
 
 use autograd::ParamRef;

@@ -4,7 +4,7 @@ use autograd::{Ctx, ParamRef, Store, Train};
 use rand::rngs::StdRng;
 use tensor::Tensor;
 
-use crate::{Activation, Dropout, FeedForward, LayerNorm, Module, MultiHeadSelfAttention};
+use crate::{Activation, Dropout, FeedForward, LayerNorm, Module, MultiHeadSelfAttention, Packing};
 
 /// One SAN block: attention + residual + LayerNorm, FFN + residual +
 /// LayerNorm (post-norm, SASRec style).
@@ -38,6 +38,20 @@ impl TransformerLayer {
 }
 
 impl<S: Store> TransformerLayer<S> {
+    /// Applies the block to the packed rows `x: [R, dim]` of `pack`.
+    pub fn forward_packed<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        x: &C::V,
+        pack: &Packing,
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let attn = self.mha.forward_packed(c, x, pack, rng, training);
+        let attn = self.dropout.apply_rows(c, attn, Some(pack), rng, training);
+        self.residual_ffn(c, x, &attn, Some(pack), rng, training)
+    }
+
     /// Applies the block to `x: [b, n, dim]` with an optional additive
     /// attention mask.
     pub fn forward<C: Ctx<S = S>>(
@@ -63,21 +77,22 @@ impl<S: Store> TransformerLayer<S> {
     ) -> (C::V, C::V, C::V) {
         let (attn, k, v) = self.mha.forward_kv(c, x, mask, rng, training);
         let attn = self.dropout.apply(c, attn, rng, training);
-        (self.residual_ffn(c, x, &attn, rng, training), k, v)
+        (self.residual_ffn(c, x, &attn, None, rng, training), k, v)
     }
 
     /// Everything after attention: `ln2(h + FFN(h))` with
-    /// `h = ln1(x + attn)`.
+    /// `h = ln1(x + attn)`, over rows that may be packed.
     pub(crate) fn residual_ffn<C: Ctx<S = S>>(
         &self,
         c: &C,
         x: &C::V,
         attn: &C::V,
+        rows: Option<&Packing>,
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
         let h = self.ln1.forward(c, &c.add(x, attn));
-        let ff = self.ffn.forward(c, &h, rng, training);
+        let ff = self.ffn.forward_rows(c, &h, rows, rng, training);
         self.ln2.forward(c, &c.add(&h, &ff))
     }
 }
@@ -120,29 +135,24 @@ impl<S: Store> TransformerEncoder<S> {
         self.layers.len()
     }
 
-    /// Runs the stack over `x: [b, n, dim]`.
-    ///
-    /// `timeline` is an optional `[b, n, 1]`-broadcastable multiplicative
-    /// mask (1 for real positions, 0 for padding) applied after every layer
-    /// so padded positions stay zero, as in SASRec.
+    /// The layers, bottom first.
+    pub fn layers(&self) -> &[TransformerLayer<S>] {
+        &self.layers
+    }
+
+    /// Runs the stack over the packed rows `x: [R, dim]` of `pack` (see
+    /// [`Packing`]); no row is padding.
     pub fn forward<C: Ctx<S = S>>(
         &self,
         c: &C,
         x: &C::V,
-        mask: Option<&Tensor>,
-        timeline: Option<&Tensor>,
+        pack: &Packing,
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
-        let mut h = match timeline {
-            Some(t) => c.mul_const(x, t),
-            None => x.clone(),
-        };
+        let mut h = x.clone();
         for layer in &self.layers {
-            h = layer.forward(c, &h, mask, rng, training);
-            if let Some(t) = timeline {
-                h = c.mul_const(&h, t);
-            }
+            h = layer.forward_packed(c, &h, pack, rng, training);
         }
         h
     }
@@ -158,9 +168,13 @@ impl Module for TransformerEncoder {
 mod tests {
     use super::*;
     use crate::causal_mask;
-    use autograd::Graph;
+    use autograd::{GradientSet, Graph, Parameter, Var};
     use rand::SeedableRng;
-    use tensor::init;
+    use tensor::{init, ops};
+
+    fn dense(b: usize, n: usize, causal: bool) -> Packing {
+        Packing::new(&vec![vec![false; n]; b], causal)
+    }
 
     #[test]
     fn encoder_shape_and_param_count() {
@@ -168,35 +182,11 @@ mod tests {
         let enc = TransformerEncoder::new(&mut rng, "enc", 2, 8, 2, 0.1);
         assert_eq!(enc.n_layers(), 2);
         let g = Graph::new();
-        let x = g.constant(init::randn(&mut rng, vec![2, 5, 8], 0.0, 1.0));
-        let y = enc.forward(&g, &x, Some(&causal_mask(5)), None, &mut rng, false);
-        assert_eq!(y.dims(), vec![2, 5, 8]);
+        let x = g.constant(init::randn(&mut rng, vec![10, 8], 0.0, 1.0));
+        let y = enc.forward(&g, &x, &dense(2, 5, true), &mut rng, false);
+        assert_eq!(y.dims(), vec![10, 8]);
         // per layer: 4 attn mats + 4 ffn tensors + 2×2 layernorm = 12
         assert_eq!(enc.parameters().len(), 24);
-    }
-
-    #[test]
-    fn timeline_mask_zeroes_padding() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let enc = TransformerEncoder::new(&mut rng, "enc", 1, 4, 1, 0.0);
-        let g = Graph::new();
-        let x = g.constant(init::randn(&mut rng, vec![1, 3, 4], 0.0, 1.0));
-        let mut timeline = Tensor::ones(vec![1, 3, 1]);
-        timeline.data_mut()[0] = 0.0; // first position is padding
-        let y = enc
-            .forward(
-                &g,
-                &x,
-                Some(&causal_mask(3)),
-                Some(&timeline),
-                &mut rng,
-                false,
-            )
-            .value();
-        for j in 0..4 {
-            assert_eq!(y.at(&[0, 0, j]), 0.0);
-        }
-        assert!(y.at(&[0, 1, 0]).abs() > 0.0);
     }
 
     #[test]
@@ -204,12 +194,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let enc = TransformerEncoder::new(&mut rng, "enc", 1, 4, 2, 0.5);
         let g = Graph::new();
-        let xt = init::randn(&mut rng, vec![1, 3, 4], 0.0, 1.0);
-        let x = g.constant(xt);
+        let x = g.constant(init::randn(&mut rng, vec![3, 4], 0.0, 1.0));
+        let pack = dense(1, 3, false);
         let mut r1 = StdRng::seed_from_u64(1);
         let mut r2 = StdRng::seed_from_u64(1);
-        let ytrain = enc.forward(&g, &x, None, None, &mut r1, true).value();
-        let yeval = enc.forward(&g, &x, None, None, &mut r2, false).value();
+        let ytrain = enc.forward(&g, &x, &pack, &mut r1, true).value();
+        let yeval = enc.forward(&g, &x, &pack, &mut r2, false).value();
         assert_ne!(ytrain.data(), yeval.data());
     }
 
@@ -220,13 +210,140 @@ mod tests {
         let e1 = TransformerEncoder::new(&mut rng1, "e", 1, 4, 2, 0.0);
         let e2 = TransformerEncoder::new(&mut rng2, "e", 1, 4, 2, 0.0);
         let g = Graph::new();
-        let x = Tensor::ones(vec![1, 2, 4]);
+        let x = Tensor::ones(vec![2, 4]);
+        let pack = dense(1, 2, true);
         let y1 = e1
-            .forward(&g, &g.constant(x.clone()), None, None, &mut rng1, false)
+            .forward(&g, &g.constant(x.clone()), &pack, &mut rng1, false)
             .value();
         let y2 = e2
-            .forward(&g, &g.constant(x), None, None, &mut rng2, false)
+            .forward(&g, &g.constant(x), &pack, &mut rng2, false)
             .value();
         assert_eq!(y1.data(), y2.data());
+    }
+
+    /// The padded encoder the packed one replaced: additive key-padding
+    /// (plus causal) mask, and a timeline mask zeroing padded rows before
+    /// and after every layer.
+    fn padded_forward(
+        enc: &TransformerEncoder,
+        g: &Graph,
+        x: &Var,
+        pad: &[Vec<bool>],
+        heads: usize,
+        causal: bool,
+        rng: &mut StdRng,
+    ) -> Var {
+        let (b, n) = (pad.len(), pad[0].len());
+        let mut keys = Tensor::zeros(vec![b * heads, 1, n]);
+        let mut timeline = Tensor::ones(vec![b, n, 1]);
+        for (bi, row) in pad.iter().enumerate() {
+            for (j, _) in row.iter().enumerate().filter(|(_, &p)| p) {
+                for h in 0..heads {
+                    keys.data_mut()[(bi * heads + h) * n + j] = -1e9;
+                }
+                timeline.data_mut()[bi * n + j] = 0.0;
+            }
+        }
+        let mask = if causal {
+            ops::add(&keys, &causal_mask(n)).unwrap()
+        } else {
+            keys
+        };
+        let mut h = x.mul_const(&timeline);
+        for layer in &enc.layers {
+            h = layer.forward(g, &h, Some(&mask), rng, true);
+            h = h.mul_const(&timeline);
+        }
+        h
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs one training step (dropout on, a random upstream gradient on
+    /// every output row, padding included) both ways and returns
+    /// `(outputs, parameter and input gradients)`.
+    fn step(
+        pad: &[Vec<bool>],
+        causal: bool,
+        packed: bool,
+    ) -> (Tensor, GradientSet, Vec<autograd::ParamRef>) {
+        let (b, n, dim, heads) = (pad.len(), pad[0].len(), 8, 2);
+        let mut rng = StdRng::seed_from_u64(11);
+        let enc = TransformerEncoder::new(&mut rng, "enc", 2, dim, heads, 0.3);
+        let x = Parameter::shared("x", init::randn(&mut rng, vec![b, n, dim], 0.0, 1.0));
+        let seed = init::randn(&mut rng, vec![b, n, dim], 0.0, 1.0);
+        let g = Graph::new();
+        let xv = g.param(&x);
+        let mut drop_rng = StdRng::seed_from_u64(5);
+        let out = if packed {
+            let pack = Packing::new(pad, causal);
+            let h = enc.forward(&g, &pack.pack(&g, &xv), &pack, &mut drop_rng, true);
+            pack.unpack(&g, &h)
+        } else {
+            padded_forward(&enc, &g, &xv, pad, heads, causal, &mut drop_rng)
+        };
+        let grads = out.mul_const(&seed).sum_all().backward_collect();
+        let mut params = enc.parameters();
+        params.push(x);
+        (out.value(), grads, params)
+    }
+
+    fn assert_packed_matches_padded(pad: &[Vec<bool>], causal: bool) {
+        let (want, want_g, params) = step(pad, causal, false);
+        let (got, got_g, got_params) = step(pad, causal, true);
+        let d = want.dims()[2];
+        let flat_pad: Vec<bool> = pad.iter().flatten().copied().collect();
+        for (cell, &is_pad) in flat_pad.iter().enumerate() {
+            let (w, g) = (&want.data()[cell * d..][..d], &got.data()[cell * d..][..d]);
+            if is_pad {
+                assert!(w.iter().chain(g).all(|&v| v == 0.0), "padding row {cell}");
+            } else {
+                assert!(
+                    w.iter().zip(g).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "real row {cell}"
+                );
+            }
+        }
+        for (p, q) in params.iter().zip(&got_params) {
+            let name = p.borrow().name.clone();
+            let (a, b) = (want_g.get(p), got_g.get(q));
+            match (a, b) {
+                (Some(a), Some(b)) if name == "x" => {
+                    // Padded input rows get ±0 one way and +0 the other.
+                    assert!(a.data().iter().zip(b.data()).all(|(u, v)| u == v), "{name}");
+                }
+                (Some(a), Some(b)) => assert!(bits(a) == bits(b), "gradient of {name}"),
+                (a, b) => panic!("{name}: {} vs {}", a.is_some(), b.is_some()),
+            }
+        }
+    }
+
+    #[test]
+    fn packed_step_matches_the_padded_encoder_bit_for_bit() {
+        let f = false;
+        let t = true;
+        let pads: Vec<Vec<Vec<bool>>> = vec![
+            // Left padding at several depths, one full window, one L = 1.
+            vec![
+                vec![t, t, t, f, f, f],
+                vec![f, f, f, f, f, f],
+                vec![t, t, t, t, t, f],
+                vec![t, f, f, f, f, f],
+            ],
+            // Pad cells in the middle and at the end, and an all-padding
+            // sequence last, so the masks' trailing draws are padding.
+            vec![
+                vec![f, t, f, f, t, f],
+                vec![t, f, t, f, f, t],
+                vec![t, t, t, t, t, t],
+            ],
+        ];
+        for pad in &pads {
+            for causal in [true, false] {
+                assert_packed_matches_padded(pad, causal);
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 use autograd::{Eager, Graph};
 use nn::{
     causal_mask, Activation, AttnKv, EncoderKv, FeedForward, Freeze, Gru, LayerNorm, Linear,
-    Module, MultiHeadSelfAttention, TransformerEncoder,
+    Module, MultiHeadSelfAttention, Packing, TransformerEncoder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,28 +90,19 @@ fn attention_parity_with_mask() {
 }
 
 #[test]
-fn encoder_parity_with_timeline() {
+fn encoder_parity_packed() {
     let mut r = rng(5);
     let enc = TransformerEncoder::new(&mut r, "enc", 2, 8, 2, 0.1);
     let f = enc.freeze();
-    let x = init::randn(&mut r, vec![2, 4, 8], 0.0, 1.0);
-    let m = causal_mask(4);
-    let mut timeline = Tensor::ones(vec![2, 4, 1]);
-    timeline.data_mut()[0] = 0.0;
+    // Two sequences of a 4-cell window; the first starts with padding.
+    let pack = Packing::new(&[vec![true, false, false, false], vec![false; 4]], true);
+    let x = init::randn(&mut r, vec![pack.rows(), 8], 0.0, 1.0);
     let g = Graph::new();
     let want = enc
-        .forward(
-            &g,
-            &g.constant(x.clone()),
-            Some(&m),
-            Some(&timeline),
-            &mut rng(0),
-            false,
-        )
+        .forward(&g, &g.constant(x.clone()), &pack, &mut rng(0), false)
         .value();
     assert_eq!(
-        f.forward(&Eager, &x, Some(&m), Some(&timeline), &mut rng(0), false)
-            .data(),
+        f.forward(&Eager, &x, &pack, &mut rng(0), false).data(),
         want.data()
     );
 }

@@ -4,7 +4,7 @@
 use autograd::Graph;
 use nn::{
     causal_mask, Activation, Dropout, Embedding, FeedForward, LayerNorm, Module,
-    MultiHeadSelfAttention, TransformerEncoder,
+    MultiHeadSelfAttention, Packing, TransformerEncoder,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,11 +51,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let enc = TransformerEncoder::new(&mut rng, "enc", 1, 8, 2, 0.3);
         let g = Graph::new();
-        let x = init::randn(&mut rng, vec![2, n, 8], 0.0, 1.0);
+        let x = init::randn(&mut rng, vec![2 * n, 8], 0.0, 1.0);
+        let pack = Packing::new(&[vec![false; n], vec![false; n]], false);
         let mut r1 = StdRng::seed_from_u64(1);
         let mut r2 = StdRng::seed_from_u64(999); // different rng: eval ignores it
-        let y1 = enc.forward(&g, &g.constant(x.clone()), None, None, &mut r1, false).value();
-        let y2 = enc.forward(&g, &g.constant(x), None, None, &mut r2, false).value();
+        let y1 = enc.forward(&g, &g.constant(x.clone()), &pack, &mut r1, false).value();
+        let y2 = enc.forward(&g, &g.constant(x), &pack, &mut r2, false).value();
         prop_assert_eq!(y1.data(), y2.data());
     }
 

@@ -453,11 +453,15 @@ impl<M: FrozenScorer> Engine<M> {
         }
         let cap = self.model.window_cap();
         let len = if cap == 0 { 8 } else { cap.min(8) };
-        let history: Vec<ItemId> = (0..len).map(|i| 1 + i % n).collect();
-        // Full path: pads to the model's window internally, so this
-        // exercises the same shapes as any production Score request.
-        let scores = self.model.score_full(&history);
-        debug_assert_eq!(scores.len(), n + 1);
+        let history = |len: usize| -> Vec<ItemId> { (0..len).map(|i| 1 + i % n).collect() };
+        // Full path: the Transformer encodes only a history's real rows,
+        // so its shapes follow the history's length. Warm both ends: one
+        // item and a full window.
+        for full in [1, if cap == 0 { len } else { cap }] {
+            let scores = self.model.score_full(&history(full));
+            debug_assert_eq!(scores.len(), n + 1);
+        }
+        let history = history(len);
         if let (Some(index), Some(q)) = (&self.ann, self.model.query_embedding(&history)) {
             let _ = index.search(&q, 10, 0);
         }

@@ -86,6 +86,8 @@ pub const CLASSIFIED_OPS: &[(&str, ReassocClass)] = &[
     ("softmax_last", ReassocClass::FixedOrder),
     ("log_softmax_last", ReassocClass::FixedOrder),
     ("cross_entropy", ReassocClass::FixedOrder),
+    // Per-segment score dot products, softmax folds and context chains.
+    ("seg_attention", ReassocClass::FixedOrder),
 ];
 
 /// Looks up an op's declared class; `None` means the op is unregistered
@@ -164,6 +166,7 @@ pub fn is_reduction(op: &str) -> bool {
             | "softmax_last"
             | "log_softmax_last"
             | "cross_entropy"
+            | "seg_attention"
     )
 }
 
@@ -192,6 +195,7 @@ mod tests {
             "softmax_last",
             "log_softmax_last",
             "cross_entropy",
+            "seg_attention",
         ] {
             assert!(is_reduction(op));
             assert_eq!(reassoc_class(op), Some(ReassocClass::FixedOrder));

@@ -27,12 +27,14 @@ pub mod ops;
 pub mod pool;
 pub mod qmat;
 pub mod rules;
+pub mod segment;
 pub mod simd;
 pub mod tuning;
 
 pub use crate::bug::OrBug;
 pub use crate::determinism::{reassoc_class, simd_path, ReassocClass, SimdPath};
 pub use crate::qmat::{QuantMatrix, QuantMode};
+pub use crate::segment::Segments;
 pub use crate::shape::{broadcast_shapes, Shape};
 pub use crate::tensor::Tensor;
 

@@ -53,7 +53,7 @@ fn binary_broadcast(
         // and SIMD variants all agree bitwise for any cutoffs.
         let (ad, bd) = (a.data(), b.data());
         let n = ad.len();
-        let mut data = vec![0.0f32; n];
+        let mut data = pool::fresh(n);
         let level = match simd_kind {
             Some(_) if n >= tuning::simd_min_n() => simd::active(),
             _ => simd::Level::Scalar,
@@ -103,7 +103,7 @@ fn binary_broadcast(
     let sa = broadcast_strides(a.dims(), &out_dims);
     let sb = broadcast_strides(b.dims(), &out_dims);
     let n = Shape::new(out_dims.clone()).numel();
-    let mut data = vec![0.0f32; n];
+    let mut data = pool::fresh(n);
     if n >= par_min {
         data.par_chunks_mut(blk)
             .enumerate()

@@ -166,16 +166,27 @@ fn pop(len: usize) -> Option<Vec<f32>> {
     }
 }
 
-/// A fresh buffer of `len` zeros. Pooled lengths are allocated at their
-/// class capacity, so the buffer can serve any request of its class once
-/// recycled.
-fn fresh(len: usize) -> Vec<f32> {
+/// A fresh buffer of `len` zeros, not taken from the free lists. Pooled
+/// lengths are allocated at their class capacity, so the buffer can serve
+/// any request of its class once recycled; op outputs that do not draw
+/// from the pool allocate here so that their recycled storage lands in
+/// their own class, not the one below.
+pub(crate) fn fresh(len: usize) -> Vec<f32> {
     if !enabled() {
         return vec![0.0; len];
     }
     let mut v = vec![0.0; class_len(len)];
     v.truncate(len);
     v
+}
+
+/// An empty buffer with room for `len` elements, allocated as [`fresh`]
+/// allocates.
+pub(crate) fn with_capacity(len: usize) -> Vec<f32> {
+    if !enabled() {
+        return Vec::with_capacity(len);
+    }
+    Vec::with_capacity(class_len(len))
 }
 
 /// Takes a buffer of exactly `len` zeros, reusing a recycled allocation when

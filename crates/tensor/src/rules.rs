@@ -240,6 +240,24 @@ pub fn gather_rows(input: &[usize], count: usize) -> Result<Vec<usize>> {
     Ok(vec![count, input[1]])
 }
 
+/// Output shape of `seg_attention` over packed `[R, d]` query, key and
+/// value rows split into `heads` column groups. Mirrors
+/// [`crate::segment::seg_attention`]'s shape checks.
+pub fn seg_attention(inputs: &[&[usize]], heads: usize) -> Result<Vec<usize>> {
+    match inputs {
+        [q, k, v]
+            if q.len() == 2 && k == q && v == q && heads > 0 && q[1].is_multiple_of(heads) =>
+        {
+            Ok(q.to_vec())
+        }
+        _ => Err(TensorError::ShapeMismatch {
+            op: "seg_attention",
+            lhs: inputs.first().map(|d| d.to_vec()).unwrap_or_default(),
+            rhs: inputs.get(1).map(|d| d.to_vec()).unwrap_or_default(),
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

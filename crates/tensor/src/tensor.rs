@@ -218,8 +218,10 @@ impl Tensor {
 
     /// Applies `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+        let mut data = crate::pool::with_capacity(self.data.len());
+        data.extend(self.data.iter().map(|&x| f(x)));
         Tensor {
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data,
             shape: self.shape.clone(),
         }
     }
