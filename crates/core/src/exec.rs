@@ -83,6 +83,13 @@ impl Executor {
     /// Runs `f(shard_index, shard)` for every shard and returns the results
     /// in shard order — serially with one thread, fanned out over the pool
     /// otherwise.
+    ///
+    /// On the pool, shards are handed out largest first (most real cells,
+    /// ties by index), each to whichever worker is free: the packed encoder's
+    /// work follows a shard's real cells, not its row count, so a fixed
+    /// assignment leaves one worker idle while the other finishes a heavy
+    /// shard. Only *when* a shard runs depends on this; each result goes
+    /// back to its shard's slot.
     pub fn map_shards<T, F>(&self, shards: &[Batch], f: F) -> Vec<T>
     where
         T: Send,
@@ -92,11 +99,24 @@ impl Executor {
             None => shards.iter().enumerate().map(|(i, s)| f(i, s)).collect(),
             Some(pool) => {
                 use rayon::prelude::*;
-                let indexed: Vec<(usize, &Batch)> = shards.iter().enumerate().collect();
-                pool.install(|| indexed.par_iter().map(|&(i, s)| f(i, s)).collect())
+                let order = largest_first(shards);
+                let mut done: Vec<(usize, T)> =
+                    pool.install(|| order.par_iter().map(|&i| (i, f(i, &shards[i]))).collect());
+                done.sort_unstable_by_key(|&(i, _)| i);
+                done.into_iter().map(|(_, t)| t).collect()
             }
         }
     }
+}
+
+/// Shard indices by descending real (non-padding) cells, ties by index:
+/// the order [`Executor::map_shards`] hands shards out in. A shard's packed
+/// forward and backward scale with its real cells.
+fn largest_first(shards: &[Batch]) -> Vec<usize> {
+    let real = |s: &Batch| s.pad.iter().flatten().filter(|&&p| !p).count();
+    let mut order: Vec<usize> = (0..shards.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(real(&shards[i])), i));
+    order
 }
 
 /// What one shard's forward + backward produced.
@@ -223,6 +243,76 @@ mod tests {
         let parallel = Executor::new(4, 3).map_shards(&shards, |i, s| (i, s.len()));
         assert_eq!(serial, parallel);
         assert_eq!(serial, vec![(0, 3), (1, 3), (2, 3), (3, 1)]);
+    }
+
+    /// `rows` sequences whose real lengths cycle through 1..=4 (window 4),
+    /// so consecutive shards hold unequal real cells.
+    fn ragged_batch(rows: usize) -> Batch {
+        let n = 4;
+        let len = |r: usize| 1 + (r * 7 + r / 3) % n;
+        Batch {
+            inputs: (0..rows)
+                .map(|r| {
+                    (0..n)
+                        .map(|j| if j >= n - len(r) { r + j } else { 0 })
+                        .collect()
+                })
+                .collect(),
+            targets: (0..rows).map(|r| vec![r + 1; n]).collect(),
+            last_target: (0..rows).map(|r| r + 1).collect(),
+            pad: (0..rows)
+                .map(|r| (0..n).map(|j| j < n - len(r)).collect())
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn uneven_shards_come_back_in_shard_order_at_any_thread_count() {
+        let shards = ragged_batch(22).shard(3);
+        let reals: Vec<usize> = shards
+            .iter()
+            .map(|s| s.pad.iter().flatten().filter(|&&p| !p).count())
+            .collect();
+        assert!(
+            reals.windows(2).any(|w| w[0] < w[1]),
+            "the test needs a later shard larger than an earlier one: {reals:?}"
+        );
+        let work = |i: usize, s: &Batch| {
+            let cells: usize = s.inputs.iter().flatten().sum();
+            let mut x = Executor::shard_seed(cells as u64, 1, i as u64);
+            // Uneven busy work, so workers finish out of order.
+            for _ in 0..cells * 200 {
+                x = Executor::shard_seed(x, 2, 3);
+            }
+            (i, s.len(), x)
+        };
+        let serial = Executor::new(1, 3).map_shards(&shards, work);
+        assert_eq!(
+            serial.iter().map(|r| r.0).collect::<Vec<_>>(),
+            (0..shards.len()).collect::<Vec<_>>()
+        );
+        for threads in [2, 4] {
+            let parallel = Executor::new(threads, 3).map_shards(&shards, work);
+            assert_eq!(serial, parallel, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn shards_are_handed_out_largest_first_ties_by_index() {
+        let shards = ragged_batch(22).shard(3);
+        let order = largest_first(&shards);
+        let real = |i: usize| shards[i].pad.iter().flatten().filter(|&&p| !p).count();
+        for w in order.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            assert!(
+                real(a) > real(b) || (real(a) == real(b) && a < b),
+                "{order:?}"
+            );
+        }
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..shards.len()).collect::<Vec<_>>());
+        assert_ne!(order, sorted, "the ragged shards are reordered");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The Meta-SGCL model: backbone encoder, VAE heads (`Enc_μ`, `Enc_σ`,
 //! `Enc_σ'`), Seq2Seq decoder, and catalog scoring.
 
-use autograd::{Ctx, Graph, ParamRef, Store, Train, Var};
+use autograd::{Ctx, Graph, ParamRef, Store, Train, Var, IGNORE_INDEX};
 use models::backbone::TransformerBackbone;
-use models::vae::standard_normal_like;
+use models::vae::standard_normal_rows;
 use nn::infer::eval_rng;
 use nn::{Linear, Module, Packing, TransformerEncoder};
 use rand::rngs::StdRng;
@@ -37,7 +37,8 @@ pub(crate) struct MetaPrefix<V> {
     pub features: V,
     /// Posterior mean of the second view.
     pub mu: V,
-    /// The second view's noise, last rows of a full `[b, n, d]` draw.
+    /// The second view's noise at the last position (`[b, d]`): the last
+    /// rows of a `[b, n, d]` draw that samples only them.
     pub eps: Tensor,
 }
 
@@ -168,18 +169,19 @@ impl MetaSgcl {
         Self::set_trainable(&self.meta_parameters(), trainable);
     }
 
-    /// Builds one latent view from encoder features (Eqs. 11–15) and runs
-    /// the Seq2Seq decoder (Eq. 13). `meta_sigma` selects `Enc_σ'` instead
-    /// of `Enc_σ`. Deterministic scoring (`z = μ`) does not build a view:
-    /// see `padded_last_hidden`.
+    /// Builds one training view from encoder features (Eqs. 11–15) and
+    /// runs the Seq2Seq decoder (Eq. 13). `meta_sigma` selects `Enc_σ'`
+    /// instead of `Enc_σ`. The noise is sampled only at the `read` cells
+    /// (see [`noise_cells`]). Deterministic scoring (`z = μ`) does not build
+    /// a view: see `padded_last_hidden`.
     pub(crate) fn view(
         &self,
         g: &Graph,
         features: &Var,
         pack: &Packing,
+        read: &[bool],
         meta_sigma: bool,
         rng: &mut StdRng,
-        training: bool,
     ) -> View {
         let mu = self.enc_mu.forward(g, features);
         let head = if meta_sigma {
@@ -187,14 +189,14 @@ impl MetaSgcl {
         } else {
             &self.enc_logvar
         };
-        let eps = standard_normal_like(&mu.dims(), rng);
+        let eps = standard_normal_rows(&mu.dims(), |cell| read[cell], rng);
         let (logvar, z) = Self::reparameterize(g, head, features, &mu, &eps);
         // Decode: either the explicit Transformer decoder over the latent
         // sequence's real rows (the encoder's packing), or the Eq. 22 path
         // scoring the latent directly against the tied item table.
         let h = match &self.decoder {
             Some(dec) => {
-                let rows = dec.forward(g, &pack.pack(g, &z), pack, rng, training);
+                let rows = dec.forward(g, &pack.pack(g, &z), pack, rng, true);
                 pack.unpack(g, &rows)
             }
             None => z.clone(),
@@ -212,12 +214,14 @@ impl MetaSgcl {
     pub(crate) fn views(&self, g: &Graph, batch: &Batch, rng: &mut StdRng) -> (View, View) {
         let pack = self.backbone.packing(&batch.pad);
         let features = pack.unpack(g, &self.encode(g, &batch.inputs, &pack, rng));
-        let v1 = self.view(g, &features, &pack, false, rng, true);
+        let read = noise_cells(&pack, &batch.targets);
+        let v1 = self.view(g, &features, &pack, &read, false, rng);
         let v2 = match self.second_features(g, batch, rng) {
-            None => self.view(g, &features, &pack, true, rng, true),
+            None => self.view(g, &features, &pack, &read, true, rng),
             Some((f2, pack2)) => {
                 let f2 = pack2.unpack(g, &f2);
-                self.view(g, &f2, &pack2, false, rng, true)
+                let read2 = noise_cells(&pack2, &batch.targets);
+                self.view(g, &f2, &pack2, &read2, false, rng)
             }
         };
         (v1, v2)
@@ -283,6 +287,31 @@ impl MetaSgcl {
             .scores(&g, &TransformerBackbone::last_hidden(&h));
         logits.value().row(0)[..self.cfg.net.num_items + 1].to_vec()
     }
+}
+
+/// The cells of a `[b, n]` batch at which a training view's sample `z` is
+/// read, as a flat `b·n` mask: the cells `pack` holds (the decoder's
+/// input), the cells with a real target (the reconstruction's rows without
+/// a decoder; an augmented view can hold some of them as padding), and
+/// every row's last column, which `z_last` reads even when it is padding.
+/// The noise is sampled only there; see DESIGN §6 for why the other cells'
+/// `+0.0` changes no loss or gradient bit.
+pub(crate) fn noise_cells(pack: &Packing, targets: &[Vec<usize>]) -> Vec<bool> {
+    let n = pack.window();
+    let mut read: Vec<bool> = targets
+        .iter()
+        .flatten()
+        .map(|&t| t != IGNORE_INDEX)
+        .collect();
+    for &cell in pack.cells() {
+        read[cell] = true;
+    }
+    for row in read.chunks_mut(n.max(1)) {
+        if let Some(last) = row.last_mut() {
+            *last = true;
+        }
+    }
+    read
 }
 
 impl<S: Store> MetaSgcl<S> {
@@ -371,18 +400,22 @@ impl<S: Store> MetaSgcl<S> {
     /// row-independent, and the contrastive loss reads only `z_last`.
     ///
     /// Training runs it eagerly over a frozen snapshot; the auditor runs it
-    /// on the tape. The noise is drawn at the full `[b, n, d]` shape, in
-    /// the order the full-row views draw it, so the RNG stream is that of
-    /// the full views minus the decoder, whose output stage 2 never reads.
+    /// on the tape. Each view's noise is sampled only at the last column of
+    /// its `[b, n, d]` draw; the other cells only advance the generator
+    /// ([`standard_normal_rows`]). So the last rows hold the bits the
+    /// full-row views draw there, and the RNG stream is that of the full
+    /// views minus the decoder, whose output stage 2 never reads.
     pub(crate) fn meta_prefix<C: Ctx<S = S>>(
         &self,
         c: &C,
         batch: &Batch,
         rng: &mut StdRng,
     ) -> MetaPrefix<C::V> {
-        let noise_dims = [batch.len(), batch.seq_len(), self.cfg.net.dim];
+        let n = batch.seq_len();
+        let noise_dims = [batch.len(), n, self.cfg.net.dim];
         let last_noise = |rng: &mut StdRng| {
-            TransformerBackbone::last_hidden(&standard_normal_like(&noise_dims, rng))
+            let eps = standard_normal_rows(&noise_dims, |cell| cell % n == n - 1, rng);
+            TransformerBackbone::last_hidden(&eps)
         };
         let pack = self.backbone.packing(&batch.pad);
         let features = pack.last_rows(c, &self.encode(c, &batch.inputs, &pack, rng));
@@ -487,8 +520,9 @@ mod tests {
             .backbone
             .packing(&[vec![true, true, false, false, false, false]]);
         let f = pack.unpack(&g, &m.encode(&g, &inputs, &pack, &mut rng));
-        let v1 = m.view(&g, &f, &pack, false, &mut rng, false);
-        let v2 = m.view(&g, &f, &pack, true, &mut rng, false);
+        let read = vec![true; 6];
+        let v1 = m.view(&g, &f, &pack, &read, false, &mut rng);
+        let v2 = m.view(&g, &f, &pack, &read, true, &mut rng);
         assert_eq!(v1.mu.value().data(), v2.mu.value().data(), "μ is shared");
         assert_ne!(
             v1.logvar.value().data(),
@@ -516,8 +550,9 @@ mod tests {
         let inputs = vec![vec![1, 2, 3, 4, 5, 6]];
         let pack = m.backbone.packing(&[vec![false; 6]]);
         let f = pack.unpack(&g, &m.encode(&g, &inputs, &pack, &mut rng));
-        let v1 = m.view(&g, &f, &pack, false, &mut rng, false);
-        let v2 = m.view(&g, &f, &pack, false, &mut rng, false);
+        let read = vec![true; 6];
+        let v1 = m.view(&g, &f, &pack, &read, false, &mut rng);
+        let v2 = m.view(&g, &f, &pack, &read, false, &mut rng);
         assert_ne!(v1.h.value().data(), v2.h.value().data());
         let _ = &mut m;
     }

@@ -1,24 +1,27 @@
 //! Bitwise references for the row-pruned training forwards.
 //!
-//! Stage 1 scores only the rows with a real next item, and stage 2 runs
-//! its frozen prefix eagerly on the last position only. Both claim to keep
-//! every output bit. These tests rebuild each objective the full-row way on
-//! one tape (every position scored; the whole frozen encoder and every
-//! head row recorded) and compare the loss and every gradient by bits,
-//! with and without an explicit decoder.
+//! Stage 1 scores only the rows with a real next item and samples the
+//! reparameterisation noise only at the cells its losses read; stage 2
+//! runs its frozen prefix eagerly on the last position only. Both claim to
+//! keep every output bit. These tests rebuild each objective the full-row
+//! way on one tape (every position scored; every cell's noise drawn; the
+//! whole frozen encoder and every head row recorded) and compare the loss
+//! and every gradient by bits, with and without an explicit decoder, for
+//! every second view, and on a batch with an all-padding row.
 
-use autograd::{Eager, GradientSet, Graph, Var};
+use autograd::{Eager, GradientSet, Graph, Var, IGNORE_INDEX};
+use models::backbone::TransformerBackbone;
 use models::cl::info_nce_masked;
 use models::sampled::{self, NegativeSampler, SoftmaxMode};
-use models::vae::gaussian_kl;
+use models::vae::{gaussian_kl, standard_normal_like};
 use models::NetConfig;
-use nn::Freeze;
+use nn::{Freeze, Linear, Packing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recdata::{Batch, Batcher, ItemId};
 
 use crate::config::{MetaSgclConfig, SecondView};
-use crate::model::MetaSgcl;
+use crate::model::{MetaSgcl, View};
 
 const ITEMS: usize = 23;
 const MAX_LEN: usize = 7;
@@ -55,6 +58,59 @@ fn batch(seed: u64) -> Batch {
     Batcher::new(seqs, MAX_LEN, 16).epoch(&mut rng).remove(0)
 }
 
+/// `batch` with row `row` replaced by an all-padding sequence: `z_last`
+/// still reads its last column, and a data-augmented view of it is empty.
+fn with_empty_row(batch: &Batch, row: usize) -> Batch {
+    let mut b = batch.clone();
+    let n = b.seq_len();
+    b.inputs[row] = vec![0; n];
+    b.targets[row] = vec![IGNORE_INDEX; n];
+    b.pad[row] = vec![true; n];
+    b
+}
+
+/// The shards a test runs: the first shard at each of `sizes`, and the
+/// whole batch with an all-padding row in the middle.
+fn shards(whole: &Batch, sizes: impl IntoIterator<Item = usize>) -> Vec<(String, Batch)> {
+    let mut out: Vec<(String, Batch)> = sizes
+        .into_iter()
+        .map(|size| (format!("shard {size}"), whole.shard(size).remove(0)))
+        .collect();
+    out.push(("all-padding row".into(), with_empty_row(whole, 5)));
+    out
+}
+
+/// Both latent views the full-row way, independent of [`MetaSgcl::views`]:
+/// every cell's noise is drawn (`standard_normal_like`), in the order the
+/// views consume the generator (encoder, view 1's noise and decoder, the
+/// second view's encoder pass, its noise and decoder).
+fn reference_views(m: &MetaSgcl, g: &Graph, batch: &Batch, rng: &mut StdRng) -> (View, View) {
+    let view = |features: &Var, pack: &Packing, head: &Linear, rng: &mut StdRng| {
+        let mu = m.enc_mu.forward(g, features);
+        let logvar = head.forward(g, features).clamp(-8.0, 8.0);
+        let eps = standard_normal_like(&mu.dims(), rng);
+        let z = mu.add(&logvar.scale(0.5).exp().mul_const(&eps));
+        let h = match &m.decoder {
+            Some(dec) => pack.unpack(g, &dec.forward(g, &pack.pack(g, &z), pack, rng, true)),
+            None => z.clone(),
+        };
+        View {
+            z_last: TransformerBackbone::last_hidden(&z),
+            h,
+            mu,
+            logvar,
+        }
+    };
+    let pack = m.backbone.packing(&batch.pad);
+    let features = pack.unpack(g, &m.encode(g, &batch.inputs, &pack, rng));
+    let v1 = view(&features, &pack, &m.enc_logvar, rng);
+    let v2 = match m.second_features(g, batch, rng) {
+        None => view(&features, &pack, &m.enc_logvar_prime, rng),
+        Some((f2, pack2)) => view(&pack2.unpack(g, &f2), &pack2, &m.enc_logvar, rng),
+    };
+    (v1, v2)
+}
+
 fn bits(t: &tensor::Tensor) -> Vec<u32> {
     t.data().iter().map(|x| x.to_bits()).collect()
 }
@@ -80,7 +136,7 @@ fn assert_same_grads(m: &MetaSgcl, want: &GradientSet, got: &GradientSet, what: 
 /// Stage 2 the full-tape way: the whole encoder, both views over every
 /// position, all on one tape.
 fn full_tape_meta_loss(m: &MetaSgcl, g: &Graph, batch: &Batch, rng: &mut StdRng) -> Var {
-    let (v1, v2) = m.views(g, batch, rng);
+    let (v1, v2) = reference_views(m, g, batch, rng);
     info_nce_masked(
         &v1.z_last,
         &v2.z_last,
@@ -104,7 +160,7 @@ fn full_row_losses(
     let (b, n) = (batch.len(), batch.seq_len());
     let vocab = m.backbone.vocab();
     let targets = sampled::flat_targets(batch);
-    let (v1, v2) = m.views(g, batch, rng);
+    let (v1, v2) = reference_views(m, g, batch, rng);
     let rec = match sampled::draw_candidates(&targets, vocab - 1, softmax, rng) {
         Some(cands) => {
             let table = m.backbone.item_table_var(g);
@@ -151,12 +207,9 @@ fn stage2_sigma_prime_gradient_matches_the_full_tape() {
             // dropout draws included, so the full tape is recorded without
             // it (the other parameters are the same `ParamRef`s).
             let decoder = m.decoder.take();
-            let whole = batch(100 + seed);
-            for shard_size in 2..=16 {
-                let shard = &whole.shard(shard_size)[0];
-                let what = format!(
-                    "{second_view:?}, seed {seed}, decoder {decoder_layers}, shard {shard_size}"
-                );
+            for (case, shard) in &shards(&batch(100 + seed), 2..=16) {
+                let what =
+                    format!("{second_view:?}, seed {seed}, decoder {decoder_layers}, {case}");
 
                 let g = Graph::new();
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -198,43 +251,51 @@ fn stage1_loss_and_gradients_match_full_rows() {
             sampler: NegativeSampler::LogUniform,
         },
     ];
+    let second_views = [
+        SecondView::MetaSigma,
+        SecondView::Dropout,
+        SecondView::DataAugmentation,
+    ];
     for softmax in modes {
-        for (seed, decoder_layers) in [(0u64, 0), (1, 0), (2, 0), (3, 1), (4, 2)] {
-            let m = model(seed, SecondView::MetaSigma, decoder_layers);
-            let whole = batch(200 + seed);
-            for shard_size in [3, 8, 16] {
-                let shard = &whole.shard(shard_size)[0];
-                let what = format!(
-                    "{softmax:?}, seed {seed}, decoder {decoder_layers}, shard {shard_size}"
-                );
+        for second_view in second_views {
+            for (seed, decoder_layers) in [(0u64, 0), (1, 0), (2, 0), (3, 1), (4, 2)] {
+                let m = model(seed, second_view, decoder_layers);
+                for (case, shard) in &shards(&batch(200 + seed), [3, 8, 16]) {
+                    let what = format!(
+                        "{softmax:?}, {second_view:?}, seed {seed}, decoder {decoder_layers}, {case}"
+                    );
 
-                let g = Graph::new();
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
-                let (want_total, want_rec) =
-                    full_row_losses(&m, &g, shard, 0.2, &softmax, &mut rng);
-                let want = want_total.backward_collect();
+                    let g = Graph::new();
+                    let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
+                    let (want_total, want_rec) =
+                        full_row_losses(&m, &g, shard, 0.2, &softmax, &mut rng);
+                    let want = want_total.backward_collect();
 
-                let g = Graph::new();
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
-                let got = m.batch_losses(&g, shard, 0.2, &softmax, &mut rng);
-                let got_grads = got.total.backward_collect();
+                    let g = Graph::new();
+                    let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
+                    let got = m.batch_losses(&g, shard, 0.2, &softmax, &mut rng);
+                    let got_grads = got.total.backward_collect();
 
-                assert_eq!(
-                    want_rec.item().to_bits(),
-                    (got.rec as f32).to_bits(),
-                    "{what}: reconstruction loss"
-                );
-                assert_eq!(
-                    want_total.item().to_bits(),
-                    got.total.item().to_bits(),
-                    "{what}: total loss"
-                );
-                assert_eq!(
-                    want.len(),
-                    m.all_parameters().len(),
-                    "{what}: every parameter is reached"
-                );
-                assert_same_grads(&m, &want, &got_grads, &what);
+                    assert_eq!(
+                        want_rec.item().to_bits(),
+                        (got.rec as f32).to_bits(),
+                        "{what}: reconstruction loss"
+                    );
+                    assert_eq!(
+                        want_total.item().to_bits(),
+                        got.total.item().to_bits(),
+                        "{what}: total loss"
+                    );
+                    // Enc_σ' takes no part in stage 1 when the second view
+                    // samples from Enc_σ.
+                    let unreached = usize::from(second_view != SecondView::MetaSigma) * 2;
+                    assert_eq!(
+                        want.len() + unreached,
+                        m.all_parameters().len(),
+                        "{what}: every parameter is reached"
+                    );
+                    assert_same_grads(&m, &want, &got_grads, &what);
+                }
             }
         }
     }

@@ -8,9 +8,34 @@ use tensor::{init, Tensor};
 
 /// Samples `ε ~ N(0, I)` with the shape of `dims`.
 pub fn standard_normal_like(dims: &[usize], rng: &mut StdRng) -> Tensor {
+    standard_normal_rows(dims, |_| true, rng)
+}
+
+/// Samples `ε ~ N(0, I)` with the shape of `dims` on the rows `read`
+/// selects, and `+0.0` everywhere else. Rows are those of the `[rows, w]`
+/// view of `dims`, `w` its last extent.
+///
+/// Every entry is drawn in row-major order, read or not: an unread one
+/// advances `rng` by its two uniforms and skips the transform. So each
+/// read row holds the bits [`standard_normal_like`] gives it, and the
+/// generator ends where that full draw leaves it.
+pub fn standard_normal_rows(
+    dims: &[usize],
+    read: impl Fn(usize) -> bool,
+    rng: &mut StdRng,
+) -> Tensor {
     let mut t = Tensor::zeros(dims.to_vec());
-    for x in t.data_mut() {
-        *x = init::sample_standard_normal(rng);
+    let w = dims.last().copied().unwrap_or(1).max(1);
+    for (r, row) in t.data_mut().chunks_mut(w).enumerate() {
+        if read(r) {
+            for x in row {
+                *x = init::sample_standard_normal(rng);
+            }
+        } else {
+            for _ in row {
+                init::skip_standard_normal(rng);
+            }
+        }
     }
     t
 }
@@ -162,6 +187,66 @@ mod tests {
         // Deterministic mode returns μ.
         let zd = reparameterize(&mu, &logvar, &mut rng, true).value();
         assert!(zd.data().iter().all(|&x| x == 2.0));
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `dims` drawn one sample at a time, in row-major order.
+    fn drawn_one_by_one(dims: &[usize], rng: &mut StdRng) -> Vec<u32> {
+        let numel: usize = dims.iter().product();
+        (0..numel)
+            .map(|_| init::sample_standard_normal(rng).to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn reading_every_row_is_the_full_draw() {
+        for dims in [vec![3, 5, 4], vec![7, 1], vec![6], vec![0, 3], vec![]] {
+            let want = drawn_one_by_one(&dims, &mut StdRng::seed_from_u64(9));
+            let full = standard_normal_like(&dims, &mut StdRng::seed_from_u64(9));
+            let rows = standard_normal_rows(&dims, |_| true, &mut StdRng::seed_from_u64(9));
+            assert_eq!(full.dims(), &dims[..]);
+            assert_eq!(bits(&full), want, "{dims:?}");
+            assert_eq!(bits(&rows), want, "{dims:?}");
+        }
+    }
+
+    #[test]
+    fn read_rows_match_the_full_draw_and_the_stream_is_preserved() {
+        let (dims, w) = ([4, 5, 3], 3);
+        let reads: [fn(usize) -> bool; 4] = [
+            |_| false,
+            |r| r % 5 == 4,
+            |r| r % 3 != 1,
+            |r| r == 0 || r == 19,
+        ];
+        for read in reads {
+            let mut full_rng = StdRng::seed_from_u64(11);
+            let full = drawn_one_by_one(&dims, &mut full_rng);
+            let mut rng = StdRng::seed_from_u64(11);
+            let got = standard_normal_rows(&dims, read, &mut rng);
+            assert_eq!(got.dims(), &dims[..]);
+            for (r, (g, f)) in bits(&got).chunks(w).zip(full.chunks(w)).enumerate() {
+                let want = if read(r) {
+                    f.to_vec()
+                } else {
+                    vec![0.0f32.to_bits(); w]
+                };
+                assert_eq!(g, want, "row {r}: read rows as drawn, the rest +0.0");
+            }
+            assert_eq!(
+                rng.state_words(),
+                full_rng.state_words(),
+                "the generator ends where the full draw leaves it"
+            );
+            assert_eq!(
+                init::sample_standard_normal(&mut rng).to_bits(),
+                init::sample_standard_normal(&mut full_rng).to_bits(),
+                "the next draw is the full draw's next"
+            );
+        }
     }
 
     #[test]

@@ -19,6 +19,14 @@ pub fn sample_standard_normal(rng: &mut StdRng) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
+/// Advances `rng` past one [`sample_standard_normal`] draw (its two
+/// uniforms) without the transform, so a caller that discards a sample
+/// leaves the generator where drawing it would have.
+pub fn skip_standard_normal(rng: &mut StdRng) {
+    let _: f32 = rng.gen();
+    let _: f32 = rng.gen();
+}
+
 /// Tensor with i.i.d. `N(mean, std²)` entries.
 pub fn randn(rng: &mut StdRng, dims: impl Into<Vec<usize>>, mean: f32, std: f32) -> Tensor {
     let mut t = Tensor::zeros(dims);
