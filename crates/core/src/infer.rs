@@ -14,10 +14,12 @@
 //! * [`FrozenMetaSgcl::begin_incremental`] /
 //!   [`append_incremental`](FrozenMetaSgcl::append_incremental) keep a
 //!   per-user K/V cache under left-aligned semantics (reference:
-//!   [`MetaSgcl::score_left_aligned`]); appending one interaction is a
-//!   single-row attention step per layer instead of a full re-encode. When
-//!   a cache reaches `max_len` the caller re-begins from the last
-//!   `max_len` items (a slide, counted as one re-encode).
+//!   [`MetaSgcl::score_left_aligned`]). `begin` is the packed forward of
+//!   the backbone and the decoder over one causal segment, keeping each
+//!   layer's keys and values; appending one interaction is the same packed
+//!   forward over one new row, whose keys start in the cache, instead of a
+//!   full re-encode. When a cache reaches `max_len` the caller re-begins
+//!   from the last `max_len` items (a slide, counted as one re-encode).
 //!
 //! The two windowings are not equally good. The model is trained only on
 //! right-anchored positions (the last item at position `max_len − 1`),
@@ -26,8 +28,8 @@
 //! NDCG@10 than full mode (ROADMAP item 3).
 
 use autograd::{Eager, Frozen};
-use models::{BackboneState, TransformerBackbone};
-use nn::{causal_mask, EncoderKv, Freeze, InferModule, Quantize};
+use models::TransformerBackbone;
+use nn::{EncoderKv, Freeze, InferModule, Packing, Quantize};
 use recdata::ItemId;
 use tensor::bug::OrBug;
 use tensor::{QuantMode, Tensor};
@@ -38,11 +40,11 @@ use crate::train::TrainingHistory;
 /// Meta-SGCL over frozen weights.
 pub type FrozenMetaSgcl = MetaSgcl<Frozen>;
 
-/// Incremental per-user state: backbone K/V cache plus (when the model has
-/// an explicit decoder) the decoder's own K/V cache over the latent
-/// sequence.
+/// Incremental per-user state: the backbone's K/V cache plus (when the
+/// model has an explicit decoder) the decoder's own K/V cache over the
+/// latent sequence.
 pub struct State {
-    bb: BackboneState,
+    bb: EncoderKv,
     dec: Option<EncoderKv>,
 }
 
@@ -113,9 +115,9 @@ impl MetaSgcl<Frozen> {
         let mu = self.enc_mu.forward(&Eager, &h);
         let (dec_state, last) = match &self.decoder {
             Some(dec) => {
-                let mut kv = EncoderKv::new(dec.n_layers(), dec.heads(), self.max_len());
-                let dh = dec.encode_collect(&mu, Some(&causal_mask(window.len())), &mut kv);
-                (Some(kv), TransformerBackbone::last_hidden(&dh))
+                let pack = Packing::left_aligned(window.len());
+                let (kv, rows) = dec.begin(&pack.pack(&Eager, &mu), &pack, self.max_len());
+                (Some(kv), pack.last_rows(&Eager, &rows))
             }
             None => (None, TransformerBackbone::last_hidden(&mu)),
         };
@@ -134,7 +136,7 @@ impl MetaSgcl<Frozen> {
     pub fn append_incremental(&self, items: &[ItemId], states: &mut [&mut State]) -> Vec<Vec<f32>> {
         assert_eq!(items.len(), states.len(), "one item per state");
         let h = {
-            let mut bb: Vec<&mut BackboneState> = states.iter_mut().map(|s| &mut s.bb).collect();
+            let mut bb: Vec<&mut EncoderKv> = states.iter_mut().map(|s| &mut s.bb).collect();
             self.backbone.append_incremental(items, &mut bb)
         };
         let mu = self.enc_mu.forward(&Eager, &h);
@@ -144,7 +146,7 @@ impl MetaSgcl<Frozen> {
                     .iter_mut()
                     .map(|s| s.dec.as_mut().or_bug("decoder state present"))
                     .collect();
-                dec.append_batch(&mu, &mut kvs)
+                dec.append(&mu, &mut kvs)
             }
             None => mu,
         };

@@ -276,7 +276,7 @@ impl MetaSgcl {
         let mu = self.enc_mu.forward(&g, &features);
         let h = match &self.decoder {
             Some(dec) => {
-                let pack = Packing::new(&[vec![false; window.len()]], true);
+                let pack = Packing::left_aligned(window.len());
                 let rows = dec.forward(&g, &pack.pack(&g, &mu), &pack, &mut rng, false);
                 pack.unpack(&g, &rows)
             }

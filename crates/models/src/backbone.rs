@@ -168,7 +168,7 @@ impl<S: Store> TransformerBackbone<S> {
     /// Embeds the real cells of a batch (Eq. 4: `Ê = E + P`), packed:
     /// item and position rows per cell, each cell's position its padded
     /// column, then LayerNorm and dropout (drawn at the padded shape).
-    fn embed_packed<C: Ctx<S = S>>(
+    pub(crate) fn embed_packed<C: Ctx<S = S>>(
         &self,
         c: &C,
         inputs: &[Vec<ItemId>],
@@ -233,7 +233,7 @@ impl<S: Store> TransformerBackbone<S> {
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
-        let pack = Packing::new(&[vec![false; seq.len()]], true);
+        let pack = Packing::left_aligned(seq.len());
         let h = self.forward_packed(c, &[seq.to_vec()], &pack, rng, training);
         pack.unpack(c, &h)
     }

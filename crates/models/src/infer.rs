@@ -12,15 +12,18 @@
 //! * **Left-aligned incremental** ([`FrozenTransformerBackbone::begin_incremental`]
 //!   / [`append_incremental`](FrozenTransformerBackbone::append_incremental),
 //!   [`FrozenGru4Rec`]'s [`GruState`]) anchors positions at the *start*
-//!   (`0..len`). Under a causal mask, appending an item leaves every
-//!   cached key/value row bitwise-unchanged, so one append is one
-//!   single-row attention step. The references are
+//!   (`0..len`). `begin` is the packed forward of
+//!   [`TransformerBackbone::forward_left_aligned`] that keeps each layer's
+//!   keys and values ([`EncoderKv`]); an append is the same packed
+//!   forward over one new row per user, a segment whose earlier keys
+//!   start in the cache. Under causal attention an append leaves every
+//!   cached key/value row bitwise-unchanged. The references are
 //!   [`TransformerBackbone::forward_left_aligned`] and
 //!   [`Gru4Rec::score_unpadded`].
 
 use autograd::{Eager, Frozen};
 use nn::infer::eval_rng;
-use nn::{causal_mask, EncoderKv, Freeze, InferModule, Quantize};
+use nn::{EncoderKv, Freeze, InferModule, Packing, Quantize};
 use recdata::{encode_input_only, ItemId};
 use tensor::{QuantMode, Tensor};
 
@@ -29,25 +32,6 @@ use crate::{Gru4Rec, TransformerBackbone};
 /// A [`TransformerBackbone`] over frozen weights.
 pub type FrozenTransformerBackbone = TransformerBackbone<Frozen>;
 
-/// Incremental per-user cache for one backbone: the encoder K/V stack plus
-/// the number of items absorbed so far (= the next item's position index).
-pub struct BackboneState {
-    pub(crate) enc: EncoderKv,
-    len: usize,
-}
-
-impl BackboneState {
-    /// Number of items absorbed into the cache.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 impl TransformerBackbone<Frozen> {
     /// The padded forward at eval: hidden states `[b, n, d]`.
     pub fn forward_padded(&self, inputs: &[Vec<ItemId>], pad: &[Vec<bool>]) -> Tensor {
@@ -55,26 +39,21 @@ impl TransformerBackbone<Frozen> {
     }
 
     /// Encodes a full sequence under left-aligned semantics while filling a
-    /// fresh incremental cache. Returns the state and the hidden states
-    /// `[1, len, d]` of [`TransformerBackbone::forward_left_aligned`].
-    pub fn begin_incremental(&self, seq: &[ItemId]) -> (BackboneState, Tensor) {
+    /// fresh incremental cache: the packed forward of
+    /// [`TransformerBackbone::forward_left_aligned`], keeping each layer's
+    /// keys and values. Returns the cache and its hidden states
+    /// `[1, len, d]`.
+    pub fn begin_incremental(&self, seq: &[ItemId]) -> (EncoderKv, Tensor) {
         assert!(
             seq.len() <= self.max_len(),
             "sequence length {} exceeds position table ({})",
             seq.len(),
             self.max_len()
         );
-        let x = self.embed(&Eager, &[seq.to_vec()], &mut eval_rng(), false);
-        let mut enc = EncoderKv::new(
-            self.encoder.n_layers(),
-            self.encoder.heads(),
-            self.max_len(),
-        );
-        let h = self
-            .encoder
-            .encode_collect(&x, Some(&causal_mask(seq.len())), &mut enc);
-        let len = seq.len();
-        (BackboneState { enc, len }, h)
+        let pack = Packing::left_aligned(seq.len());
+        let x = self.embed_packed(&Eager, &[seq.to_vec()], &pack, &mut eval_rng(), false);
+        let (state, h) = self.encoder.begin(&x, &pack, self.max_len());
+        (state, pack.unpack(&Eager, &h))
     }
 
     /// Appends one item per user in a single GEMM-friendly batch. Row `i`
@@ -84,31 +63,22 @@ impl TransformerBackbone<Frozen> {
     ///
     /// Panics if any state is already at `max_len` (the caller slides the
     /// window by re-beginning from the last `max_len` items).
-    pub fn append_incremental(
-        &self,
-        items: &[ItemId],
-        states: &mut [&mut BackboneState],
-    ) -> Tensor {
+    pub fn append_incremental(&self, items: &[ItemId], states: &mut [&mut EncoderKv]) -> Tensor {
         assert_eq!(items.len(), states.len(), "one item per state");
         let positions: Vec<usize> = states
             .iter()
             .map(|s| {
                 assert!(
-                    s.len < self.max_len(),
+                    s.len() < self.max_len(),
                     "state at max_len {}; slide the window first",
                     self.max_len()
                 );
-                s.len
+                s.len()
             })
             .collect();
         let e = self.item_emb.forward_flat(&Eager, items);
         let x = self.add_positions(&Eager, &e, &positions, &mut eval_rng(), false);
-        let mut kv: Vec<&mut EncoderKv> = states.iter_mut().map(|s| &mut s.enc).collect();
-        let h = self.encoder.append_batch(&x, &mut kv);
-        for s in states.iter_mut() {
-            s.len += 1;
-        }
-        h
+        self.encoder.append(&x, states)
     }
 
     /// Catalog scores via the tied item table (`ŷ = h · Mᵀ`). Accepts

@@ -4,7 +4,7 @@ use autograd::{Ctx, ParamRef, Store, Train};
 use rand::rngs::StdRng;
 use tensor::Tensor;
 
-use crate::{Dropout, Linear, Module, Packing};
+use crate::{Dropout, Linear, Module};
 
 /// Additive causal mask of shape `[n, n]`: position `i` may attend to
 /// positions `j ≤ i`; future positions receive `−1e9` ("we block all items
@@ -55,11 +55,6 @@ impl MultiHeadSelfAttention {
 }
 
 impl<S: Store> MultiHeadSelfAttention<S> {
-    /// Number of attention heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     fn split_heads<C: Ctx>(&self, c: &C, x: &C::V, b: usize, n: usize) -> C::V {
         let dh = self.dim / self.heads;
         let x = c.reshape(x, vec![b, n, self.heads, dh]);
@@ -67,60 +62,35 @@ impl<S: Store> MultiHeadSelfAttention<S> {
         c.reshape(&x, vec![b * self.heads, n, dh])
     }
 
-    /// Applies self-attention to the packed rows `x: [R, dim]` of `pack`:
-    /// each sequence attends within its own rows, one segmented attention
-    /// op for the whole batch.
-    pub fn forward_packed<C: Ctx<S = S>>(
-        &self,
-        c: &C,
-        x: &C::V,
-        pack: &Packing,
-        rng: &mut StdRng,
-        training: bool,
-    ) -> C::V {
-        let q = self.wq.forward(c, x);
-        let k = self.wk.forward(c, x);
-        let v = self.wv.forward(c, x);
-        let keep = self.dropout.attention_keep(pack, self.heads, rng, training);
-        let ctx = c.seg_attention(&q, &k, &v, pack.segments(), self.heads, keep.as_ref());
-        self.wo.forward(c, &ctx)
+    /// The query, key and value projections of rows `x`.
+    pub(crate) fn qkv<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> (C::V, C::V, C::V) {
+        (
+            self.wq.forward(c, x),
+            self.wk.forward(c, x),
+            self.wv.forward(c, x),
+        )
     }
 
-    /// Applies self-attention to `x: [b, n, dim]` under an additive logits
-    /// mask broadcastable to `[b·heads, n, n]` (e.g. [`causal_mask`]);
-    /// `None` means full bidirectional attention. The incremental serving
-    /// path encodes through this form to collect each head's keys and
-    /// values.
-    pub fn forward<C: Ctx<S = S>>(
+    /// Mixes projected `q, k, v: [b, n, dim]` densely, under an additive
+    /// logits mask broadcastable to `[b·heads, n, n]`. Returns the
+    /// context, before `W^O`.
+    pub(crate) fn mix_dense<C: Ctx<S = S>>(
         &self,
         c: &C,
-        x: &C::V,
+        (q, k, v): (&C::V, &C::V, &C::V),
         mask: Option<&Tensor>,
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
-        self.forward_kv(c, x, mask, rng, training).0
-    }
-
-    /// [`forward`](Self::forward), also returning the split-head keys and
-    /// values (`[b·heads, n, head_dim]`) it attended over.
-    pub(crate) fn forward_kv<C: Ctx<S = S>>(
-        &self,
-        c: &C,
-        x: &C::V,
-        mask: Option<&Tensor>,
-        rng: &mut StdRng,
-        training: bool,
-    ) -> (C::V, C::V, C::V) {
-        let dims = c.dims(x);
+        let dims = c.dims(q);
         let (b, n) = (dims[0], dims[1]);
         debug_assert_eq!(dims[2], self.dim);
         let dh = self.dim / self.heads;
-
-        let q = self.split_heads(c, &self.wq.forward(c, x), b, n);
-        let k = self.split_heads(c, &self.wk.forward(c, x), b, n);
-        let v = self.split_heads(c, &self.wv.forward(c, x), b, n);
-
+        let (q, k, v) = (
+            self.split_heads(c, q, b, n),
+            self.split_heads(c, k, b, n),
+            self.split_heads(c, v, b, n),
+        );
         let mut scores = c.scale(&c.matmul_transb(&q, &k), 1.0 / (dh as f32).sqrt());
         if let Some(m) = mask {
             scores = c.add_const(&scores, m);
@@ -129,8 +99,24 @@ impl<S: Store> MultiHeadSelfAttention<S> {
             .dropout
             .apply(c, c.softmax_last(&scores), rng, training);
         let ctx = c.reshape(&c.matmul(&attn, &v), vec![b, self.heads, n, dh]);
-        let ctx = c.reshape(&c.permute(&ctx, &[0, 2, 1, 3]), vec![b, n, self.dim]);
-        (self.wo.forward(c, &ctx), k, v)
+        c.reshape(&c.permute(&ctx, &[0, 2, 1, 3]), vec![b, n, self.dim])
+    }
+
+    /// Applies self-attention to `x: [b, n, dim]` under an additive logits
+    /// mask broadcastable to `[b·heads, n, n]` (e.g. [`causal_mask`]);
+    /// `None` means full bidirectional attention. This dense form is the
+    /// reference the packed forward is tested against.
+    pub fn forward<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        x: &C::V,
+        mask: Option<&Tensor>,
+        rng: &mut StdRng,
+        training: bool,
+    ) -> C::V {
+        let (q, k, v) = self.qkv(c, x);
+        let ctx = self.mix_dense(c, (&q, &k, &v), mask, rng, training);
+        self.wo.forward(c, &ctx)
     }
 }
 

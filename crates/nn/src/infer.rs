@@ -1,4 +1,4 @@
-//! Serving storage and the incremental attention/GRU path.
+//! Serving storage and the incremental attention path.
 //!
 //! Every module runs its one forward under either execution context (see
 //! [`autograd::ctx`]). [`Freeze`] snapshots a trained module's
@@ -10,28 +10,33 @@
 //!
 //! # Incremental attention state
 //!
-//! [`AttnKv`] caches per-head key/value rows so that extending a sequence
-//! by one position costs one row of projections plus one attention row,
-//! instead of a full re-encode. This is exact (not approximate) because
-//! every GEMM output element in `tensor::ops` is a single strict k-order
-//! accumulation chain starting at `+0.0`, independent of how many rows are
-//! computed alongside it, and softmax/LayerNorm/elementwise ops are
-//! row-independent. A causally-masked position therefore has a hidden
-//! state that never changes as later positions are appended — provided
-//! position indices are stable under append (left-aligned positions
-//! `0..len`, no left padding). The incremental entry points below assume
-//! exactly that convention; callers that need the training-time
-//! left-padded convention must use the full forwards.
+//! [`TransformerEncoder::begin`] is the packed encoder forward over one
+//! causal segment that also keeps each layer's key and value rows
+//! ([`EncoderKv`]). [`TransformerEncoder::append`] is the same layer body
+//! over one new row per sequence: a segment whose earlier keys start in
+//! the cache, attended by [`tensor::segment::append_attention`], which
+//! runs the row body of the segmented attention op itself. One append
+//! costs one row of projections and one attention row per layer instead of
+//! a full re-encode, and it is exact (not approximate): every GEMM output
+//! element in `tensor::ops` is a single strict k-order accumulation chain
+//! starting at `+0.0`, independent of how many rows are computed alongside
+//! it, and softmax/LayerNorm/elementwise ops are row-independent. A
+//! causally-masked position therefore has a hidden state that never
+//! changes as later positions are appended — provided position indices are
+//! stable under append (left-aligned positions `0..len`, no left padding).
+//! The incremental entry points assume exactly that convention; callers
+//! that need the training-time right-anchored positions must use the full
+//! forwards.
 
 use autograd::{Eager, Frozen, ParamRef};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::bug::OrBug;
-use tensor::{ops, QuantMatrix, QuantMode, Tensor};
+use tensor::{segment, QuantMatrix, QuantMode, Tensor};
 
 use crate::{
-    Embedding, FeedForward, Gru, LayerNorm, Linear, MultiHeadSelfAttention, TransformerEncoder,
-    TransformerLayer,
+    Embedding, FeedForward, Gru, LayerNorm, Linear, MultiHeadSelfAttention, Packing,
+    TransformerEncoder, TransformerLayer,
 };
 
 /// Resident footprint of a frozen module.
@@ -300,14 +305,16 @@ impl Quantize for Gru<Frozen> {
 // Incremental attention
 // ---------------------------------------------------------------------------
 
-/// Cached key/value rows for one attention block of one sequence.
+/// One sequence's keys and values at every layer of a frozen encoder
+/// stack, so that an append attends over them instead of re-encoding.
 ///
-/// Layout: per head, a flat row-major `[len, head_dim]` buffer. Rows are
-/// append-only; cached rows are never recomputed (see the module-level
-/// exactness argument).
-pub struct AttnKv {
-    k: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
+/// Each layer keeps its key rows and its value rows `[len, dim]` in the
+/// packed layout the encoder computed them in. Rows are append-only;
+/// cached rows are never recomputed (see the module-level exactness
+/// argument).
+pub struct EncoderKv {
+    /// `(keys, values)` per layer, bottom first.
+    layers: Vec<(Vec<f32>, Vec<f32>)>,
     len: usize,
     /// The most positions the cache will hold. The first append grows
     /// each buffer to exactly this many rows, not to twice the rows it
@@ -316,18 +323,7 @@ pub struct AttnKv {
     window: usize,
 }
 
-impl AttnKv {
-    /// Empty cache for `heads` attention heads that will hold at most
-    /// `window` positions.
-    pub fn new(heads: usize, window: usize) -> Self {
-        AttnKv {
-            k: vec![Vec::new(); heads],
-            v: vec![Vec::new(); heads],
-            len: 0,
-            window,
-        }
-    }
-
+impl EncoderKv {
     /// Number of cached positions.
     pub fn len(&self) -> usize {
         self.len
@@ -337,136 +333,60 @@ impl AttnKv {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Replaces the cache with one sequence's split-head keys and values
-    /// (`[heads, n, head_dim]`).
-    fn fill(&mut self, k: &Tensor, v: &Tensor) {
-        let (heads, n) = (k.dim(0), k.dim(1));
-        assert_eq!(heads, self.k.len(), "K/V collection is per-sequence");
-        let span = k.numel() / heads;
-        for h in 0..heads {
-            self.k[h] = k.data()[h * span..(h + 1) * span].to_vec();
-            self.v[h] = v.data()[h * span..(h + 1) * span].to_vec();
-        }
-        self.len = n;
-    }
-}
-
-impl MultiHeadSelfAttention<Frozen> {
-    /// Appends one position per sequence: `x: [b, dim]` holds the new
-    /// position's input row for `b` independent sequences whose caches are
-    /// `kvs`. Returns the new positions' outputs `[b, dim]`.
-    ///
-    /// Bitwise-identical to the last row of the full forward over the
-    /// (causally masked, unpadded) sequence: the projections are
-    /// row-independent GEMMs, the causal mask contributes exactly `+0.0` to
-    /// the final row (mirrored below so `-0.0` scores normalize
-    /// identically), and softmax/context are per-row chains.
-    pub fn step_append(&self, x: &Tensor, kvs: &mut [&mut AttnKv]) -> Tensor {
-        let b = x.dims()[0];
-        debug_assert_eq!(kvs.len(), b);
-        let dh = self.dim / self.heads;
-        let q = self.wq.forward(&Eager, x);
-        let k = self.wk.forward(&Eager, x);
-        let v = self.wv.forward(&Eager, x);
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut ctx = Tensor::zeros(vec![b, self.dim]);
-        for (bi, kv) in kvs.iter_mut().enumerate() {
-            // A no-op once the buffers hold the window.
-            let room = (kv.window.max(kv.len + 1) - kv.len) * dh;
-            for h in 0..self.heads {
-                let span = h * dh..(h + 1) * dh;
-                kv.k[h].reserve_exact(room);
-                kv.v[h].reserve_exact(room);
-                kv.k[h].extend_from_slice(&k.row(bi)[span.clone()]);
-                kv.v[h].extend_from_slice(&v.row(bi)[span.clone()]);
-                let len = kv.k[h].len() / dh;
-                let qt = Tensor::from_vec(q.row(bi)[span.clone()].to_vec(), vec![1, dh]);
-                let kt = Tensor::from_vec(std::mem::take(&mut kv.k[h]), vec![len, dh]);
-                let scores = ops::matmul_transb(&qt, &kt)
-                    .or_bug("attn step scores")
-                    .map(|s| s * scale)
-                    // The causal-mask row for the newest position is all
-                    // zeros; `s + 0.0` reproduces the full path's additive
-                    // mask bit-for-bit (it maps -0.0 to +0.0).
-                    .map(|s| s + 0.0);
-                kv.k[h] = kt.into_vec();
-                let attn = ops::softmax_last(&scores);
-                let vt = Tensor::from_vec(std::mem::take(&mut kv.v[h]), vec![len, dh]);
-                let c = ops::matmul(&attn, &vt).or_bug("attn step ctx");
-                kv.v[h] = vt.into_vec();
-                ctx.row_mut(bi)[span].copy_from_slice(c.row(0));
-            }
-            kv.len += 1;
-        }
-        self.wo.forward(&Eager, &ctx)
-    }
-}
-
-/// Per-layer K/V caches for one sequence through a frozen encoder stack.
-pub struct EncoderKv {
-    layers: Vec<AttnKv>,
-}
-
-impl EncoderKv {
-    /// Empty caches for an `n_layers`-deep stack with `heads` heads that
-    /// will hold at most `window` positions.
-    pub fn new(n_layers: usize, heads: usize, window: usize) -> Self {
-        EncoderKv {
-            layers: (0..n_layers).map(|_| AttnKv::new(heads, window)).collect(),
-        }
-    }
-
-    /// Number of cached positions (0 when empty).
-    pub fn len(&self) -> usize {
-        self.layers.first().map_or(0, AttnKv::len)
-    }
-
-    /// True when no positions are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl TransformerEncoder<Frozen> {
-    /// Attention heads per layer (stacks are homogeneous).
-    pub fn heads(&self) -> usize {
-        self.layers.first().map_or(1, |l| l.mha.heads)
+    /// Encodes the rows `x: [len, dim]` of one sequence, packed as the
+    /// one causal segment `pack` (see [`Packing::left_aligned`]), through
+    /// the packed [`forward`](TransformerEncoder::forward), and keeps every
+    /// layer's keys and values for appends of up to `window` positions in
+    /// all. Returns the cache and the top-layer rows `[len, dim]`.
+    pub fn begin(&self, x: &Tensor, pack: &Packing, window: usize) -> (EncoderKv, Tensor) {
+        assert_eq!(pack.batch(), 1, "a cache holds one sequence");
+        let mut layers = Vec::with_capacity(self.layers.len());
+        let h = self.forward_keeping(&Eager, x, pack, &mut eval_rng(), false, |k, v| {
+            layers.push((k.data().to_vec(), v.data().to_vec()));
+        });
+        let len = pack.rows();
+        (
+            EncoderKv {
+                layers,
+                len,
+                window,
+            },
+            h,
+        )
     }
 
-    /// Encodes one unpadded sequence `x: [1, n, dim]` under `mask`,
-    /// filling `state` with every layer's K/V cache. No timeline mask:
-    /// incremental sequences contain no padding.
-    pub fn encode_collect(
-        &self,
-        x: &Tensor,
-        mask: Option<&Tensor>,
-        state: &mut EncoderKv,
-    ) -> Tensor {
-        debug_assert_eq!(state.layers.len(), self.layers.len());
-        let mut rng = eval_rng();
-        let mut h = x.clone();
-        for (layer, kv) in self.layers.iter().zip(state.layers.iter_mut()) {
-            let (out, k, v) = layer.forward_kv(&Eager, &h, mask, &mut rng, false);
-            kv.fill(&k, &v);
-            h = out;
-        }
-        h
-    }
-
-    /// Appends one position to each of `b` independent sequences.
-    /// `x: [b, dim]` holds the new embedded input rows; `states[i]` is the
-    /// i-th sequence's cache. Returns the new top-layer rows `[b, dim]`.
-    ///
-    /// The per-layer projections and FFN/LayerNorm run as one `[b, ..]`
-    /// GEMM-friendly batch; only the attention mixing is per-sequence.
-    pub fn append_batch(&self, x: &Tensor, states: &mut [&mut EncoderKv]) -> Tensor {
-        let mut rng = eval_rng();
-        let mut h = x.clone();
+    /// Appends one position to each of `b` independent sequences: `x:
+    /// [b, dim]` holds the new embedded rows, `states[i]` the i-th
+    /// sequence's cache. Each layer is the packed forward's layer body
+    /// over the `b` rows, whose attention reads each sequence's keys from
+    /// its cache ([`segment::append_attention`]). Returns the new top-layer
+    /// rows `[b, dim]`, each bitwise the last row of a re-encode.
+    pub fn append(&self, x: &Tensor, states: &mut [&mut EncoderKv]) -> Tensor {
+        let (mut h, mut rng) = (x.clone(), eval_rng());
         for (li, layer) in self.layers.iter().enumerate() {
-            let mut kvs: Vec<&mut AttnKv> = states.iter_mut().map(|s| &mut s.layers[li]).collect();
-            let attn = layer.mha.step_append(&h, &mut kvs);
-            h = layer.residual_ffn(&Eager, &h, &attn, None, &mut rng, false);
+            h = layer.forward_rows(&Eager, &h, None, &mut rng, false, |(q, k, v), _| {
+                let kv: Vec<(&[f32], &[f32])> = states
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, s)| {
+                        // A no-op once the buffers hold the window.
+                        let room = (s.window.max(s.len + 1) - s.len) * k.dim(1);
+                        let (ks, vs) = &mut s.layers[li];
+                        for (buf, row) in [(&mut *ks, k.row(i)), (&mut *vs, v.row(i))] {
+                            buf.reserve_exact(room);
+                            buf.extend_from_slice(row);
+                        }
+                        (&ks[..], &vs[..])
+                    })
+                    .collect();
+                segment::append_attention(q, &kv, layer.mha.heads).or_bug("append attention")
+            });
+        }
+        for s in states.iter_mut() {
+            s.len += 1;
         }
         h
     }
@@ -475,7 +395,7 @@ impl TransformerEncoder<Frozen> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{causal_mask, Freeze, TransformerEncoder};
+    use crate::{Freeze, TransformerEncoder};
     use rand::SeedableRng;
     use tensor::init;
 
@@ -485,26 +405,24 @@ mod tests {
     #[test]
     fn kv_capacity_never_exceeds_the_window() {
         let (window, dim, heads) = (6, 8, 2);
-        let dh = dim / heads;
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let f = TransformerEncoder::new(&mut rng, "enc", 2, dim, heads, 0.0).freeze();
         for begin in 1..=window {
-            let x = init::randn(&mut rng, vec![1, begin, dim], 0.0, 1.0);
-            let mut kv = EncoderKv::new(f.n_layers(), heads, window);
-            f.encode_collect(&x, Some(&causal_mask(begin)), &mut kv);
+            let x = init::randn(&mut rng, vec![begin, dim], 0.0, 1.0);
+            let (mut kv, _) = f.begin(&x, &Packing::left_aligned(begin), window);
             for len in begin..=window {
                 if len > begin {
                     let row = init::randn(&mut rng, vec![1, dim], 0.0, 1.0);
-                    f.append_batch(&row, &mut [&mut kv]);
+                    f.append(&row, &mut [&mut kv]);
                 }
                 assert_eq!(kv.len(), len);
                 let rows = if len == begin { begin } else { window };
-                for layer in &kv.layers {
-                    for buf in layer.k.iter().chain(&layer.v) {
-                        assert_eq!(buf.len(), len * dh);
+                for (k, v) in &kv.layers {
+                    for buf in [k, v] {
+                        assert_eq!(buf.len(), len * dim);
                         assert_eq!(
                             buf.capacity(),
-                            rows * dh,
+                            rows * dim,
                             "began with {begin} rows, now {len}"
                         );
                     }

@@ -47,6 +47,13 @@ impl Packing {
         }
     }
 
+    /// One sequence of `len` rows, none of them padding, attending
+    /// causally: a left-aligned window whose positions are `0..len`, the
+    /// convention an append-only K/V cache needs.
+    pub fn left_aligned(len: usize) -> Packing {
+        Packing::new(&[vec![false; len]], true)
+    }
+
     /// Sequences in the batch (segments, empty ones included).
     pub fn batch(&self) -> usize {
         self.batch

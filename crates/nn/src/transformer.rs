@@ -38,22 +38,29 @@ impl TransformerLayer {
 }
 
 impl<S: Store> TransformerLayer<S> {
-    /// Applies the block to the packed rows `x: [R, dim]` of `pack`.
-    pub fn forward_packed<C: Ctx<S = S>>(
+    /// The block over rows `x` whose attention mixes their projections as
+    /// `mix((q, k, v), rng)` does; every other op is row-wise. `rows` is
+    /// the packing the rows are, if any: dropout masks are drawn at its
+    /// padded shape (see [`Dropout::apply_rows`]).
+    pub(crate) fn forward_rows<C: Ctx<S = S>>(
         &self,
         c: &C,
         x: &C::V,
-        pack: &Packing,
+        rows: Option<&Packing>,
         rng: &mut StdRng,
         training: bool,
+        mix: impl FnOnce((&C::V, &C::V, &C::V), &mut StdRng) -> C::V,
     ) -> C::V {
-        let attn = self.mha.forward_packed(c, x, pack, rng, training);
-        let attn = self.dropout.apply_rows(c, attn, Some(pack), rng, training);
-        self.residual_ffn(c, x, &attn, Some(pack), rng, training)
+        let (q, k, v) = self.mha.qkv(c, x);
+        let attn = self.mha.wo.forward(c, &mix((&q, &k, &v), rng));
+        let attn = self.dropout.apply_rows(c, attn, rows, rng, training);
+        let h = self.ln1.forward(c, &c.add(x, &attn));
+        let ff = self.ffn.forward_rows(c, &h, rows, rng, training);
+        self.ln2.forward(c, &c.add(&h, &ff))
     }
 
     /// Applies the block to `x: [b, n, dim]` with an optional additive
-    /// attention mask.
+    /// attention mask: the dense reference of the packed forward.
     pub fn forward<C: Ctx<S = S>>(
         &self,
         c: &C,
@@ -62,38 +69,9 @@ impl<S: Store> TransformerLayer<S> {
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
-        self.forward_kv(c, x, mask, rng, training).0
-    }
-
-    /// [`forward`](Self::forward), also returning the attention block's
-    /// split-head keys and values.
-    pub(crate) fn forward_kv<C: Ctx<S = S>>(
-        &self,
-        c: &C,
-        x: &C::V,
-        mask: Option<&Tensor>,
-        rng: &mut StdRng,
-        training: bool,
-    ) -> (C::V, C::V, C::V) {
-        let (attn, k, v) = self.mha.forward_kv(c, x, mask, rng, training);
-        let attn = self.dropout.apply(c, attn, rng, training);
-        (self.residual_ffn(c, x, &attn, None, rng, training), k, v)
-    }
-
-    /// Everything after attention: `ln2(h + FFN(h))` with
-    /// `h = ln1(x + attn)`, over rows that may be packed.
-    pub(crate) fn residual_ffn<C: Ctx<S = S>>(
-        &self,
-        c: &C,
-        x: &C::V,
-        attn: &C::V,
-        rows: Option<&Packing>,
-        rng: &mut StdRng,
-        training: bool,
-    ) -> C::V {
-        let h = self.ln1.forward(c, &c.add(x, attn));
-        let ff = self.ffn.forward_rows(c, &h, rows, rng, training);
-        self.ln2.forward(c, &c.add(&h, &ff))
+        self.forward_rows(c, x, None, rng, training, |qkv, rng| {
+            self.mha.mix_dense(c, qkv, mask, rng, training)
+        })
     }
 }
 
@@ -150,9 +128,30 @@ impl<S: Store> TransformerEncoder<S> {
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
+        self.forward_keeping(c, x, pack, rng, training, |_, _| {})
+    }
+
+    /// [`forward`](Self::forward), handing each layer's key and value
+    /// rows `[R, dim]` to `keep`, bottom layer first.
+    pub(crate) fn forward_keeping<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        x: &C::V,
+        pack: &Packing,
+        rng: &mut StdRng,
+        training: bool,
+        mut keep: impl FnMut(&C::V, &C::V),
+    ) -> C::V {
         let mut h = x.clone();
         for layer in &self.layers {
-            h = layer.forward_packed(c, &h, pack, rng, training);
+            let mha = &layer.mha;
+            h = layer.forward_rows(c, &h, Some(pack), rng, training, |(q, k, v), rng| {
+                keep(k, v);
+                // Each sequence attends within its own rows: one segmented
+                // attention op for the whole batch.
+                let drop = mha.dropout.attention_keep(pack, mha.heads, rng, training);
+                c.seg_attention(q, k, v, pack.segments(), mha.heads, drop.as_ref())
+            });
         }
         h
     }

@@ -5,8 +5,8 @@
 
 use autograd::{Eager, Graph};
 use nn::{
-    causal_mask, Activation, AttnKv, EncoderKv, FeedForward, Freeze, Gru, LayerNorm, Linear,
-    Module, MultiHeadSelfAttention, Packing, TransformerEncoder,
+    causal_mask, Activation, FeedForward, Freeze, Gru, LayerNorm, Linear, Module,
+    MultiHeadSelfAttention, Packing, TransformerEncoder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -117,29 +117,23 @@ fn incremental_attention_equals_full_reencode() {
     let n = 7;
     let rows = init::randn(&mut r, vec![n, 8], 0.0, 1.0);
 
-    // Build incrementally: encode the first 3 rows in one shot (collecting
+    // Build incrementally: encode the first 3 rows in one shot (keeping
     // K/V), then append the rest one at a time.
     let seed_len = 3;
-    let x0 = Tensor::from_vec(rows.data()[..seed_len * 8].to_vec(), vec![1, seed_len, 8]);
-    let mut state = EncoderKv::new(f.n_layers(), f.heads(), n);
-    let h0 = f.encode_collect(&x0, Some(&causal_mask(seed_len)), &mut state);
-    let mut incr_last = h0
-        .reshape(vec![seed_len, 8])
-        .unwrap()
-        .row(seed_len - 1)
-        .to_vec();
+    let x0 = Tensor::from_vec(rows.data()[..seed_len * 8].to_vec(), vec![seed_len, 8]);
+    let (mut state, h0) = f.begin(&x0, &Packing::left_aligned(seed_len), n);
+    let mut incr_last = h0.row(seed_len - 1).to_vec();
 
     for t in seed_len..n {
         // Full re-encode of the prefix 0..=t (the oracle).
-        let xt = Tensor::from_vec(rows.data()[..(t + 1) * 8].to_vec(), vec![1, t + 1, 8]);
-        let mut fresh = EncoderKv::new(f.n_layers(), f.heads(), n);
-        let full = f.encode_collect(&xt, Some(&causal_mask(t + 1)), &mut fresh);
-        let full_last = full.reshape(vec![t + 1, 8]).unwrap().row(t).to_vec();
+        let xt = Tensor::from_vec(rows.data()[..(t + 1) * 8].to_vec(), vec![t + 1, 8]);
+        let (_, full) = f.begin(&xt, &Packing::left_aligned(t + 1), n);
+        let full_last = full.row(t).to_vec();
 
         // Incremental append of row t.
         let xrow = Tensor::from_vec(rows.row(t).to_vec(), vec![1, 8]);
         let mut states = [&mut state];
-        let out = f.append_batch(&xrow, &mut states);
+        let out = f.append(&xrow, &mut states);
         incr_last = out.row(0).to_vec();
 
         assert_eq!(incr_last, full_last, "prefix len {} diverged", t + 1);
@@ -160,10 +154,8 @@ fn batched_append_equals_single_appends() {
     let a_rows = init::randn(&mut r, vec![4, 8], 0.0, 1.0);
     let b_rows = init::randn(&mut r, vec![2, 8], 0.0, 1.0);
     let mk = |rows: &Tensor, n: usize| {
-        let x = Tensor::from_vec(rows.data()[..n * 8].to_vec(), vec![1, n, 8]);
-        let mut s = EncoderKv::new(f.n_layers(), f.heads(), n + 1);
-        f.encode_collect(&x, Some(&causal_mask(n)), &mut s);
-        s
+        let x = Tensor::from_vec(rows.data()[..n * 8].to_vec(), vec![n, 8]);
+        f.begin(&x, &Packing::left_aligned(n), n + 1).0
     };
     let (mut sa, mut sb) = (mk(&a_rows, 4), mk(&b_rows, 2));
     let (mut sa2, mut sb2) = (mk(&a_rows, 4), mk(&b_rows, 2));
@@ -172,12 +164,12 @@ fn batched_append_equals_single_appends() {
     let new_b = init::randn(&mut r, vec![1, 8], 0.0, 1.0);
 
     // One at a time.
-    let oa = f.append_batch(&new_a, &mut [&mut sa]);
-    let ob = f.append_batch(&new_b, &mut [&mut sb]);
+    let oa = f.append(&new_a, &mut [&mut sa]);
+    let ob = f.append(&new_b, &mut [&mut sb]);
 
     // Batched.
     let stacked = ops::concat(&[&new_a, &new_b], 0).unwrap();
-    let both = f.append_batch(&stacked, &mut [&mut sa2, &mut sb2]);
+    let both = f.append(&stacked, &mut [&mut sa2, &mut sb2]);
 
     assert_eq!(both.row(0), oa.row(0));
     assert_eq!(both.row(1), ob.row(0));
@@ -232,11 +224,4 @@ fn freeze_snapshots_are_detached_from_training() {
         after.data(),
         "frozen weights must not track updates"
     );
-}
-
-#[test]
-fn attn_kv_reports_len() {
-    let kv = AttnKv::new(2, 4);
-    assert!(kv.is_empty());
-    assert_eq!(kv.len(), 0);
 }

@@ -23,7 +23,11 @@ use crate::ann::HnswIndex;
 ///   [`Mode::Full`] can be compared `==` against `score_sequence`.
 /// * [`begin`](FrozenScorer::begin) / [`append_batch`](FrozenScorer::append_batch)
 ///   maintain left-aligned incremental state whose scores reproduce a full
-///   left-aligned re-encode of the same window exactly.
+///   left-aligned re-encode of the same window exactly. For a Transformer
+///   model, `begin` is the packed forward over the window that keeps each
+///   layer's keys and values, and an append is the same packed forward
+///   over one new row per user, a segment whose earlier keys start in the
+///   cache; for GRU4Rec the state is the recurrence's hidden vector.
 pub trait FrozenScorer: Send + Sync + 'static {
     /// Per-user incremental cache.
     type State: Send;
@@ -130,13 +134,9 @@ impl FrozenScorer for FrozenGru4Rec {
     }
 
     fn append_batch(&self, items: &[ItemId], states: &mut [&mut GruState]) -> Vec<Vec<f32>> {
-        let h = self.append_incremental(items, states);
-        (0..states.len())
-            .map(|i| {
-                let row = Tensor::from_vec(h.row(i).to_vec(), vec![1, h.dims()[1]]);
-                self.scores(&row).row(0).to_vec()
-            })
-            .collect()
+        // One projection for the whole batch: GEMM rows are independent.
+        let scores = self.scores(&self.append_incremental(items, states));
+        (0..states.len()).map(|i| scores.row(i).to_vec()).collect()
     }
 
     fn query_embedding(&self, seq: &[ItemId]) -> Option<Vec<f32>> {
@@ -156,8 +156,12 @@ pub enum Mode {
     /// CI parity gate checks.
     Full,
     /// Keep per-user incremental state under left-aligned semantics; an
-    /// append is a single-step cache extension. Slides (full re-encodes of
-    /// the last `window_cap` items) happen only on cache overflow.
+    /// append runs the packed forward over the new row only, its keys read
+    /// from the cache (a single GRU step for GRU4Rec). Slides (full
+    /// re-encodes of the last `window_cap` items) happen only on cache
+    /// overflow. Exact against the left-aligned reference, but the model
+    /// is trained on right-anchored positions, so this mode ranks worse
+    /// than [`Mode::Full`] from the same checkpoint (ROADMAP item 3).
     Incremental,
 }
 

@@ -234,6 +234,32 @@ fn gru4rec_served_matches_offline() {
         assert_eq!(r[0].items, want_items, "history {history:?}");
         assert_eq!(r[0].scores, want_scores);
     }
+
+    // Two users appended in one batch share one projection; each still
+    // matches its own unpadded reference.
+    let mut other = vec![13usize, 14];
+    let score = |user, history| Request::Score {
+        user,
+        history,
+        k: 5,
+        topk: None,
+    };
+    let append = |user, item| Request::Append {
+        user,
+        item,
+        k: 5,
+        topk: None,
+    };
+    engine.handle_batch(&[score(2, other.clone())]);
+    for (a, b) in [(3usize, 9usize), (1, 2)] {
+        history.push(a);
+        other.push(b);
+        let r = engine.handle_batch(&[append(1, a), append(2, b)]);
+        for (reply, seq) in r.iter().zip([&history, &other]) {
+            let want = top_k(&m2.score_unpadded(seq), 5);
+            assert_eq!((reply.items.clone(), reply.scores.clone()), want, "{seq:?}");
+        }
+    }
 }
 
 #[test]

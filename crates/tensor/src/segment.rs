@@ -155,51 +155,119 @@ pub fn seg_attention(
     let mut out = Tensor::pooled_zeros(q.dims().to_vec());
     let mut probs = Tensor::pooled_zeros(vec![segs.cells(heads)]);
     let (qd, kd, vd) = (q.data(), k.data(), v.data());
-    let keep = keep.map(Tensor::data);
     let od = out.data_mut();
     let pd = probs.data_mut();
     let mut base = 0;
     for (o0, len) in segs.spans() {
+        let (ks, vs) = (&kd[o0 * d..], &vd[o0 * d..]);
         for h in 0..heads {
             let col = h * dh;
-            let row = |i: usize| (o0 + i) * d + col;
             for i in 0..len {
                 let (start, cnt) = segs.row_span(i, len);
                 let at = base + start;
-                let prow = &mut pd[at..at + cnt];
-                let qi = &qd[row(i)..row(i) + dh];
-                for (j, p) in prow.iter_mut().enumerate() {
-                    let kj = &kd[row(j)..row(j) + dh];
-                    let mut s = 0.0f32;
-                    for (a, b) in qi.iter().zip(kj) {
-                        s += a * b;
-                    }
-                    *p = s * scale;
-                }
-                // `ops::softmax_last`'s row body.
-                let m = prow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0f32;
-                for x in prow.iter_mut() {
-                    *x = (*x - m).exp();
-                    sum += *x;
-                }
-                let inv = 1.0 / sum;
-                for x in prow.iter_mut() {
-                    *x *= inv;
-                }
-                let oi = row(i);
-                for (j, &p) in prow.iter().enumerate() {
-                    let w = keep.map_or(p, |kp| p * kp[at + j]);
-                    let vj = &vd[row(j)..row(j) + dh];
-                    for (o, b) in od[oi..oi + dh].iter_mut().zip(vj) {
-                        *o += w * b;
-                    }
-                }
+                let r = (o0 + i) * d + col;
+                let keep = keep.map(|m| &m.data()[at..at + cnt]);
+                let kv = (ks, vs, d, col);
+                attend_row(
+                    &qd[r..r + dh],
+                    kv,
+                    scale,
+                    &mut pd[at..at + cnt],
+                    keep,
+                    &mut od[r..r + dh],
+                );
             }
             base += segs.block_cells(len);
         }
     }
     Ok((out, probs))
+}
+
+/// One query row `qi` of one head over the first `prow.len()` key rows:
+/// the scaled scores, their softmax (left in `prow`), and the context,
+/// added into `out`. `kv` is `(keys, values, d, col)`: row-major rows of
+/// width `d`, of which the head reads columns `col..col + qi.len()`.
+/// `keep` scales each weight before it mixes the values (inverted dropout).
+#[inline]
+fn attend_row(
+    qi: &[f32],
+    (k, v, d, col): (&[f32], &[f32], usize, usize),
+    scale: f32,
+    prow: &mut [f32],
+    keep: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let dh = qi.len();
+    for (j, p) in prow.iter_mut().enumerate() {
+        let kj = &k[j * d + col..j * d + col + dh];
+        let mut s = 0.0f32;
+        for (a, b) in qi.iter().zip(kj) {
+            s += a * b;
+        }
+        *p = s * scale;
+    }
+    // `ops::softmax_last`'s row body.
+    let m = prow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for x in prow.iter_mut() {
+        *x = (*x - m).exp();
+        sum += *x;
+    }
+    let inv = 1.0 / sum;
+    for x in prow.iter_mut() {
+        *x *= inv;
+    }
+    for (j, &p) in prow.iter().enumerate() {
+        let w = keep.map_or(p, |kp| p * kp[j]);
+        let vj = &v[j * d + col..j * d + col + dh];
+        for (o, b) in out.iter_mut().zip(vj) {
+            *o += w * b;
+        }
+    }
+}
+
+/// One new row for each of `b` causal segments whose earlier rows are
+/// kept elsewhere: row `s` of `q: [b, d]` attends over every row of
+/// `kv[s] = (keys, values)`, each `[L_s, d]` row-major with the new row's
+/// own key and value last. Returns the context `[b, d]`: bit for bit the
+/// last row of a causal [`seg_attention`] over each whole segment, since
+/// it runs the same row body over the same keys, read where they are kept.
+pub fn append_attention(q: &Tensor, kv: &[(&[f32], &[f32])], heads: usize) -> Result<Tensor> {
+    let d = q.dims().last().copied().unwrap_or(0);
+    let fits = |&(k, v): &(&[f32], &[f32])| {
+        !k.is_empty() && k.len() == v.len() && k.len().is_multiple_of(d)
+    };
+    let batch = q.ndim() == 2 && q.dim(0) == kv.len();
+    if !batch || heads == 0 || !d.is_multiple_of(heads) || !kv.iter().all(fits) {
+        return Err(TensorError::ShapeMismatch {
+            op: "append_attention",
+            lhs: q.dims().to_vec(),
+            rhs: kv.iter().map(|(k, _)| k.len()).collect(),
+        });
+    }
+    let dh = d / heads;
+    let keys = kv.iter().map(|(k, _)| k.len() / d);
+    gemm_telemetry((heads * keys.clone().sum::<usize>()) as u64);
+    gemm_telemetry(q.numel() as u64);
+    let scale = 1.0 / (dh as f32).sqrt();
+    let mut out = Tensor::pooled_zeros(q.dims().to_vec());
+    let mut probs = vec![0.0f32; keys.max().unwrap_or(0)];
+    let od = out.data_mut();
+    for (s, &(k, v)) in kv.iter().enumerate() {
+        for col in (0..d).step_by(dh) {
+            let r = s * d + col;
+            let prow = &mut probs[..k.len() / d];
+            attend_row(
+                &q.data()[r..r + dh],
+                (k, v, d, col),
+                scale,
+                prow,
+                None,
+                &mut od[r..r + dh],
+            );
+        }
+    }
+    Ok(out)
 }
 
 /// Adjoint of [`seg_attention`]: given the context gradient `g` (`[R, d]`)
@@ -316,6 +384,38 @@ mod tests {
         let p = ops::softmax_last(&s);
         assert_eq!(probs.data(), p.data());
         assert_eq!(out.data(), ops::matmul(&p, &v).unwrap().data());
+    }
+
+    /// An appended row over kept keys is the last row of the causal
+    /// segmented attention over the whole segment, bit for bit.
+    #[test]
+    fn append_is_the_last_causal_row() {
+        let (d, heads) = (6, 2);
+        let segs = Segments::new(vec![0, 3, 8], true);
+        let r = segs.rows();
+        let q = Tensor::from_vec(lcg(r * d, 4), vec![r, d]);
+        let k = Tensor::from_vec(lcg(r * d, 5), vec![r, d]);
+        let v = Tensor::from_vec(lcg(r * d, 6), vec![r, d]);
+        let (want, _) = seg_attention(&q, &k, &v, &segs, heads, None).unwrap();
+        let last = [2, 7];
+        let mut qa = Vec::new();
+        for &i in &last {
+            qa.extend_from_slice(q.row(i));
+        }
+        let qa = Tensor::from_vec(qa, vec![2, d]);
+        let kv: Vec<(&[f32], &[f32])> = segs
+            .spans()
+            .map(|(o, len)| {
+                let rows = o * d..(o + len) * d;
+                (&k.data()[rows.clone()], &v.data()[rows])
+            })
+            .collect();
+        let got = append_attention(&qa, &kv, heads).unwrap();
+        for (s, &i) in last.iter().enumerate() {
+            assert_eq!(got.row(s), want.row(i), "segment {s}");
+        }
+        assert!(append_attention(&qa, &kv[..1], heads).is_err());
+        assert!(append_attention(&qa, &[kv[0], (&[], &[])], heads).is_err());
     }
 
     #[test]
