@@ -148,6 +148,28 @@ pub trait Ctx {
         heads: usize,
         keep: Option<&Tensor>,
     ) -> Self::V;
+    /// The last rows of [`seg_attention`](Ctx::seg_attention) without
+    /// dropout: `q: [b, d]` holds each segment's last query row (no segment
+    /// is empty), `k, v: [R, d]` every row's keys and values; returns
+    /// `[b, d]`. By default the other rows' queries are zero and their
+    /// outputs dropped; the eager context attends the last rows only.
+    fn seg_attention_last(
+        &self,
+        q: &Self::V,
+        k: &Self::V,
+        v: &Self::V,
+        segs: &Segments,
+        heads: usize,
+    ) -> Self::V {
+        let last = segs.last_rows();
+        let mut from = vec![last.len(); segs.rows()];
+        for (i, &r) in last.iter().enumerate() {
+            from[r] = i;
+        }
+        let zero = self.constant(Tensor::zeros(vec![1, self.dims(q)[1]]));
+        let q = self.select_rows(&self.concat(&[q, &zero], 0), &from);
+        self.select_rows(&self.seg_attention(&q, k, v, segs, heads, None), &last)
+    }
 }
 
 /// A value that knows its context, for helpers that take only values.
@@ -402,6 +424,25 @@ impl Ctx for Eager {
             segment::seg_attention(q, k, v, segs, heads, keep).or_bug("seg_attention");
         probs.recycle();
         out
+    }
+    fn seg_attention_last(
+        &self,
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        segs: &Segments,
+        heads: usize,
+    ) -> Tensor {
+        let d = k.dim(1);
+        let (kd, vd) = (k.data(), v.data());
+        let kv: Vec<(&[f32], &[f32])> = segs
+            .spans()
+            .map(|(start, len)| {
+                let rows = start * d..(start + len) * d;
+                (&kd[rows.clone()], &vd[rows])
+            })
+            .collect();
+        segment::append_attention(q, &kv, heads).or_bug("seg_attention_last")
     }
 }
 

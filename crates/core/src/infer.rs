@@ -21,6 +21,10 @@
 //!   full re-encode. When a cache reaches `max_len` the caller re-begins
 //!   from the last `max_len` items (a slide, counted as one re-encode).
 //!
+//! Both paths read only the last position, so the last Transformer layer
+//! (the decoder's when there is one, else the backbone's) outputs only
+//! that row ([`nn::TopRows::Last`]); it has the full forward's bits.
+//!
 //! The two windowings are not equally good. The model is trained only on
 //! right-anchored positions (the last item at position `max_len − 1`),
 //! while the incremental cache puts it at `len − 1`; on the same
@@ -28,8 +32,7 @@
 //! NDCG@10 than full mode (ROADMAP item 3).
 
 use autograd::{Eager, Frozen};
-use models::TransformerBackbone;
-use nn::{EncoderKv, Freeze, InferModule, Packing, Quantize};
+use nn::{EncoderKv, Freeze, InferModule, Packing, Quantize, TopRows};
 use recdata::ItemId;
 use tensor::bug::OrBug;
 use tensor::{QuantMode, Tensor};
@@ -111,18 +114,22 @@ impl MetaSgcl<Frozen> {
             !window.is_empty() && window.len() <= self.max_len(),
             "window must hold 1..=max_len items"
         );
-        let (bb, h) = self.backbone.begin_incremental(window);
-        let mu = self.enc_mu.forward(&Eager, &h);
-        let (dec_state, last) = match &self.decoder {
+        // Only the last row leaves the top layer: the decoder's when there
+        // is one (its input is every row's `μ`), else the backbone's.
+        let (state, last) = match &self.decoder {
             Some(dec) => {
+                let (bb, h) = self.backbone.begin_top(window, TopRows::All);
+                let mu = self.enc_mu.forward(&Eager, &h);
                 let pack = Packing::left_aligned(window.len());
-                let (kv, rows) = dec.begin(&pack.pack(&Eager, &mu), &pack, self.max_len());
-                (Some(kv), pack.last_rows(&Eager, &rows))
+                let (kv, last) = dec.begin_top(&mu, &pack, self.max_len(), TopRows::Last);
+                (State { bb, dec: Some(kv) }, last)
             }
-            None => (None, TransformerBackbone::last_hidden(&mu)),
+            None => {
+                let (bb, h) = self.backbone.begin_top(window, TopRows::Last);
+                (State { bb, dec: None }, self.enc_mu.forward(&Eager, &h))
+            }
         };
-        let scores = self.last_scores(&last);
-        (State { bb, dec: dec_state }, scores)
+        (state, self.last_scores(&last))
     }
 
     /// Appends one interaction per user in a single batch and returns each
@@ -197,5 +204,102 @@ impl Freeze for MetaSgcl {
             cfg: self.cfg.clone(),
             history: TrainingHistory::default(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use autograd::{Ctx, Graph};
+    use models::{NetConfig, TransformerBackbone};
+    use nn::infer::eval_rng;
+    use recdata::encode_input_only;
+
+    use super::*;
+    use crate::config::MetaSgclConfig;
+
+    fn model(decoder_layers: usize) -> MetaSgcl {
+        MetaSgcl::new(MetaSgclConfig {
+            net: NetConfig {
+                max_len: 7,
+                dim: 8,
+                layers: 2,
+                ..NetConfig::for_items(15)
+            },
+            decoder_layers,
+            ..MetaSgclConfig::for_items(15)
+        })
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The last-position hidden state from every row of every top layer:
+    /// the full packed forward, then its last row.
+    fn full_last_hidden<S: autograd::Store, C: Ctx<S = S>>(
+        m: &MetaSgcl<S>,
+        c: &C,
+        seq: &[ItemId],
+    ) -> C::V {
+        let (input, pad) = encode_input_only(seq, m.cfg.net.max_len);
+        let pack = m.backbone.packing(&[pad]);
+        let mut rng = eval_rng();
+        let features = m
+            .backbone
+            .forward_packed(c, &[input], &pack, &mut rng, false);
+        let mu = m.enc_mu.forward(c, &features);
+        let h = match &m.decoder {
+            Some(dec) => dec.forward(c, &mu, &pack, &mut rng, false),
+            None => mu,
+        };
+        pack.last_rows(c, &h)
+    }
+
+    /// Full mode, `begin` and an append after it read the top layer's
+    /// last row only (the decoder's when there is one), and give the full
+    /// forward's bits, SIMD on and off.
+    #[test]
+    fn last_row_serving_matches_the_full_forward_bit_for_bit() {
+        let was = tensor::tuning::simd_enabled();
+        for simd in [true, false] {
+            tensor::tuning::set_simd_enabled(simd);
+            for dec in 0..=2 {
+                let m = model(dec);
+                let f = m.freeze();
+                for seq in [vec![3usize], vec![4, 9, 2], (1..=11).collect()] {
+                    let case = format!("simd {simd}, decoder {dec}, {} items", seq.len());
+                    let g = Graph::new();
+                    let h = full_last_hidden(&m, &g, &seq);
+                    let want = m.backbone.scores(&g, &h).value();
+                    let want = bits(&want.row(0)[..=f.num_items()]);
+                    assert_eq!(bits(&m.score_sequence(&seq)), want, "recorded, {case}");
+                    assert_eq!(bits(&f.score_padded(&seq)), want, "eager, {case}");
+                    let q = f.query_embedding(&seq).expect("a history has a query");
+                    let want_q = full_last_hidden(&f, &Eager, &seq);
+                    assert_eq!(bits(&q), bits(want_q.row(0)), "query, {case}");
+
+                    // `begin` over a left-aligned window, then one append.
+                    let window = &seq[seq.len().saturating_sub(f.max_len() - 1)..];
+                    let (mut state, scores) = f.begin_incremental(window);
+                    let (bb, rows) = f.backbone.begin_incremental(window);
+                    let mu = f.enc_mu.forward(&Eager, &rows);
+                    let last = match &f.decoder {
+                        Some(d) => {
+                            let pack = Packing::left_aligned(window.len());
+                            let (_, top) = d.begin(&pack.pack(&Eager, &mu), &pack, f.max_len());
+                            pack.last_rows(&Eager, &top)
+                        }
+                        None => TransformerBackbone::last_hidden(&mu),
+                    };
+                    assert_eq!(bits(&scores), bits(&f.last_scores(&last)), "begin, {case}");
+                    assert_eq!(state.len(), bb.len());
+                    let appended = f.append_incremental(&[5], &mut [&mut state]);
+                    let longer: Vec<ItemId> = window.iter().copied().chain([5]).collect();
+                    let want = m.score_left_aligned(&longer);
+                    assert_eq!(bits(&appended[0]), bits(&want), "append, {case}");
+                }
+            }
+        }
+        tensor::tuning::set_simd_enabled(was);
     }
 }

@@ -444,21 +444,25 @@ impl<S: Store> MetaSgcl<S> {
     ///
     /// The window is one segment of its `L ≤ max_len` real rows, each at
     /// its right-anchored position, so a history of `L` items encodes `L`
-    /// rows. Without a decoder only the last row goes through `Enc_μ`.
+    /// rows. Only the last row leaves the top layer: the backbone's
+    /// without a decoder, which then goes alone through `Enc_μ`; the
+    /// decoder's with one, whose input is every row's `μ`.
     pub(crate) fn padded_last_hidden<C: Ctx<S = S>>(&self, c: &C, seq: &[ItemId]) -> C::V {
         let (input, pad) = encode_input_only(seq, self.cfg.net.max_len);
         let pack = self.backbone.packing(&[pad]);
         let mut rng = eval_rng();
-        let features = self
-            .backbone
-            .forward_packed(c, &[input], &pack, &mut rng, false);
         match &self.decoder {
             Some(dec) => {
+                let features = self
+                    .backbone
+                    .forward_packed(c, &[input], &pack, &mut rng, false);
                 let mu = self.enc_mu.forward(c, &features);
-                let h = dec.forward(c, &mu, &pack, &mut rng, false);
-                pack.last_rows(c, &h)
+                dec.forward_last(c, &mu, &pack, &mut rng)
             }
-            None => self.enc_mu.forward(c, &pack.last_rows(c, &features)),
+            None => {
+                let last = self.backbone.forward_last(c, &[input], &pack, &mut rng);
+                self.enc_mu.forward(c, &last)
+            }
         }
     }
 }

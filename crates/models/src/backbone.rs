@@ -7,7 +7,9 @@
 //! is one segmented op per layer. [`TransformerBackbone::forward`] returns
 //! the padded `[b, n, d]` layout with zero rows at the padding; readers of
 //! only each sequence's last row take it from the packed rows
-//! ([`TransformerBackbone::forward_packed`], [`Packing::last_rows`]).
+//! ([`TransformerBackbone::forward_packed`], [`Packing::last_rows`]), or at
+//! eval let the top layer compute only those rows
+//! ([`TransformerBackbone::forward_last`]).
 //!
 //! Every attention-based model in this reproduction (SASRec, BERT4Rec,
 //! VSAN, DuoRec, ContrastVAE, ACVAE, and Meta-SGCL itself) is this backbone
@@ -196,6 +198,21 @@ impl<S: Store> TransformerBackbone<S> {
     ) -> C::V {
         let x = self.embed_packed(c, inputs, pack, rng, training);
         self.encoder.forward(c, &x, pack, rng, training)
+    }
+
+    /// The eval [`forward_packed`](Self::forward_packed) whose top layer
+    /// outputs only each sequence's last row (see
+    /// [`TransformerEncoder::forward_last`]): `[b, dim]`, the rows a
+    /// next-item query reads. No sequence may be empty.
+    pub fn forward_last<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        inputs: &[Vec<ItemId>],
+        pack: &Packing,
+        rng: &mut StdRng,
+    ) -> C::V {
+        let x = self.embed_packed(c, inputs, pack, rng, false);
+        self.encoder.forward_last(c, &x, pack, rng)
     }
 
     /// Full forward: returns hidden states `[b, n, dim]` (Eq. 10's

@@ -1,6 +1,8 @@
 //! The model trait, training configuration, and the shared evaluation
 //! protocol.
 
+use std::cmp::Ordering;
+
 use metrics::{EvalReport, MetricAccumulator};
 use recdata::{ItemId, LeaveOneOut};
 
@@ -167,7 +169,8 @@ pub fn evaluate_valid(
 
 /// Produces the top-`k` recommended items for a user, optionally excluding
 /// items already in the interaction history (the usual serving behaviour).
-/// Returns `(item, score)` pairs in descending score order.
+/// Returns `(item, score)` pairs in descending score order, ranked by
+/// [`top_k_scores`].
 pub fn recommend_top_k(
     model: &mut dyn SequentialRecommender,
     user: usize,
@@ -181,16 +184,63 @@ pub fn recommend_top_k(
     } else {
         Default::default()
     };
-    let mut ranked: Vec<(ItemId, f32)> = scores
+    top_k_scores(&scores, k, |item| !seen.contains(&item))
+}
+
+/// The `k` best `(item, score)` pairs of a catalog's scores (index 0, the
+/// padding, never included) among the items `keep` accepts: descending
+/// score, ties (`-0.0 == +0.0` among them) towards the lower item id, NaN
+/// below every number. Without NaN this is what a stable descending sort
+/// of every kept pair truncated to `k` gives, found by [`top_k_by`] in one
+/// pass. (That sort's `partial_cmp` comparator is no total order once a
+/// NaN is present, and the standard sort may then panic.)
+pub fn top_k_scores(scores: &[f32], k: usize, keep: impl Fn(ItemId) -> bool) -> Vec<(ItemId, f32)> {
+    let ranked = scores
         .iter()
         .enumerate()
-        .skip(1) // never recommend padding
-        .filter(|(i, _)| !seen.contains(i))
-        .map(|(i, &s)| (i, s))
-        .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    ranked.truncate(k);
-    ranked
+        .skip(1)
+        .filter(|&(item, _)| keep(item))
+        .map(|(item, &s)| (item, s));
+    top_k_by(ranked, k, |a, b| {
+        a.1.partial_cmp(&b.1)
+            .unwrap_or_else(|| b.1.is_nan().cmp(&a.1.is_nan()))
+    })
+}
+
+/// The `k` greatest of `items` under `cmp`, greatest first, equal items in
+/// their input order: a stable descending sort truncated to `k`, in
+/// `O(n + k log k)`. Candidates collect in a buffer that is cut back to its
+/// best `k` each time it holds `2k`; after the first cut an item no greater
+/// than the `k`-th best so far costs one comparison. `cmp` must be a total
+/// order.
+pub fn top_k_by<T>(
+    items: impl IntoIterator<Item = T>,
+    k: usize,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> Vec<T> {
+    if k == 0 {
+        return Vec::new();
+    }
+    // Best first; among equals, the earlier arrival.
+    let order = |a: &(usize, T), b: &(usize, T)| cmp(&b.1, &a.1).then(a.0.cmp(&b.0));
+    let cap = k.saturating_mul(2);
+    let mut buf: Vec<(usize, T)> = Vec::new();
+    let mut cut = false;
+    for item in items.into_iter().enumerate() {
+        // A later arrival equal to the k-th best ranks below it.
+        if cut && cmp(&item.1, &buf[k - 1].1) != Ordering::Greater {
+            continue;
+        }
+        buf.push(item);
+        if buf.len() == cap {
+            buf.select_nth_unstable_by(k - 1, order);
+            buf.truncate(k);
+            cut = true;
+        }
+    }
+    buf.sort_unstable_by(order);
+    buf.truncate(k);
+    buf.into_iter().map(|(_, item)| item).collect()
 }
 
 #[cfg(test)]

@@ -16,14 +16,15 @@
 //!   [`TransformerBackbone::forward_left_aligned`] that keeps each layer's
 //!   keys and values ([`EncoderKv`]); an append is the same packed
 //!   forward over one new row per user, a segment whose earlier keys
-//!   start in the cache. Under causal attention an append leaves every
-//!   cached key/value row bitwise-unchanged. The references are
+//!   start in the cache ([`FrozenTransformerBackbone::begin_top`] can run
+//!   the top layer on the last row only). Under causal attention an
+//!   append leaves every cached key/value row bitwise-unchanged. The references are
 //!   [`TransformerBackbone::forward_left_aligned`] and
 //!   [`Gru4Rec::score_unpadded`].
 
 use autograd::{Eager, Frozen};
 use nn::infer::eval_rng;
-use nn::{EncoderKv, Freeze, InferModule, Packing, Quantize};
+use nn::{EncoderKv, Freeze, InferModule, Packing, Quantize, TopRows};
 use recdata::{encode_input_only, ItemId};
 use tensor::{QuantMode, Tensor};
 
@@ -44,6 +45,13 @@ impl TransformerBackbone<Frozen> {
     /// keys and values. Returns the cache and its hidden states
     /// `[1, len, d]`.
     pub fn begin_incremental(&self, seq: &[ItemId]) -> (EncoderKv, Tensor) {
+        let (state, h) = self.begin_top(seq, TopRows::All);
+        (state, Packing::left_aligned(seq.len()).unpack(&Eager, &h))
+    }
+
+    /// [`begin_incremental`](Self::begin_incremental) returning the packed
+    /// top-layer rows `top` selects: all `[len, d]`, or the last `[1, d]`.
+    pub fn begin_top(&self, seq: &[ItemId], top: TopRows) -> (EncoderKv, Tensor) {
         assert!(
             seq.len() <= self.max_len(),
             "sequence length {} exceeds position table ({})",
@@ -52,8 +60,7 @@ impl TransformerBackbone<Frozen> {
         );
         let pack = Packing::left_aligned(seq.len());
         let x = self.embed_packed(&Eager, &[seq.to_vec()], &pack, &mut eval_rng(), false);
-        let (state, h) = self.encoder.begin(&x, &pack, self.max_len());
-        (state, pack.unpack(&Eager, &h))
+        self.encoder.begin_top(&x, &pack, self.max_len(), top)
     }
 
     /// Appends one item per user in a single GEMM-friendly batch. Row `i`

@@ -49,7 +49,8 @@ pub use caser::Caser;
 pub use cl::{info_nce, info_nce_masked, Similarity};
 pub use cl4srec::Cl4SRec;
 pub use common::{
-    evaluate_test, evaluate_valid, recommend_top_k, SequentialRecommender, TrainConfig,
+    evaluate_test, evaluate_valid, recommend_top_k, top_k_by, top_k_scores, SequentialRecommender,
+    TrainConfig,
 };
 pub use contrastvae::Augmentation;
 pub use contrastvae::ContrastVae;

@@ -62,10 +62,11 @@ impl<S: Store> MultiHeadSelfAttention<S> {
         c.reshape(&x, vec![b * self.heads, n, dh])
     }
 
-    /// The query, key and value projections of rows `x`.
-    pub(crate) fn qkv<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> (C::V, C::V, C::V) {
+    /// The query projections of rows `xq`, and the key and value
+    /// projections of rows `x`.
+    pub(crate) fn qkv<C: Ctx<S = S>>(&self, c: &C, xq: &C::V, x: &C::V) -> (C::V, C::V, C::V) {
         (
-            self.wq.forward(c, x),
+            self.wq.forward(c, xq),
             self.wk.forward(c, x),
             self.wv.forward(c, x),
         )
@@ -114,7 +115,7 @@ impl<S: Store> MultiHeadSelfAttention<S> {
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
-        let (q, k, v) = self.qkv(c, x);
+        let (q, k, v) = self.qkv(c, x, x);
         let ctx = self.mix_dense(c, (&q, &k, &v), mask, rng, training);
         self.wo.forward(c, &ctx)
     }

@@ -12,7 +12,10 @@
 //!
 //! [`TransformerEncoder::begin`] is the packed encoder forward over one
 //! causal segment that also keeps each layer's key and value rows
-//! ([`EncoderKv`]). [`TransformerEncoder::append`] is the same layer body
+//! ([`EncoderKv`]); [`TransformerEncoder::begin_top`] with
+//! [`TopRows::Last`] runs the top layer on the last row only, since every
+//! later step reads only that row and the keys and values.
+//! [`TransformerEncoder::append`] is the same layer body
 //! over one new row per sequence: a segment whose earlier keys start in
 //! the cache, attended by [`tensor::segment::append_attention`], which
 //! runs the row body of the segmented attention op itself. One append
@@ -35,7 +38,7 @@ use tensor::bug::OrBug;
 use tensor::{segment, QuantMatrix, QuantMode, Tensor};
 
 use crate::{
-    Embedding, FeedForward, Gru, LayerNorm, Linear, MultiHeadSelfAttention, Packing,
+    Embedding, FeedForward, Gru, LayerNorm, Linear, MultiHeadSelfAttention, Packing, TopRows,
     TransformerEncoder, TransformerLayer,
 };
 
@@ -342,9 +345,22 @@ impl TransformerEncoder<Frozen> {
     /// layer's keys and values for appends of up to `window` positions in
     /// all. Returns the cache and the top-layer rows `[len, dim]`.
     pub fn begin(&self, x: &Tensor, pack: &Packing, window: usize) -> (EncoderKv, Tensor) {
+        self.begin_top(x, pack, window, TopRows::All)
+    }
+
+    /// [`begin`](Self::begin), returning the top-layer rows `top` selects:
+    /// all of them, or only the last `[1, dim]`. Every layer's keys and
+    /// values are kept either way.
+    pub fn begin_top(
+        &self,
+        x: &Tensor,
+        pack: &Packing,
+        window: usize,
+        top: TopRows,
+    ) -> (EncoderKv, Tensor) {
         assert_eq!(pack.batch(), 1, "a cache holds one sequence");
         let mut layers = Vec::with_capacity(self.layers.len());
-        let h = self.forward_keeping(&Eager, x, pack, &mut eval_rng(), false, |k, v| {
+        let h = self.forward_keeping(&Eager, x, pack, top, &mut eval_rng(), false, |k, v| {
             layers.push((k.data().to_vec(), v.data().to_vec()));
         });
         let len = pack.rows();
@@ -367,7 +383,7 @@ impl TransformerEncoder<Frozen> {
     pub fn append(&self, x: &Tensor, states: &mut [&mut EncoderKv]) -> Tensor {
         let (mut h, mut rng) = (x.clone(), eval_rng());
         for (li, layer) in self.layers.iter().enumerate() {
-            h = layer.forward_rows(&Eager, &h, None, &mut rng, false, |(q, k, v), _| {
+            h = layer.forward_rows(&Eager, &h, None, None, &mut rng, false, |(q, k, v), _| {
                 let kv: Vec<(&[f32], &[f32])> = states
                     .iter_mut()
                     .enumerate()

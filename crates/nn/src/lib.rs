@@ -37,7 +37,7 @@ pub use infer::{EncoderKv, Freeze, InferModule, Quantize};
 pub use linear::Linear;
 pub use norm::LayerNorm;
 pub use packed::Packing;
-pub use transformer::{TransformerEncoder, TransformerLayer};
+pub use transformer::{TopRows, TransformerEncoder, TransformerLayer};
 
 use autograd::ParamRef;
 

@@ -37,24 +37,47 @@ impl TransformerLayer {
     }
 }
 
+/// The rows the top layer of a packed encoder forward outputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TopRows {
+    /// Every packed row.
+    All,
+    /// Each segment's last row, `[b, dim]`: all a next-item query reads.
+    /// The other rows' keys and values are still computed (the last rows
+    /// attend over them), but not their queries, attention, `W^O`,
+    /// LayerNorms or FFN. Eval only.
+    Last,
+}
+
 impl<S: Store> TransformerLayer<S> {
     /// The block over rows `x` whose attention mixes their projections as
     /// `mix((q, k, v), rng)` does; every other op is row-wise. `rows` is
     /// the packing the rows are, if any: dropout masks are drawn at its
-    /// padded shape (see [`Dropout::apply_rows`]).
+    /// padded shape (see [`Dropout::apply_rows`]). `out` selects the rows
+    /// the block outputs (all when `None`): only they get queries, and the
+    /// keys and values stay those of every row. GEMM rows are independent,
+    /// so a selected row's output has the bits it has among all rows.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn forward_rows<C: Ctx<S = S>>(
         &self,
         c: &C,
         x: &C::V,
         rows: Option<&Packing>,
+        out: Option<&[usize]>,
         rng: &mut StdRng,
         training: bool,
         mix: impl FnOnce((&C::V, &C::V, &C::V), &mut StdRng) -> C::V,
     ) -> C::V {
-        let (q, k, v) = self.mha.qkv(c, x);
+        assert!(
+            out.is_none() || !training,
+            "dropout masks cover every row, so a selection is eval only"
+        );
+        let selected = out.map(|r| c.select_rows(x, r));
+        let xo = selected.as_ref().unwrap_or(x);
+        let (q, k, v) = self.mha.qkv(c, xo, x);
         let attn = self.mha.wo.forward(c, &mix((&q, &k, &v), rng));
         let attn = self.dropout.apply_rows(c, attn, rows, rng, training);
-        let h = self.ln1.forward(c, &c.add(x, &attn));
+        let h = self.ln1.forward(c, &c.add(xo, &attn));
         let ff = self.ffn.forward_rows(c, &h, rows, rng, training);
         self.ln2.forward(c, &c.add(&h, &ff))
     }
@@ -69,7 +92,7 @@ impl<S: Store> TransformerLayer<S> {
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
-        self.forward_rows(c, x, None, rng, training, |qkv, rng| {
+        self.forward_rows(c, x, None, None, rng, training, |qkv, rng| {
             self.mha.mix_dense(c, qkv, mask, rng, training)
         })
     }
@@ -128,29 +151,54 @@ impl<S: Store> TransformerEncoder<S> {
         rng: &mut StdRng,
         training: bool,
     ) -> C::V {
-        self.forward_keeping(c, x, pack, rng, training, |_, _| {})
+        self.forward_keeping(c, x, pack, TopRows::All, rng, training, |_, _| {})
     }
 
-    /// [`forward`](Self::forward), handing each layer's key and value
-    /// rows `[R, dim]` to `keep`, bottom layer first.
-    pub(crate) fn forward_keeping<C: Ctx<S = S>>(
+    /// The eval [`forward`](Self::forward) whose top layer outputs only
+    /// each sequence's last row: `[b, dim]`, bitwise those rows of the
+    /// full output. No sequence may be empty.
+    pub fn forward_last<C: Ctx<S = S>>(
         &self,
         c: &C,
         x: &C::V,
         pack: &Packing,
         rng: &mut StdRng,
+    ) -> C::V {
+        self.forward_keeping(c, x, pack, TopRows::Last, rng, false, |_, _| {})
+    }
+
+    /// [`forward`](Self::forward) with the top layer's output rows `top`,
+    /// handing each layer's key and value rows `[R, dim]` to `keep`, bottom
+    /// layer first.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn forward_keeping<C: Ctx<S = S>>(
+        &self,
+        c: &C,
+        x: &C::V,
+        pack: &Packing,
+        top: TopRows,
+        rng: &mut StdRng,
         training: bool,
         mut keep: impl FnMut(&C::V, &C::V),
     ) -> C::V {
+        let last = (top == TopRows::Last).then(|| pack.segments().last_rows());
+        let Some(top_layer) = self.layers.len().checked_sub(1) else {
+            return last.map_or_else(|| x.clone(), |r| c.select_rows(x, &r));
+        };
         let mut h = x.clone();
-        for layer in &self.layers {
+        for (i, layer) in self.layers.iter().enumerate() {
             let mha = &layer.mha;
-            h = layer.forward_rows(c, &h, Some(pack), rng, training, |(q, k, v), rng| {
+            let out = last.as_deref().filter(|_| i == top_layer);
+            h = layer.forward_rows(c, &h, Some(pack), out, rng, training, |(q, k, v), rng| {
                 keep(k, v);
+                let segs = pack.segments();
+                if out.is_some() {
+                    return c.seg_attention_last(q, k, v, segs, mha.heads);
+                }
                 // Each sequence attends within its own rows: one segmented
                 // attention op for the whole batch.
                 let drop = mha.dropout.attention_keep(pack, mha.heads, rng, training);
-                c.seg_attention(q, k, v, pack.segments(), mha.heads, drop.as_ref())
+                c.seg_attention(q, k, v, segs, mha.heads, drop.as_ref())
             });
         }
         h
@@ -317,6 +365,58 @@ mod tests {
                 (a, b) => panic!("{name}: {} vs {}", a.is_some(), b.is_some()),
             }
         }
+    }
+
+    /// The top layer on each segment's last row only gives those rows of
+    /// the full forward bit for bit: recorded and eager, causal or not,
+    /// 0 to 2 layers, SIMD on and off. A cache begun that way holds the
+    /// same keys and values, so an append after it matches too.
+    #[test]
+    fn last_rows_match_the_full_forward_bit_for_bit() {
+        use crate::infer::eval_rng;
+        use crate::Freeze;
+        use autograd::Eager;
+        let (f, t) = (false, true);
+        let pad = vec![
+            vec![t, t, f, f, f, f],
+            vec![f, f, f, f, f, f],
+            vec![t, t, t, t, t, f],
+        ];
+        let was = tensor::tuning::simd_enabled();
+        for simd in [true, false] {
+            tensor::tuning::set_simd_enabled(simd);
+            for layers in 0..=2 {
+                for causal in [true, false] {
+                    let case = format!("simd {simd}, {layers} layers, causal {causal}");
+                    let mut rng = StdRng::seed_from_u64(layers as u64);
+                    let enc = TransformerEncoder::new(&mut rng, "enc", layers, 8, 2, 0.3);
+                    let frozen = enc.freeze();
+                    let pack = Packing::new(&pad, causal);
+                    let x = init::randn(&mut rng, vec![pack.rows(), 8], 0.0, 1.0);
+                    let g = Graph::new();
+                    let xv = g.constant(x.clone());
+                    let full = enc.forward(&g, &xv, &pack, &mut eval_rng(), false);
+                    let want = bits(&pack.last_rows(&g, &full).value());
+                    let recorded = enc.forward_last(&g, &xv, &pack, &mut eval_rng());
+                    assert_eq!(bits(&recorded.value()), want, "recorded, {case}");
+                    let eager = frozen.forward_last(&Eager, &x, &pack, &mut eval_rng());
+                    assert_eq!(bits(&eager), want, "eager, {case}");
+                    if layers == 0 || !causal {
+                        continue;
+                    }
+                    let seq = Packing::left_aligned(5);
+                    let xs = init::randn(&mut rng, vec![5, 8], 0.0, 1.0);
+                    let (mut kv_all, rows) = frozen.begin(&xs, &seq, 6);
+                    let (mut kv_last, last) = frozen.begin_top(&xs, &seq, 6, TopRows::Last);
+                    assert_eq!(bits(&last), bits(&seq.last_rows(&Eager, &rows)), "{case}");
+                    let next = init::randn(&mut rng, vec![1, 8], 0.0, 1.0);
+                    let a = frozen.append(&next, &mut [&mut kv_all]);
+                    let b = frozen.append(&next, &mut [&mut kv_last]);
+                    assert_eq!(bits(&a), bits(&b), "append after begin, {case}");
+                }
+            }
+        }
+        tensor::tuning::set_simd_enabled(was);
     }
 
     #[test]

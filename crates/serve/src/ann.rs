@@ -25,13 +25,20 @@
 //!   than silently served.
 //!
 //! Similarity is the raw inner product (no normalisation), matching the
-//! tied-softmax scores. ANN scores are computed as scalar dot products and
-//! may differ from the SIMD GEMM of the exact path in final bits; the ANN
-//! path trades the bitwise contract for sub-linear retrieval, which is why
-//! it is opt-in per request and gated by measured recall
+//! tied-softmax scores. Each is a scalar dot product: one strict `d`-order
+//! chain from `+0.0`, the chain the exact path's GEMM computes for every
+//! output element with SIMD on or off. So over f32 weights a returned
+//! score equals that item's exact score bit for bit (`tests/ann_props.rs`
+//! pins it; quantised tables are not covered). What the ANN path gives up
+//! is the exact *set*: a beam can miss items of the true top-k, which is
+//! why it is opt-in per request and gated by measured recall
 //! (`tests/ann_props.rs`) rather than the bitwise parity gate.
+//!
+//! Searches reuse a per-thread scratch (visit marks and heaps), so a query
+//! allocates only its result.
 
-use std::cmp::Ordering;
+use std::cell::RefCell;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -116,6 +123,54 @@ impl Ord for Cand {
             .total_cmp(&other.sim)
             .then_with(|| other.node.cmp(&self.node))
     }
+}
+
+/// Visit marks of one search: node `i` is visited when `stamps[i]` equals
+/// the search's `epoch`, so a new search clears them by a new epoch.
+#[derive(Default)]
+struct Visited {
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl Visited {
+    /// Marks `node` visited; false when it already was.
+    fn visit(&mut self, node: u32) -> bool {
+        let stamp = &mut self.stamps[node as usize];
+        let fresh = *stamp != self.epoch;
+        *stamp = self.epoch;
+        fresh
+    }
+}
+
+/// A thread's beam-search buffers, reused by every search it runs: the
+/// visit marks and the two heaps.
+#[derive(Default)]
+struct Scratch {
+    visited: Visited,
+    frontier: BinaryHeap<Cand>,
+    results: BinaryHeap<Reverse<Cand>>,
+}
+
+impl Scratch {
+    /// Empties the buffers for a search over `n` nodes.
+    fn reset(&mut self, n: usize) {
+        let v = &mut self.visited;
+        if v.stamps.len() < n {
+            v.stamps.resize(n, 0);
+        }
+        v.epoch = v.epoch.wrapping_add(1);
+        if v.epoch == 0 {
+            v.stamps.fill(0);
+            v.epoch = 1;
+        }
+        self.frontier.clear();
+        self.results.clear();
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// The index: flat vector storage plus the layered neighbour graph.
@@ -221,41 +276,46 @@ impl HnswIndex {
 
     /// Beam search at one level: returns up to `ef` candidates, best first.
     fn search_layer(&self, q: &[f32], ep: u32, ef: usize, level: usize) -> Vec<Cand> {
-        let mut visited = vec![false; self.n];
-        visited[ep as usize] = true;
-        let start = Cand {
-            sim: self.sim(q, ep),
-            node: ep,
-        };
-        let mut frontier = BinaryHeap::new(); // max-heap: most promising first
-        frontier.push(start);
-        let mut results: BinaryHeap<std::cmp::Reverse<Cand>> = BinaryHeap::new();
-        results.push(std::cmp::Reverse(start));
-        while let Some(cand) = frontier.pop() {
-            let worst = results.peek().map_or(f32::NEG_INFINITY, |r| r.0.sim);
-            if results.len() >= ef && cand.sim < worst {
-                break;
-            }
-            for &nb in &self.links[cand.node as usize][level] {
-                if visited[nb as usize] {
-                    continue;
-                }
-                visited[nb as usize] = true;
-                let s = self.sim(q, nb);
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            scratch.reset(self.n);
+            let Scratch {
+                visited,
+                frontier,
+                results,
+            } = &mut *scratch;
+            visited.visit(ep);
+            let start = Cand {
+                sim: self.sim(q, ep),
+                node: ep,
+            };
+            frontier.push(start);
+            results.push(Reverse(start));
+            while let Some(cand) = frontier.pop() {
                 let worst = results.peek().map_or(f32::NEG_INFINITY, |r| r.0.sim);
-                if results.len() < ef || s > worst {
-                    let c = Cand { sim: s, node: nb };
-                    frontier.push(c);
-                    results.push(std::cmp::Reverse(c));
-                    if results.len() > ef {
-                        results.pop();
+                if results.len() >= ef && cand.sim < worst {
+                    break;
+                }
+                for &nb in &self.links[cand.node as usize][level] {
+                    if !visited.visit(nb) {
+                        continue;
+                    }
+                    let s = self.sim(q, nb);
+                    let worst = results.peek().map_or(f32::NEG_INFINITY, |r| r.0.sim);
+                    if results.len() < ef || s > worst {
+                        let c = Cand { sim: s, node: nb };
+                        frontier.push(c);
+                        results.push(Reverse(c));
+                        if results.len() > ef {
+                            results.pop();
+                        }
                     }
                 }
             }
-        }
-        let mut out: Vec<Cand> = results.into_iter().map(|r| r.0).collect();
-        out.sort_by(|a, b| b.cmp(a));
-        out
+            let mut out: Vec<Cand> = results.drain().map(|r| r.0).collect();
+            out.sort_by(|a, b| b.cmp(a));
+            out
+        })
     }
 
     /// Neighbour selection (HNSW Algorithm 4 with pruned-candidate
@@ -354,17 +414,15 @@ impl HnswIndex {
         self.cfg.ef_search
     }
 
-    /// Exact brute-force top-k (the `ef = ∞` semantics).
+    /// Exact brute-force top-k (the `ef = ∞` semantics), selected in
+    /// [`Cand`] order.
     fn exact_top_k(&self, query: &[f32], k: usize) -> Vec<(ItemId, f32)> {
-        let mut all: Vec<Cand> = (0..self.n as u32)
-            .map(|node| Cand {
-                sim: self.sim(query, node),
-                node,
-            })
-            .collect();
-        all.sort_by(|a, b| b.cmp(a));
-        all.truncate(k);
-        all.into_iter()
+        let all = (0..self.n as u32).map(|node| Cand {
+            sim: self.sim(query, node),
+            node,
+        });
+        models::top_k_by(all, k, Cand::cmp)
+            .into_iter()
             .map(|c| (c.node as usize + 1, c.sim))
             .collect()
     }
@@ -540,6 +598,35 @@ mod tests {
         let want = idx.exact_top_k(&q, 10);
         assert_eq!(got, want);
         assert!(got.iter().all(|&(item, _)| (1..=60).contains(&item)));
+    }
+
+    /// A search reads nothing an earlier search left in the thread's
+    /// scratch: not another index's marks, not marks from before the
+    /// epoch counter wraps.
+    #[test]
+    fn searches_ignore_what_the_scratch_held() {
+        let big = HnswIndex::build(&toy_table(200, 8, 1), 200, &HnswConfig::default());
+        let small = HnswIndex::build(&toy_table(30, 8, 2), 30, &HnswConfig::default());
+        let queries: Vec<Vec<f32>> = (0..5u64)
+            .map(|s| {
+                (0..8)
+                    .map(|i| (splitmix64(s * 8 + i) >> 40) as f32 / 1e7 - 0.8)
+                    .collect()
+            })
+            .collect();
+        let answers = |idx: &HnswIndex| -> Vec<Vec<(ItemId, f32)>> {
+            queries.iter().map(|q| idx.search(q, 10, 16)).collect()
+        };
+        // A fresh thread starts with empty scratch.
+        let want = std::thread::scope(|s| s.spawn(|| answers(&big)).join().expect("search"));
+        answers(&small);
+        assert_eq!(answers(&big), want, "after another index");
+        SCRATCH.with(|s| s.borrow_mut().visited.epoch = u32::MAX - 1);
+        assert_eq!(answers(&big), want, "across the epoch wrap");
+        assert_eq!(
+            SCRATCH.with(|s| s.borrow().visited.epoch),
+            queries.len() as u32 - 1
+        );
     }
 
     #[test]

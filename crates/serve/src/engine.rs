@@ -28,6 +28,11 @@ use crate::ann::HnswIndex;
 ///   layer's keys and values, and an append is the same packed forward
 ///   over one new row per user, a segment whose earlier keys start in the
 ///   cache; for GRU4Rec the state is the recurrence's hidden vector.
+///
+/// Scores are read only at the last position, so a Transformer model's
+/// `score_full`, `query_embedding` and `begin` run their top layer on the
+/// last row alone (every row still gets its keys and values): the same
+/// bits as the full forward's last row, for less work.
 pub trait FrozenScorer: Send + Sync + 'static {
     /// Per-user incremental cache.
     type State: Send;
@@ -303,18 +308,13 @@ pub struct Response {
 }
 
 /// Ranks catalog scores exactly like `models::recommend_top_k` with
-/// `exclude_seen = false`: skip padding index 0, stable descending sort,
-/// truncate to `k`.
+/// `exclude_seen = false`, by the same [`models::top_k_scores`]: padding
+/// index 0 skipped, descending score, ties towards the lower item id, the
+/// first `k`. A bounded selection, not a sort of the whole catalog.
 pub fn top_k(scores: &[f32], k: usize) -> (Vec<ItemId>, Vec<f32>) {
-    let mut ranked: Vec<(ItemId, f32)> = scores
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(i, &s)| (i, s))
-        .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    ranked.truncate(k);
-    ranked.into_iter().unzip()
+    models::top_k_scores(scores, k, |_| true)
+        .into_iter()
+        .unzip()
 }
 
 /// One user's session. The map holds one per user ever seen, so the state

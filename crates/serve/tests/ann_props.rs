@@ -103,3 +103,32 @@ fn recall_at_10_reaches_095_at_serving_ef() {
     let recall = hits as f64 / total as f64;
     assert!(recall >= 0.95, "recall@10 {recall:.4} < 0.95 at ef 64");
 }
+
+/// Over f32 weights an ANN score is the exact path's score bit for bit:
+/// both are one strict `d`-order dot product from `+0.0`, with SIMD on or
+/// off (quantised tables are not covered).
+#[test]
+fn ann_scores_equal_exact_scores_bit_for_bit() {
+    let num_items = 500;
+    let frozen = MetaSgcl::new(MetaSgclConfig::for_items(num_items)).freeze();
+    let index = HnswIndex::build(&frozen.item_embeddings(), num_items, &HnswConfig::default());
+    let was = tensor::tuning::simd_enabled();
+    for simd in [true, false] {
+        tensor::tuning::set_simd_enabled(simd);
+        for u in 0..30 {
+            let history: Vec<usize> = (0..1 + u % 12)
+                .map(|i| 1 + (u * 97 + i * 13) % num_items)
+                .collect();
+            let exact = frozen.score_padded(&history);
+            let q = frozen.query_embedding(&history).expect("query");
+            for (item, score) in index.search(&q, 10, 64) {
+                assert_eq!(
+                    score.to_bits(),
+                    exact[item].to_bits(),
+                    "simd {simd}, user {u}, item {item}"
+                );
+            }
+        }
+    }
+    tensor::tuning::set_simd_enabled(was);
+}

@@ -40,8 +40,8 @@ fn ann_requests_fall_back_to_exact_without_an_index() {
 #[test]
 fn ann_retrieval_matches_exact_on_a_small_catalog() {
     // 12 items < default ef (64): the index degrades to an exact scan, so
-    // the ANN ranking must equal the full-catalog projection's (scores
-    // agree up to scalar-vs-SIMD dot-product rounding).
+    // the ANN ranking must equal the full-catalog projection's, and over
+    // f32 weights so must every score bit.
     let m = model(12, 8);
     let frozen = m.freeze();
     let table = frozen.item_embeddings();
@@ -51,9 +51,12 @@ fn ann_retrieval_matches_exact_on_a_small_catalog() {
         let exact = &engine.handle_batch(&[score(0, history.clone(), 5, None)])[0];
         let ann = &engine.handle_batch(&[score(0, history.clone(), 5, Some(TopK::Ann))])[0];
         assert_eq!(exact.items, ann.items, "history {history:?}");
-        for (a, b) in exact.scores.iter().zip(&ann.scores) {
-            assert!((a - b).abs() <= 1e-4 * a.abs().max(1.0), "{a} vs {b}");
-        }
+        let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&exact.scores),
+            bits(&ann.scores),
+            "history {history:?}"
+        );
         assert!(ann.items.iter().all(|&i| i >= 1), "padding retrieved");
     }
 }

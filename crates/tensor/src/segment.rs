@@ -68,6 +68,17 @@ impl Segments {
         self.offsets.windows(2).map(|w| (w[0], w[1] - w[0]))
     }
 
+    /// The last row of every segment; panics on an empty segment, which
+    /// has none.
+    pub fn last_rows(&self) -> Vec<usize> {
+        self.spans()
+            .map(|(start, len)| {
+                assert!(len > 0, "an empty segment has no last row");
+                start + len - 1
+            })
+            .collect()
+    }
+
     /// Attention weights one head of a segment of `len` rows keeps.
     pub fn block_cells(&self, len: usize) -> usize {
         if self.causal {
@@ -226,12 +237,13 @@ fn attend_row(
     }
 }
 
-/// One new row for each of `b` causal segments whose earlier rows are
-/// kept elsewhere: row `s` of `q: [b, d]` attends over every row of
-/// `kv[s] = (keys, values)`, each `[L_s, d]` row-major with the new row's
-/// own key and value last. Returns the context `[b, d]`: bit for bit the
-/// last row of a causal [`seg_attention`] over each whole segment, since
-/// it runs the same row body over the same keys, read where they are kept.
+/// One last row for each of `b` segments whose keys and values are kept
+/// elsewhere: row `s` of `q: [b, d]` attends over every row of `kv[s] =
+/// (keys, values)`, each `[L_s, d]` row-major with the last row's own key
+/// and value last. Returns the context `[b, d]`: bit for bit the last row
+/// of a [`seg_attention`] over each whole segment, since it runs the same
+/// row body over the same keys, read where they are kept. A last row
+/// attends over every row of its segment, causal or not.
 pub fn append_attention(q: &Tensor, kv: &[(&[f32], &[f32])], heads: usize) -> Result<Tensor> {
     let d = q.dims().last().copied().unwrap_or(0);
     let fits = |&(k, v): &(&[f32], &[f32])| {
