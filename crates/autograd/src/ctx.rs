@@ -8,54 +8,46 @@
 //!
 //! Weights live in a [`Store`]. [`Train`] holds the shared, trainable
 //! [`ParamRef`]s the recording context enters as tape leaves; [`Frozen`]
-//! holds detached snapshots the eager context reads in place, matrices in
-//! a [`QuantMatrix`] (so bf16/int8 serving plugs in at the weight read) and
-//! vectors in f32.
+//! holds detached [`Tensor`] snapshots the eager context reads in place.
 //!
 //! # Bitwise parity
 //!
 //! Each eager op computes its value with the same `tensor::ops` function
-//! or `Tensor::map` closure as the matching `Var` op, and composites
-//! ([`Ctx::mean_axis`]) compose identically on both sides. So a forward
-//! gives the same bits under either context on the same weights; with f32
-//! storage the quantised weight reads are exactly the plain GEMMs.
-//! `tests/ctx_props.rs` checks every op.
+//! or `Tensor::map` closure as the matching `Var` op (weight reads
+//! included), and composites ([`Ctx::mean_axis`]) compose identically on
+//! both sides. So a forward gives the same bits under either context on
+//! the same weights. `tests/ctx_props.rs` checks every op.
 
 use tensor::bug::OrBug;
 use tensor::segment::{self, Segments};
-use tensor::{ops, QuantMatrix, Tensor};
+use tensor::{ops, Tensor};
 
 use crate::graph::{Graph, ParamRef, Var};
 use crate::ops_basic::{gelu, sigmoid};
 
 /// Where a module's weights live.
 pub trait Store {
-    /// A weight matrix (linear weight, embedding table).
-    type Mat;
-    /// A weight vector (bias, LayerNorm gain and shift).
-    type Vec;
+    /// A weight: a matrix (linear weight, embedding table) or a vector
+    /// (bias, LayerNorm gain and shift).
+    type Weight;
 }
 
 /// Trainable storage: every weight is a shared autograd parameter.
 pub struct Train;
 
 impl Store for Train {
-    type Mat = ParamRef;
-    type Vec = ParamRef;
+    type Weight = ParamRef;
 }
 
 /// Serving storage: detached weight snapshots.
 pub struct Frozen;
 
 impl Store for Frozen {
-    type Mat = QuantMatrix;
-    type Vec = Tensor;
+    type Weight = Tensor;
 }
 
-/// Weight matrix type read by context `C`.
-pub type Mat<C> = <<C as Ctx>::S as Store>::Mat;
-/// Weight vector type read by context `C`.
-pub type Vector<C> = <<C as Ctx>::S as Store>::Vec;
+/// Weight type read by context `C`.
+pub type Weight<C> = <<C as Ctx>::S as Store>::Weight;
 
 /// An execution context: the op set every module forward is written in.
 ///
@@ -69,15 +61,15 @@ pub trait Ctx {
     /// Enters a tensor as a non-differentiable value.
     fn constant(&self, t: Tensor) -> Self::V;
     /// Rows `indices` of a weight matrix (embedding lookup).
-    fn gather(&self, table: &Mat<Self>, indices: &[usize]) -> Self::V;
+    fn gather(&self, table: &Weight<Self>, indices: &[usize]) -> Self::V;
     /// `x · W`.
-    fn matmul_w(&self, x: &Self::V, w: &Mat<Self>) -> Self::V;
+    fn matmul_w(&self, x: &Self::V, w: &Weight<Self>) -> Self::V;
     /// `x · Wᵀ` (tied-table scoring).
-    fn matmul_transb_w(&self, x: &Self::V, w: &Mat<Self>) -> Self::V;
+    fn matmul_transb_w(&self, x: &Self::V, w: &Weight<Self>) -> Self::V;
     /// `x + b`, broadcasting a weight vector.
-    fn add_w(&self, x: &Self::V, b: &Vector<Self>) -> Self::V;
+    fn add_w(&self, x: &Self::V, b: &Weight<Self>) -> Self::V;
     /// `x ⊙ g`, broadcasting a weight vector.
-    fn mul_w(&self, x: &Self::V, g: &Vector<Self>) -> Self::V;
+    fn mul_w(&self, x: &Self::V, g: &Weight<Self>) -> Self::V;
 
     /// Shape of a value.
     fn dims(&self, x: &Self::V) -> Vec<usize>;
@@ -318,14 +310,14 @@ impl Ctx for Eager {
     fn constant(&self, t: Tensor) -> Tensor {
         t
     }
-    fn gather(&self, table: &QuantMatrix, indices: &[usize]) -> Tensor {
-        table.select_rows(indices).or_bug("gather")
+    fn gather(&self, table: &Tensor, indices: &[usize]) -> Tensor {
+        ops::index_select_rows(table, indices).or_bug("gather")
     }
-    fn matmul_w(&self, x: &Tensor, w: &QuantMatrix) -> Tensor {
-        ops::matmul_q(x, w).or_bug("matmul_w")
+    fn matmul_w(&self, x: &Tensor, w: &Tensor) -> Tensor {
+        ops::matmul(x, w).or_bug("matmul_w")
     }
-    fn matmul_transb_w(&self, x: &Tensor, w: &QuantMatrix) -> Tensor {
-        ops::matmul_transb_q(x, w).or_bug("matmul_transb_w")
+    fn matmul_transb_w(&self, x: &Tensor, w: &Tensor) -> Tensor {
+        ops::matmul_transb(x, w).or_bug("matmul_transb_w")
     }
     fn add_w(&self, x: &Tensor, b: &Tensor) -> Tensor {
         ops::add(x, b).or_bug("add_w")

@@ -168,10 +168,11 @@ const BOUNDED_OPS: &[&str] = &["softmax_last", "sigmoid", "tanh", "cross_entropy
 ///
 /// NaN/Inf are flagged unconditionally. The exploding-norm ceiling skips
 /// values tainted by mask constants: a node is tainted if it is a
-/// [`MASK_INJECTING_OPS`] op or any input is tainted, until a
-/// [`BOUNDED_OPS`] op clears the taint. Masked attention logits therefore
-/// never false-positive, while genuine pre-Inf divergence elsewhere on
-/// the tape is still caught.
+/// mask-injecting op (`add_const`, `mul_const`) or any input is tainted,
+/// until a bounded op (`softmax_last`, `sigmoid`, `tanh`, `cross_entropy`)
+/// clears the taint. Masked attention logits therefore never
+/// false-positive, while genuine pre-Inf divergence elsewhere on the tape
+/// is still caught.
 pub fn scan_graph(g: &Graph, norm_limit: f32) -> Vec<NumericIssue> {
     let inner = g.inner.borrow();
     let mut tainted = vec![false; inner.nodes.len()];

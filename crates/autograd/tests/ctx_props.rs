@@ -5,12 +5,12 @@
 //! is what keeps the served (eager) forwards bitwise equal to the trained
 //! (recorded) ones.
 
-use autograd::ctx::{Mat, Vector};
+use autograd::ctx::Weight;
 use autograd::{Ctx, Eager, Graph, Parameter};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tensor::{init, QuantMatrix, QuantMode, Segments, Tensor};
+use tensor::{init, Segments, Tensor};
 
 /// One case's operands. `x`, `y` and `pos` are `[.., m, k]`.
 struct Case {
@@ -69,9 +69,9 @@ impl Case {
 fn run_ops<C: Ctx>(
     c: &C,
     case: &Case,
-    weight: &Mat<C>,
-    table: &Mat<C>,
-    row: &Vector<C>,
+    weight: &Weight<C>,
+    table: &Weight<C>,
+    row: &Weight<C>,
 ) -> Vec<(&'static str, C::V)> {
     let enter = |t: &Tensor| c.constant(t.clone());
     let (x, y, pos) = (enter(&case.x), enter(&case.y), enter(&case.pos));
@@ -146,14 +146,7 @@ proptest! {
             &Parameter::shared("table", case.table.clone()),
             &Parameter::shared("row", case.row.clone()),
         );
-        let f32_matrix = |t: &Tensor| QuantMatrix::from_tensor(t.clone(), QuantMode::F32).unwrap();
-        let eager = run_ops(
-            &Eager,
-            &case,
-            &f32_matrix(&case.weight),
-            &f32_matrix(&case.table),
-            &case.row,
-        );
+        let eager = run_ops(&Eager, &case, &case.weight, &case.table, &case.row);
 
         prop_assert_eq!(recorded.len(), eager.len());
         for ((name, var), (_, t)) in recorded.iter().zip(&eager) {

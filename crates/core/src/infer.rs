@@ -32,10 +32,10 @@
 //! NDCG@10 than full mode (ROADMAP item 3).
 
 use autograd::{Eager, Frozen};
-use nn::{EncoderKv, Freeze, InferModule, Packing, Quantize, TopRows};
+use nn::{EncoderKv, Freeze, Packing, TopRows};
 use recdata::ItemId;
 use tensor::bug::OrBug;
-use tensor::{QuantMode, Tensor};
+use tensor::Tensor;
 
 use crate::model::MetaSgcl;
 use crate::train::TrainingHistory;
@@ -99,11 +99,11 @@ impl MetaSgcl<Frozen> {
         Some(self.padded_last_hidden(&Eager, seq).row(0).to_vec())
     }
 
-    /// Dense f32 copy of the tied item-embedding table
-    /// (`[num_items + 1, d]`, row 0 = padding) — the corpus side of the
-    /// inner product, e.g. for building an ANN index.
-    pub fn item_embeddings(&self) -> Tensor {
-        self.backbone.item_table_f32()
+    /// The tied item-embedding table (`[num_items + 1, d]`, row 0 =
+    /// padding) — the corpus side of the inner product, e.g. for building
+    /// an ANN index.
+    pub fn item_embeddings(&self) -> &Tensor {
+        self.backbone.item_table()
     }
 
     /// Encodes a window (at most `max_len` items, left-aligned) into a
@@ -161,33 +161,6 @@ impl MetaSgcl<Frozen> {
         (0..states.len())
             .map(|i| logits.row(i)[..self.num_items() + 1].to_vec())
             .collect()
-    }
-}
-
-impl InferModule for MetaSgcl<Frozen> {
-    fn weight_bytes(&self) -> usize {
-        self.backbone.weight_bytes()
-            + [&self.enc_mu, &self.enc_logvar, &self.enc_logvar_prime]
-                .iter()
-                .map(|l| l.weight_bytes())
-                .sum::<usize>()
-            + self.decoder.as_ref().map_or(0, InferModule::weight_bytes)
-    }
-}
-
-impl Quantize for MetaSgcl<Frozen> {
-    fn quantize(&mut self, mode: QuantMode) {
-        self.backbone.quantize(mode);
-        for head in [
-            &mut self.enc_mu,
-            &mut self.enc_logvar,
-            &mut self.enc_logvar_prime,
-        ] {
-            head.quantize(mode);
-        }
-        if let Some(dec) = &mut self.decoder {
-            dec.quantize(mode);
-        }
     }
 }
 

@@ -24,9 +24,9 @@
 
 use autograd::{Eager, Frozen};
 use nn::infer::eval_rng;
-use nn::{EncoderKv, Freeze, InferModule, Packing, Quantize, TopRows};
+use nn::{EncoderKv, Freeze, Packing, TopRows};
 use recdata::{encode_input_only, ItemId};
-use tensor::{QuantMode, Tensor};
+use tensor::Tensor;
 
 use crate::{Gru4Rec, TransformerBackbone};
 
@@ -90,35 +90,15 @@ impl TransformerBackbone<Frozen> {
 
     /// Catalog scores via the tied item table (`ŷ = h · Mᵀ`). Accepts
     /// `[b, d]` or `[b, n, d]`; rows are independent accumulation chains,
-    /// so batch scoring equals single-row scoring bitwise. With a
-    /// quantised table, rows are dequantised inside the GEMM's packing
-    /// step; in f32 mode this is the plain NT GEMM.
+    /// so batch scoring equals single-row scoring bitwise.
     pub fn scores(&self, h: &Tensor) -> Tensor {
         self.item_emb.project(&Eager, h)
     }
 
-    /// Dense f32 copy of the tied item table (`[vocab, d]`), dequantising
-    /// when the serving weights are bf16/int8. Corpus side of the
+    /// The tied item table (`[vocab, d]`): the corpus side of the
     /// maximum-inner-product retrieval an ANN index answers.
-    pub fn item_table_f32(&self) -> Tensor {
-        self.item_emb.table_q().dequantize()
-    }
-}
-
-impl InferModule for TransformerBackbone<Frozen> {
-    fn weight_bytes(&self) -> usize {
-        self.item_emb.weight_bytes()
-            + self.pos_emb.weight_bytes()
-            + self.emb_ln.weight_bytes()
-            + self.encoder.weight_bytes()
-    }
-}
-
-impl Quantize for TransformerBackbone<Frozen> {
-    fn quantize(&mut self, mode: QuantMode) {
-        self.item_emb.quantize(mode);
-        self.pos_emb.quantize(mode);
-        self.encoder.quantize(mode);
+    pub fn item_table(&self) -> &Tensor {
+        self.item_emb.table()
     }
 }
 
@@ -244,9 +224,9 @@ impl Gru4Rec<Frozen> {
         Some(self.last_hidden(&Eager, input).row(0).to_vec())
     }
 
-    /// Dense f32 copy of the tied item table (`[num_items + 1, d]`).
-    pub fn item_table_f32(&self) -> Tensor {
-        self.item_emb.table_q().dequantize()
+    /// The tied item table (`[num_items + 1, d]`).
+    pub fn item_table(&self) -> &Tensor {
+        self.item_emb.table()
     }
 
     /// Unpadded scores via a fresh full recurrence, bitwise-identical to
@@ -256,19 +236,6 @@ impl Gru4Rec<Frozen> {
             return vec![0.0; self.num_items + 1];
         }
         self.score_rows(&Eager, seq.to_vec()).row(0).to_vec()
-    }
-}
-
-impl InferModule for Gru4Rec<Frozen> {
-    fn weight_bytes(&self) -> usize {
-        self.item_emb.weight_bytes() + self.gru.weight_bytes()
-    }
-}
-
-impl Quantize for Gru4Rec<Frozen> {
-    fn quantize(&mut self, mode: QuantMode) {
-        self.item_emb.quantize(mode);
-        self.gru.quantize(mode);
     }
 }
 

@@ -11,7 +11,7 @@ use crate::Module;
 /// Index 0 is conventionally the padding item; models typically multiply
 /// padded positions by a timeline mask, and evaluation never ranks item 0.
 pub struct Embedding<S: Store = Train> {
-    pub(crate) table: S::Mat,
+    pub(crate) table: S::Weight,
     pub(crate) vocab: usize,
     pub(crate) dim: usize,
 }
@@ -30,11 +30,6 @@ impl Embedding {
     pub fn full(&self, g: &Graph) -> Var {
         g.param(&self.table)
     }
-
-    /// Direct handle to the parameter (for analytics like Fig. 6).
-    pub fn table(&self) -> &ParamRef {
-        &self.table
-    }
 }
 
 impl<S: Store> Embedding<S> {
@@ -46,6 +41,12 @@ impl<S: Store> Embedding<S> {
     /// Embedding dimension.
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// The table `[vocab, dim]`: the parameter when training (for
+    /// analytics like Fig. 6), the snapshot when frozen.
+    pub fn table(&self) -> &S::Weight {
+        &self.table
     }
 
     /// Looks up a flat index list, returning `[indices.len(), dim]`.

@@ -4,9 +4,7 @@
 //! [`autograd::ctx`]). [`Freeze`] snapshots a trained module's
 //! [`Train`](autograd::Train) weights into [`Frozen`] storage, detached
 //! from later training updates; the eager context then runs the same
-//! forward over those weights with no tape and no locks. [`Quantize`]
-//! re-encodes the frozen weight matrices for serving, and [`InferModule`]
-//! reports their resident footprint.
+//! forward over those weights with no tape and no locks.
 //!
 //! # Incremental attention state
 //!
@@ -35,30 +33,12 @@ use autograd::{Eager, Frozen, ParamRef};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::bug::OrBug;
-use tensor::{segment, QuantMatrix, QuantMode, Tensor};
+use tensor::{segment, Tensor};
 
 use crate::{
     Embedding, FeedForward, Gru, LayerNorm, Linear, MultiHeadSelfAttention, Packing, TopRows,
     TransformerEncoder, TransformerLayer,
 };
-
-/// Resident footprint of a frozen module.
-pub trait InferModule {
-    /// Resident bytes of this module's weight storage.
-    fn weight_bytes(&self) -> usize;
-}
-
-/// In-place weight quantisation of a frozen module for serving.
-///
-/// Freezing always produces f32 storage (the bitwise-parity default);
-/// `quantize` re-encodes each weight **matrix** to the requested mode.
-/// Vectors that are cheap and precision-critical — biases, LayerNorm
-/// gamma/beta — always stay f32. Quantising to [`QuantMode::F32`] is an
-/// exact no-op, so the mode can be threaded unconditionally from config.
-pub trait Quantize {
-    /// Re-encodes this module's weight matrices to `mode`.
-    fn quantize(&mut self, mode: QuantMode);
-}
 
 /// Conversion from the trained `ParamRef` storage into [`Frozen`] storage.
 ///
@@ -66,19 +46,14 @@ pub trait Quantize {
 /// frozen module is fully detached from subsequent training updates.
 pub trait Freeze {
     /// The frozen module type.
-    type Frozen: InferModule;
+    type Frozen;
     /// Snapshots current weights.
     fn freeze(&self) -> Self::Frozen;
 }
 
-/// Snapshot of a weight vector.
-fn freeze_vec(p: &ParamRef) -> Tensor {
+/// Snapshot of one weight.
+fn freeze_weight(p: &ParamRef) -> Tensor {
     p.borrow().value.clone()
-}
-
-/// Snapshot of a weight matrix, in f32 storage.
-fn freeze_mat(p: &ParamRef) -> QuantMatrix {
-    QuantMatrix::from_tensor(freeze_vec(p), QuantMode::F32).or_bug("weight matrix is rank 2")
 }
 
 /// The RNG the eager forwards take: dropout never draws from it at eval.
@@ -90,21 +65,9 @@ impl Freeze for Linear {
     type Frozen = Linear<Frozen>;
     fn freeze(&self) -> Linear<Frozen> {
         Linear {
-            weight: freeze_mat(&self.weight),
-            bias: self.bias.as_ref().map(freeze_vec),
+            weight: freeze_weight(&self.weight),
+            bias: self.bias.as_ref().map(freeze_weight),
         }
-    }
-}
-
-impl InferModule for Linear<Frozen> {
-    fn weight_bytes(&self) -> usize {
-        self.weight.resident_bytes() + self.bias.as_ref().map_or(0, |b| b.numel() * 4)
-    }
-}
-
-impl Quantize for Linear<Frozen> {
-    fn quantize(&mut self, mode: QuantMode) {
-        self.weight.requantize(mode);
     }
 }
 
@@ -112,29 +75,10 @@ impl Freeze for Embedding {
     type Frozen = Embedding<Frozen>;
     fn freeze(&self) -> Embedding<Frozen> {
         Embedding {
-            table: freeze_mat(&self.table),
+            table: freeze_weight(&self.table),
             vocab: self.vocab,
             dim: self.dim,
         }
-    }
-}
-
-impl InferModule for Embedding<Frozen> {
-    fn weight_bytes(&self) -> usize {
-        self.table.resident_bytes()
-    }
-}
-
-impl Quantize for Embedding<Frozen> {
-    fn quantize(&mut self, mode: QuantMode) {
-        self.table.requantize(mode);
-    }
-}
-
-impl Embedding<Frozen> {
-    /// The table in its stored encoding.
-    pub fn table_q(&self) -> &QuantMatrix {
-        &self.table
     }
 }
 
@@ -142,16 +86,10 @@ impl Freeze for LayerNorm {
     type Frozen = LayerNorm<Frozen>;
     fn freeze(&self) -> LayerNorm<Frozen> {
         LayerNorm {
-            gamma: freeze_vec(&self.gamma),
-            beta: freeze_vec(&self.beta),
+            gamma: freeze_weight(&self.gamma),
+            beta: freeze_weight(&self.beta),
             eps: self.eps,
         }
-    }
-}
-
-impl InferModule for LayerNorm<Frozen> {
-    fn weight_bytes(&self) -> usize {
-        (self.gamma.numel() + self.beta.numel()) * 4
     }
 }
 
@@ -164,19 +102,6 @@ impl Freeze for FeedForward {
             activation: self.activation,
             dropout: self.dropout,
         }
-    }
-}
-
-impl InferModule for FeedForward<Frozen> {
-    fn weight_bytes(&self) -> usize {
-        self.l1.weight_bytes() + self.l2.weight_bytes()
-    }
-}
-
-impl Quantize for FeedForward<Frozen> {
-    fn quantize(&mut self, mode: QuantMode) {
-        self.l1.quantize(mode);
-        self.l2.quantize(mode);
     }
 }
 
@@ -195,23 +120,6 @@ impl Freeze for MultiHeadSelfAttention {
     }
 }
 
-impl InferModule for MultiHeadSelfAttention<Frozen> {
-    fn weight_bytes(&self) -> usize {
-        [&self.wq, &self.wk, &self.wv, &self.wo]
-            .iter()
-            .map(|l| l.weight_bytes())
-            .sum()
-    }
-}
-
-impl Quantize for MultiHeadSelfAttention<Frozen> {
-    fn quantize(&mut self, mode: QuantMode) {
-        for l in [&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo] {
-            l.quantize(mode);
-        }
-    }
-}
-
 impl Freeze for TransformerLayer {
     type Frozen = TransformerLayer<Frozen>;
     fn freeze(&self) -> TransformerLayer<Frozen> {
@@ -225,42 +133,11 @@ impl Freeze for TransformerLayer {
     }
 }
 
-impl InferModule for TransformerLayer<Frozen> {
-    fn weight_bytes(&self) -> usize {
-        self.mha.weight_bytes()
-            + self.ffn.weight_bytes()
-            + self.ln1.weight_bytes()
-            + self.ln2.weight_bytes()
-    }
-}
-
-impl Quantize for TransformerLayer<Frozen> {
-    fn quantize(&mut self, mode: QuantMode) {
-        // LayerNorm vectors stay f32 in every mode.
-        self.mha.quantize(mode);
-        self.ffn.quantize(mode);
-    }
-}
-
 impl Freeze for TransformerEncoder {
     type Frozen = TransformerEncoder<Frozen>;
     fn freeze(&self) -> TransformerEncoder<Frozen> {
         TransformerEncoder {
             layers: self.layers.iter().map(Freeze::freeze).collect(),
-        }
-    }
-}
-
-impl InferModule for TransformerEncoder<Frozen> {
-    fn weight_bytes(&self) -> usize {
-        self.layers.iter().map(InferModule::weight_bytes).sum()
-    }
-}
-
-impl Quantize for TransformerEncoder<Frozen> {
-    fn quantize(&mut self, mode: QuantMode) {
-        for layer in &mut self.layers {
-            layer.quantize(mode);
         }
     }
 }
@@ -276,30 +153,6 @@ impl Freeze for Gru {
             wh: self.wh.freeze(),
             uh: self.uh.freeze(),
             dim: self.dim,
-        }
-    }
-}
-
-impl InferModule for Gru<Frozen> {
-    fn weight_bytes(&self) -> usize {
-        [&self.wz, &self.uz, &self.wr, &self.ur, &self.wh, &self.uh]
-            .iter()
-            .map(|l| l.weight_bytes())
-            .sum()
-    }
-}
-
-impl Quantize for Gru<Frozen> {
-    fn quantize(&mut self, mode: QuantMode) {
-        for l in [
-            &mut self.wz,
-            &mut self.uz,
-            &mut self.wr,
-            &mut self.ur,
-            &mut self.wh,
-            &mut self.uh,
-        ] {
-            l.quantize(mode);
         }
     }
 }

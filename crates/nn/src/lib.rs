@@ -33,7 +33,7 @@ pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use feedforward::{Activation, FeedForward};
 pub use gru::Gru;
-pub use infer::{EncoderKv, Freeze, InferModule, Quantize};
+pub use infer::{EncoderKv, Freeze};
 pub use linear::Linear;
 pub use norm::LayerNorm;
 pub use packed::Packing;

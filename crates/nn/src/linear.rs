@@ -8,8 +8,8 @@ use crate::Module;
 
 /// `y = x · W (+ b)` for inputs of shape `[.., in_dim]` (rank 2 or 3).
 pub struct Linear<S: Store = Train> {
-    pub(crate) weight: S::Mat,
-    pub(crate) bias: Option<S::Vec>,
+    pub(crate) weight: S::Weight,
+    pub(crate) bias: Option<S::Weight>,
 }
 
 impl Linear {

@@ -10,8 +10,8 @@ use crate::Module;
 /// Composed from autograd primitives, so its gradient is exact by
 /// construction (covered by the composite gradient checks).
 pub struct LayerNorm<S: Store = Train> {
-    pub(crate) gamma: S::Vec,
-    pub(crate) beta: S::Vec,
+    pub(crate) gamma: S::Weight,
+    pub(crate) beta: S::Weight,
     pub(crate) eps: f32,
 }
 

@@ -21,18 +21,18 @@
 //! * **Persistence.** [`save`](HnswIndex::save)/[`load`](HnswIndex::load)
 //!   write a versioned sidecar next to the MSGC2 checkpoint; the file
 //!   embeds an FNV-64 hash of the embedding bytes, so a stale index
-//!   (retrained or re-quantised weights) is detected and rebuilt rather
-//!   than silently served.
+//!   (retrained weights) is detected and rebuilt rather than silently
+//!   served.
 //!
 //! Similarity is the raw inner product (no normalisation), matching the
 //! tied-softmax scores. Each is a scalar dot product: one strict `d`-order
 //! chain from `+0.0`, the chain the exact path's GEMM computes for every
-//! output element with SIMD on or off. So over f32 weights a returned
-//! score equals that item's exact score bit for bit (`tests/ann_props.rs`
-//! pins it; quantised tables are not covered). What the ANN path gives up
-//! is the exact *set*: a beam can miss items of the true top-k, which is
-//! why it is opt-in per request and gated by measured recall
-//! (`tests/ann_props.rs`) rather than the bitwise parity gate.
+//! output element with SIMD on or off. So a returned score equals that
+//! item's exact score bit for bit (`tests/ann_props.rs` pins it). What
+//! the ANN path gives up is the exact *set*: a beam can miss items of the
+//! true top-k, which is why it is opt-in per request and gated by
+//! measured recall (`tests/ann_props.rs`) rather than the bitwise parity
+//! gate.
 //!
 //! Searches reuse a per-thread scratch (visit marks and heaps), so a query
 //! allocates only its result.

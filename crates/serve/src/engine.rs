@@ -70,9 +70,9 @@ pub trait FrozenScorer: Send + Sync + 'static {
         None
     }
 
-    /// Dense f32 item-embedding table (`[num_items + 1, d]`, row 0 =
-    /// padding) for building an ANN index. `None` when unsupported.
-    fn item_embeddings(&self) -> Option<Tensor> {
+    /// The item-embedding table (`[num_items + 1, d]`, row 0 = padding)
+    /// for building an ANN index. `None` when unsupported.
+    fn item_embeddings(&self) -> Option<&Tensor> {
         None
     }
 }
@@ -108,7 +108,7 @@ impl FrozenScorer for FrozenMetaSgcl {
         FrozenMetaSgcl::query_embedding(self, seq)
     }
 
-    fn item_embeddings(&self) -> Option<Tensor> {
+    fn item_embeddings(&self) -> Option<&Tensor> {
         Some(FrozenMetaSgcl::item_embeddings(self))
     }
 }
@@ -148,8 +148,8 @@ impl FrozenScorer for FrozenGru4Rec {
         FrozenGru4Rec::query_embedding(self, seq)
     }
 
-    fn item_embeddings(&self) -> Option<Tensor> {
-        Some(self.item_table_f32())
+    fn item_embeddings(&self) -> Option<&Tensor> {
+        Some(self.item_table())
     }
 }
 

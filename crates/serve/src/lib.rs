@@ -20,12 +20,6 @@
 //! worker's drain of the queue, first-job receipt → dispatch),
 //! `serve.cache.hit`, `serve.cache.miss`, `serve.reencode`.
 //!
-//! Optional weight quantisation for serving lives in [`quant`]:
-//! `msgc serve --quantize bf16|int8` halves (or quarters) the resident
-//! frozen-weight bytes behind a measured top-k parity gate against the
-//! f32 checkpoint. The default f32 mode stays bitwise-identical to the
-//! offline scoring path.
-//!
 //! Optional approximate top-k retrieval lives in [`ann`]: a from-scratch
 //! HNSW index over the frozen item embeddings (`msgc serve --ann`),
 //! answering `TopK::Ann` requests in O(ef · d · log n) instead of the
@@ -51,11 +45,9 @@ mod batcher;
 mod engine;
 pub mod obs;
 pub mod proto;
-pub mod quant;
 pub mod server;
 
 pub use ann::{HnswConfig, HnswIndex};
 pub use batcher::{Batcher, JobReport};
 pub use engine::{top_k, Engine, FrozenScorer, Mode, ReqObs, Request, Response, TopK};
 pub use obs::{canary_probes, canary_recall, ObsConfig, ReqCtx, ServeObs, SloBudgets};
-pub use quant::{quantize_gated, QuantReport};

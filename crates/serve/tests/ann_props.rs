@@ -83,7 +83,7 @@ fn recall_at_10_reaches_095_at_serving_ef() {
     let num_items = 2000;
     let frozen = MetaSgcl::new(MetaSgclConfig::for_items(num_items)).freeze();
     let table = frozen.item_embeddings();
-    let index = HnswIndex::build(&table, num_items, &HnswConfig::default());
+    let index = HnswIndex::build(table, num_items, &HnswConfig::default());
     let (mut hits, mut total) = (0, 0);
     for u in 0..50 {
         let history: Vec<usize> = (0..8).map(|i| 1 + (u * 131 + i * 17) % num_items).collect();
@@ -96,7 +96,7 @@ fn recall_at_10_reaches_095_at_serving_ef() {
             .map(|(i, _)| i)
             .collect();
         assert!(!got.contains(&0), "padding id retrieved: {got:?}");
-        let want = brute_force(&table, num_items, &q, 10);
+        let want = brute_force(table, num_items, &q, 10);
         total += want.len();
         hits += want.iter().filter(|i| got.contains(i)).count();
     }
@@ -106,12 +106,12 @@ fn recall_at_10_reaches_095_at_serving_ef() {
 
 /// Over f32 weights an ANN score is the exact path's score bit for bit:
 /// both are one strict `d`-order dot product from `+0.0`, with SIMD on or
-/// off (quantised tables are not covered).
+/// off.
 #[test]
 fn ann_scores_equal_exact_scores_bit_for_bit() {
     let num_items = 500;
     let frozen = MetaSgcl::new(MetaSgclConfig::for_items(num_items)).freeze();
-    let index = HnswIndex::build(&frozen.item_embeddings(), num_items, &HnswConfig::default());
+    let index = HnswIndex::build(frozen.item_embeddings(), num_items, &HnswConfig::default());
     let was = tensor::tuning::simd_enabled();
     for simd in [true, false] {
         tensor::tuning::set_simd_enabled(simd);

@@ -45,7 +45,7 @@ fn ann_retrieval_matches_exact_on_a_small_catalog() {
     let m = model(12, 8);
     let frozen = m.freeze();
     let table = frozen.item_embeddings();
-    let index = HnswIndex::build(&table, 12, &HnswConfig::default());
+    let index = HnswIndex::build(table, 12, &HnswConfig::default());
     let engine = Engine::new(frozen, Mode::Full).with_ann(index);
     for history in [vec![1, 2, 3], vec![7], vec![4, 5, 6, 7, 8, 9, 10, 11]] {
         let exact = &engine.handle_batch(&[score(0, history.clone(), 5, None)])[0];
@@ -66,7 +66,7 @@ fn ann_recall_is_high_on_a_real_frozen_model() {
     let m = model(300, 16);
     let frozen = m.freeze();
     let table = frozen.item_embeddings();
-    let index = HnswIndex::build(&table, 300, &HnswConfig::default());
+    let index = HnswIndex::build(table, 300, &HnswConfig::default());
     let engine = Engine::new(frozen, Mode::Full).with_ann(index);
     let mut hits = 0usize;
     let mut total = 0usize;

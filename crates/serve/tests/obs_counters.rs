@@ -228,7 +228,7 @@ fn full_mode_ann_served_requests_count_a_query_not_a_miss() {
     let m = model(12);
     let frozen = m.freeze();
     let table = frozen.item_embeddings();
-    let index = HnswIndex::build(&table, 12, &HnswConfig::default());
+    let index = HnswIndex::build(table, 12, &HnswConfig::default());
     let engine = Engine::new(frozen, Mode::Full).with_ann(index);
     let (d, obs) = run(&engine, &[score(1, vec![1, 2, 3], Some(TopK::Ann))]);
     assert_eq!(d.ann_query, 1);

@@ -436,18 +436,17 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 }
 
 // ---------------------------------------------------------------------------
-// Packed GEMM driver (NN / NT / TN / quantised NT)
+// Packed GEMM driver (NN / NT / TN)
 // ---------------------------------------------------------------------------
 //
-// `matmul` (A·B), `matmul_transb` (A·Bᵀ), `matmul_transa` (Aᵀ·B) and
-// `matmul_transb_q` never materialize a transpose. All four run one driver,
-// [`gemm_packed`], over packed panels; they differ only in how B is packed
-// (`pack_b`) and how the effective left operand is read (`get_a`):
+// `matmul` (A·B), `matmul_transb` (A·Bᵀ) and `matmul_transa` (Aᵀ·B) never
+// materialize a transpose. All three run one driver, [`gemm_packed`], over
+// packed panels; they differ only in how B is packed (`pack_b`) and how the
+// effective left operand is read (`get_a`):
 //
 // * B is packed ONCE per call into kk-major, `GEMM_NR`-wide stripes, reused
 //   across every row block (for NT this *is* the transpose, amortised into
-//   the pack; for NN and TN it is a simple column gather; the quantised NT
-//   pack decodes compressed rows on the way).
+//   the pack; for NN and TN it is a simple column gather).
 // * Each `GEMM_MR`-row block of A is packed kk-major and compact
 //   (`apanel[kk·MR + r]`), so each micro-kernel step broadcasts one A value
 //   per row from a contiguous 4-float group.
@@ -846,162 +845,6 @@ pub fn matmul_transa(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         }
         _ => Err(mismatch()),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Quantized-weight GEMM (frozen serving path)
-// ---------------------------------------------------------------------------
-//
-// `matmul_transb_q` / `matmul_q` accept a [`QuantMatrix`] right operand.
-// With f32 storage they delegate to the exact dense kernels above (the
-// bitwise default). With bf16/int8 storage the compressed rows are decoded
-// *inside the packing step* — the stripe pack and the small-m dot-product
-// fallback both read through a per-call decode scratch, so a full f32 copy
-// of a quantised weight matrix is never materialised for the NT path.
-
-use crate::qmat::QuantMatrix;
-
-/// Packs rows `j..j+jb` of a quantised NT right operand into one kk-major
-/// stripe, decoding each compressed row into `scratch` (`GEMM_NR · k`) on
-/// the way. Mirrors [`pack_b_nt`].
-fn pack_b_nt_q(b: &QuantMatrix, panel: &mut [f32], scratch: &mut [f32], j: usize, jb: usize) {
-    let k = b.cols();
-    for c in 0..jb {
-        b.write_row_segment(j + c, 0, &mut scratch[c * k..(c + 1) * k]);
-    }
-    for kk in 0..k {
-        let dst = &mut panel[kk * GEMM_NR..(kk + 1) * GEMM_NR];
-        for (c, d) in dst.iter_mut().enumerate() {
-            *d = if c < jb { scratch[c * k + kk] } else { 0.0 };
-        }
-    }
-}
-
-/// Small-`m` NT fallback over a quantised right operand: decodes four
-/// compressed rows at a time into `scratch` and runs the same strict
-/// `k`-order dot products as [`gemm_nt_small`].
-fn gemm_nt_small_q(a: &[f32], b: &QuantMatrix, out: &mut [f32], m: usize, k: usize, n: usize) {
-    let mut scratch = pool::take_raw(4 * k);
-    let mut j = 0;
-    while j < n {
-        let jb = (n - j).min(4);
-        for c in 0..jb {
-            b.write_row_segment(j + c, 0, &mut scratch[c * k..(c + 1) * k]);
-        }
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for c in 0..jb {
-                let brow = &scratch[c * k..(c + 1) * k];
-                let mut s = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                    s += av * bv;
-                }
-                orow[j + c] = s;
-            }
-        }
-        j += jb;
-    }
-    pool::recycle(scratch);
-}
-
-/// Fused NT GEMM over a quantised right operand:
-/// `out[m×n] = a[m×k] · deq(b)[n×k]ᵀ`. `out` must be zeroed by the caller.
-fn gemm_nt_into_q(a: &[f32], b: &QuantMatrix, out: &mut [f32], m: usize, k: usize, n: usize) {
-    if let Some(t) = b.as_f32() {
-        return gemm_nt_into(a, t.data(), out, m, k, n);
-    }
-    if m == 0 || n == 0 {
-        return;
-    }
-    if m < GEMM_MIN_PACK_ROWS {
-        return gemm_nt_small_q(a, b, out, m, k, n);
-    }
-    let mut scratch = pool::take_raw(GEMM_NR * k);
-    gemm_packed(
-        out,
-        m,
-        k,
-        n,
-        |panel, j, jb| pack_b_nt_q(b, panel, &mut scratch, j, jb),
-        |i, kk| a[i * k + kk],
-    );
-    pool::recycle(scratch);
-}
-
-/// `A · Bᵀ` where `B` is a (possibly quantised) frozen weight matrix of
-/// shape `[n, k]`. With f32 storage this is exactly [`matmul_transb`]
-/// (bitwise); with bf16/int8 storage the rows are decoded inside the pack.
-///
-/// Supported `A` ranks: `(m,k)` and `(b,m,k)` (batch collapsed into rows,
-/// like the shared-right-operand [`matmul_transb`] arm).
-pub fn matmul_transb_q(a: &Tensor, b: &QuantMatrix) -> Result<Tensor> {
-    let mismatch = || TensorError::ShapeMismatch {
-        op: "matmul_transb",
-        lhs: a.dims().to_vec(),
-        rhs: vec![b.rows(), b.cols()],
-    };
-    match a.ndim() {
-        2 => {
-            if a.dim(1) != b.cols() {
-                return Err(mismatch());
-            }
-            let (m, k, n) = (a.dim(0), a.dim(1), b.rows());
-            gemm_telemetry((m * n) as u64);
-            let mut out = Tensor::pooled_zeros(vec![m, n]);
-            gemm_nt_into_q(a.data(), b, out.data_mut(), m, k, n);
-            Ok(out)
-        }
-        3 => {
-            let (bs, m, k) = (a.dim(0), a.dim(1), a.dim(2));
-            if k != b.cols() {
-                return Err(mismatch());
-            }
-            let n = b.rows();
-            gemm_telemetry((bs * m * n) as u64);
-            let mut out = Tensor::pooled_zeros(vec![bs, m, n]);
-            gemm_nt_into_q(a.data(), b, out.data_mut(), bs * m, k, n);
-            Ok(out)
-        }
-        _ => Err(mismatch()),
-    }
-}
-
-/// `A · W` where `W` is a (possibly quantised) frozen weight matrix of
-/// shape `[k, n]`. With f32 storage this is exactly [`matmul`] (bitwise);
-/// quantised storage is decoded once per call into pooled scratch (the
-/// dense k×n layout has no row-local pack to fuse into, and frozen linear
-/// weights are small next to the embedding table served via
-/// [`matmul_transb_q`]).
-///
-/// Supported `A` ranks: `(m,k)` and `(b,m,k)`.
-pub fn matmul_q(a: &Tensor, w: &QuantMatrix) -> Result<Tensor> {
-    let mismatch = || TensorError::ShapeMismatch {
-        op: "matmul",
-        lhs: a.dims().to_vec(),
-        rhs: vec![w.rows(), w.cols()],
-    };
-    if a.ndim() != 2 && a.ndim() != 3 {
-        return Err(mismatch());
-    }
-    let k = a.dim(a.ndim() - 1);
-    if k != w.rows() {
-        return Err(mismatch());
-    }
-    if let Some(t) = w.as_f32() {
-        return matmul(a, t);
-    }
-    let n = w.cols();
-    let mut wd = pool::take_raw(k * n);
-    w.decode_into(&mut wd);
-    let m: usize = a.dims()[..a.ndim() - 1].iter().product();
-    gemm_telemetry((m * n) as u64);
-    let mut out_dims = a.dims().to_vec();
-    out_dims[a.ndim() - 1] = n;
-    let mut out = Tensor::zeros(out_dims);
-    gemm_nn_into(a.data(), &wd, out.data_mut(), m, k, n);
-    pool::recycle(wd);
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------

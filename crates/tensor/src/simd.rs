@@ -24,11 +24,8 @@
 //!   bitwise-identical to the scalar micro-kernel, on every input,
 //!   including NaN/Inf payloads.
 //!
-//! `ReassocSafe` ops are allowed wider, reassociating accumulators; the only
-//! such kernel here is [`max_abs`] (order-independent for finite inputs),
-//! used to derive int8 quantisation scales outside any tape op. The
-//! elementwise binary kernels are lane-pure (no reduction at all) and are
-//! bitwise-identical to scalar trivially.
+//! The elementwise binary kernels are lane-pure (no reduction at all) and
+//! are bitwise-identical to scalar trivially.
 //!
 //! Every op with a SIMD path must be declared in
 //! `crate::determinism::SIMD_OPS`; `analysis::determinism` fails `msgc
@@ -171,16 +168,6 @@ fn binary_scalar(kind: BinKind, a: &[f32], b: &[f32], out: &mut [f32]) {
             }
         }
     }
-}
-
-fn dequant_bf16_scalar(src: &[u16], dst: &mut [f32]) {
-    for (d, &bits) in dst.iter_mut().zip(src) {
-        *d = f32::from_bits((bits as u32) << 16);
-    }
-}
-
-fn max_abs_scalar(xs: &[f32]) -> f32 {
-    xs.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
 }
 
 // ---------------------------------------------------------------------------
@@ -343,56 +330,6 @@ mod avx2 {
             BinKind::Div => run!(_mm256_div_ps, /),
         }
     }
-
-    /// AVX2 bf16 → f32 widening (exact: shift into the high mantissa bits).
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available and `src.len() == dst.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dequant_bf16(src: &[u16], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        let n = src.len();
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let half = _mm_loadu_si128(sp.add(i) as *const __m128i);
-            let wide = _mm256_cvtepu16_epi32(half);
-            let bits = _mm256_slli_epi32(wide, 16);
-            _mm256_storeu_ps(dp.add(i), _mm256_castsi256_ps(bits));
-            i += 8;
-        }
-        while i < n {
-            *dp.add(i) = f32::from_bits((*sp.add(i) as u32) << 16);
-            i += 1;
-        }
-    }
-
-    /// AVX2 reassociating max-abs reduction (order-independent for finite
-    /// inputs; NaN inputs are ignored like `f32::max`).
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn max_abs(xs: &[f32]) -> f32 {
-        let n = xs.len();
-        let p = xs.as_ptr();
-        let sign_mask = _mm256_set1_ps(-0.0);
-        let mut acc = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + 8 <= n {
-            let v = _mm256_andnot_ps(sign_mask, _mm256_loadu_ps(p.add(i)));
-            acc = _mm256_max_ps(acc, v);
-            i += 8;
-        }
-        let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut m = lanes.iter().fold(0.0f32, |m, &x| m.max(x));
-        while i < n {
-            m = m.max((*p.add(i)).abs());
-            i += 1;
-        }
-        m
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -533,55 +470,10 @@ mod neon {
             BinKind::Div => run!(vdivq_f32, /),
         }
     }
-
-    /// NEON bf16 → f32 widening (exact).
-    ///
-    /// # Safety
-    /// Caller must ensure `src.len() == dst.len()`.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn dequant_bf16(src: &[u16], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        let n = src.len();
-        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
-        let mut i = 0;
-        while i + 4 <= n {
-            let half = vld1_u16(sp.add(i));
-            let wide = vshll_n_u16::<16>(half);
-            vst1q_f32(dp.add(i), vreinterpretq_f32_u32(wide));
-            i += 4;
-        }
-        while i < n {
-            *dp.add(i) = f32::from_bits((*sp.add(i) as u32) << 16);
-            i += 1;
-        }
-    }
-
-    /// NEON reassociating max-abs reduction.
-    ///
-    /// # Safety
-    /// Always safe to call on aarch64 (NEON is baseline); marked unsafe for
-    /// symmetry with the AVX2 twin.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn max_abs(xs: &[f32]) -> f32 {
-        let n = xs.len();
-        let p = xs.as_ptr();
-        let mut acc = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            acc = vmaxq_f32(acc, vabsq_f32(vld1q_f32(p.add(i))));
-            i += 4;
-        }
-        let mut m = vmaxvq_f32(acc);
-        while i < n {
-            m = m.max((*p.add(i)).abs());
-            i += 1;
-        }
-        m
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch wrappers (safe API used by `ops` and `qmat`).
+// Dispatch wrappers (safe API used by `ops`).
 // ---------------------------------------------------------------------------
 
 /// 4×8 stripe accumulation at the given dispatch level (see
@@ -664,41 +556,6 @@ pub fn binary(level: Level, kind: BinKind, a: &[f32], b: &[f32], out: &mut [f32]
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on aarch64; equal lengths asserted above.
         Level::Neon => unsafe { neon::binary(kind, a, b, out) },
-    }
-}
-
-/// Widens bf16 (stored as raw `u16` bit patterns) to f32. The conversion is
-/// exact — bf16 is the top half of the f32 bit pattern — so every level
-/// produces identical bytes.
-#[inline]
-pub fn dequant_bf16(dst: &mut [f32], src: &[u16]) {
-    assert_eq!(src.len(), dst.len());
-    match active() {
-        Level::Scalar => dequant_bf16_scalar(src, dst),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Level::Avx2 implies a successful AVX2 probe; equal lengths
-        // asserted above.
-        Level::Avx2 => unsafe { avx2::dequant_bf16(src, dst) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; equal lengths asserted above.
-        Level::Neon => unsafe { neon::dequant_bf16(src, dst) },
-    }
-}
-
-/// Maximum absolute value (reassociating wide accumulator — classified
-/// `ReassocSafe` usage only; identical to the scalar fold for all finite
-/// inputs because `max` is order-independent). Used for int8 quantisation
-/// scales; never inside a `FixedOrder` tape op.
-#[inline]
-pub fn max_abs(xs: &[f32]) -> f32 {
-    match active() {
-        Level::Scalar => max_abs_scalar(xs),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Level::Avx2 implies a successful AVX2 probe.
-        Level::Avx2 => unsafe { avx2::max_abs(xs) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        Level::Neon => unsafe { neon::max_abs(xs) },
     }
 }
 
@@ -812,27 +669,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn dequant_bf16_is_exact_shift() {
-        let bits: Vec<u16> = (0..1000u32)
-            .map(|i| (i.wrapping_mul(40503) & 0xFFFF) as u16)
-            .collect();
-        let mut out = vec![0.0f32; bits.len()];
-        dequant_bf16(&mut out, &bits);
-        for (o, &b) in out.iter().zip(&bits) {
-            assert_eq!(o.to_bits(), (b as u32) << 16);
-        }
-    }
-
-    #[test]
-    fn max_abs_matches_scalar_fold() {
-        for n in [0usize, 1, 7, 8, 100] {
-            let xs = pseudo(n, 31);
-            let want = xs.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-            assert_eq!(max_abs(&xs), want);
         }
     }
 }

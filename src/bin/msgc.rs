@@ -40,8 +40,7 @@ fn usage() -> ExitCode {
          msgc evaluate --data SPEC --model MODEL [--dim N] [--max-len N]\n  \
          msgc recommend --data SPEC --model MODEL --user N [--k N] [--dim N] [--max-len N]\n  \
          msgc serve --data SPEC --model MODEL [--addr HOST:PORT] [--mode full|incremental] \
-         [--batch-max N] [--quantize none|bf16|int8] \
-         [--ann] [--ann-ef N] [--topk exact|ann] [--dim N] [--max-len N] \
+         [--batch-max N] [--ann] [--ann-ef N] [--topk exact|ann] [--dim N] [--max-len N] \
          [--trace-out FILE] [--trace-sample N] [--slo-p99-ms F] [--min-hit-rate F] \
          [--min-recall F] [--canary-every-s N] [--canary-probes N]\n  \
          msgc top ADDR [--interval-ms N] [--iters N]\n  \
@@ -92,7 +91,6 @@ const VALUE_FLAGS: &[&str] = &[
     "addr",
     "mode",
     "batch-max",
-    "quantize",
     "audit-json",
     "sampled-softmax",
     "sampler",
@@ -357,10 +355,9 @@ fn cmd_recommend(args: &Args) -> Result<(), String> {
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use meta_sgcl_repro::nn::Freeze;
     use meta_sgcl_repro::serve::{
-        canary_probes, canary_recall, quantize_gated, server, Batcher, Engine, HnswConfig,
-        HnswIndex, Mode, ObsConfig, ServeObs, SloBudgets, TopK,
+        canary_probes, canary_recall, server, Batcher, Engine, HnswConfig, HnswIndex, Mode,
+        ObsConfig, ServeObs, SloBudgets, TopK,
     };
-    use meta_sgcl_repro::tensor::QuantMode;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -379,8 +376,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if batch_max == 0 {
         return Err("--batch-max must be at least 1".into());
     }
-    let quant = QuantMode::parse(args.get("quantize").unwrap_or("none"))
-        .ok_or("unknown --quantize (none|bf16|int8)")?;
     let default_topk = match args.get("topk").unwrap_or("exact") {
         "exact" => TopK::Exact,
         "ann" => TopK::Ann,
@@ -391,19 +386,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let ann_ef: usize = args.get_or("ann-ef", 64)?;
 
     meta_sgcl_repro::telemetry::set_enabled(true);
-    let mut frozen = model.freeze();
-    if quant != QuantMode::F32 {
-        // Gate ranking parity on real histories from the served dataset.
-        let probes: Vec<Vec<usize>> = data
-            .sequences
-            .iter()
-            .filter(|s| s.len() >= 2)
-            .take(16)
-            .cloned()
-            .collect();
-        let report = quantize_gated(&mut frozen, quant, &probes)?;
-        println!("{report}");
-    }
+    let frozen = model.freeze();
 
     // Deterministic cold-start ranking: dataset popularity (empty
     // histories would otherwise rank an all-zero catalog).
@@ -435,14 +418,14 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         // from different embedding bytes or parameters is rebuilt.
         let sidecar =
             std::path::PathBuf::from(format!("{}.hnsw", args.get("model").unwrap_or("model")));
-        let index = match HnswIndex::load(&sidecar, &table, num_items, &ann_cfg) {
+        let index = match HnswIndex::load(&sidecar, table, num_items, &ann_cfg) {
             Some(index) => {
                 println!("loaded ANN index from {}", sidecar.display());
                 index
             }
             None => {
                 let t0 = std::time::Instant::now();
-                let index = HnswIndex::build(&table, num_items, &ann_cfg);
+                let index = HnswIndex::build(table, num_items, &ann_cfg);
                 match index.save(&sidecar) {
                     Ok(()) => println!(
                         "built ANN index over {} items in {:.1?} (saved to {})",
@@ -517,7 +500,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
         "serving {} items on {bound} (mode {mode:?}, batch-max {batch_max}, \
-         quantize {quant}, topk {default_topk:?}{}, admin endpoint on, trace sample 1/{})",
+         topk {default_topk:?}{}, admin endpoint on, trace sample 1/{})",
         num_items,
         if want_ann {
             format!(", ann ef {ann_ef}")

@@ -9,7 +9,7 @@
 //! * the admin snapshot validates and health is `pass`;
 //! * `msgc top` renders, and after the server stops the trace stream
 //!   validates, holds request events, and `msgc report` summarizes it;
-//! * a `--quantize bf16` start passes its load-time gate.
+//! * `--quantize` is an unknown flag: weights are served in f32 only.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -242,15 +242,17 @@ fn served_answers_match_offline_and_observability_holds() {
     );
     msgc(&["report", trace_arg, "--trace", trace_arg]);
 
-    // A quantized start prints its gate report before serving.
-    let bf16 = Server::start(&model_path, &["--quantize", "bf16"]);
+    // Weights are served in f32 only: `--quantize` is an unknown flag.
+    let out = Command::new(MSGC)
+        .args(["serve", "--data", DATA, "--model", model_arg])
+        .args(["--quantize", "bf16"])
+        .output()
+        .expect("run msgc serve --quantize");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(
-        bf16.startup
-            .iter()
-            .any(|l| l.starts_with("quantize bf16: ")),
-        "no bf16 gate report in {:?}",
-        bf16.startup
+        stderr.contains("unknown flag --quantize"),
+        "stderr: {stderr}"
     );
-    drop(bf16);
     let _ = std::fs::remove_dir_all(&dir);
 }
