@@ -3,12 +3,13 @@
 //! Model code is written once against [`Ctx`]. The *recording* context is
 //! the [`Graph`]: every op pushes the same tape node the matching [`Var`]
 //! method pushes, in the same order. The *eager* context [`Eager`] runs the
-//! same ops on plain [`Tensor`]s: no tape, no parameter locks, no per-call
-//! weight clones. Training records; serving runs eagerly.
+//! same ops on plain [`Tensor`]s: no tape, no per-call weight clones.
+//! Training records; serving and stage 2's frozen prefix run eagerly.
 //!
-//! Weights live in a [`Store`]. [`Train`] holds the shared, trainable
-//! [`ParamRef`]s the recording context enters as tape leaves; [`Frozen`]
-//! holds detached [`Tensor`] snapshots the eager context reads in place.
+//! Both contexts read the same weights: the shared [`ParamRef`]s a module
+//! owns. The recording context enters a weight as a tape leaf; the eager
+//! context holds its read lock for the one kernel call that reads it
+//! (an uncontended read plus release costs about 16 ns).
 //!
 //! # Bitwise parity
 //!
@@ -25,51 +26,25 @@ use tensor::{ops, Tensor};
 use crate::graph::{Graph, ParamRef, Var};
 use crate::ops_basic::{gelu, sigmoid};
 
-/// Where a module's weights live.
-pub trait Store {
-    /// A weight: a matrix (linear weight, embedding table) or a vector
-    /// (bias, LayerNorm gain and shift).
-    type Weight;
-}
-
-/// Trainable storage: every weight is a shared autograd parameter.
-pub struct Train;
-
-impl Store for Train {
-    type Weight = ParamRef;
-}
-
-/// Serving storage: detached weight snapshots.
-pub struct Frozen;
-
-impl Store for Frozen {
-    type Weight = Tensor;
-}
-
-/// Weight type read by context `C`.
-pub type Weight<C> = <<C as Ctx>::S as Store>::Weight;
-
 /// An execution context: the op set every module forward is written in.
 ///
 /// Shape errors are programming errors and panic in both contexts.
 pub trait Ctx {
-    /// The weight storage this context reads.
-    type S: Store;
     /// The value type ops consume and produce.
     type V: Value<Ctx = Self>;
 
     /// Enters a tensor as a non-differentiable value.
     fn constant(&self, t: Tensor) -> Self::V;
     /// Rows `indices` of a weight matrix (embedding lookup).
-    fn gather(&self, table: &Weight<Self>, indices: &[usize]) -> Self::V;
+    fn gather(&self, table: &ParamRef, indices: &[usize]) -> Self::V;
     /// `x · W`.
-    fn matmul_w(&self, x: &Self::V, w: &Weight<Self>) -> Self::V;
+    fn matmul_w(&self, x: &Self::V, w: &ParamRef) -> Self::V;
     /// `x · Wᵀ` (tied-table scoring).
-    fn matmul_transb_w(&self, x: &Self::V, w: &Weight<Self>) -> Self::V;
+    fn matmul_transb_w(&self, x: &Self::V, w: &ParamRef) -> Self::V;
     /// `x + b`, broadcasting a weight vector.
-    fn add_w(&self, x: &Self::V, b: &Weight<Self>) -> Self::V;
+    fn add_w(&self, x: &Self::V, b: &ParamRef) -> Self::V;
     /// `x ⊙ g`, broadcasting a weight vector.
-    fn mul_w(&self, x: &Self::V, g: &Weight<Self>) -> Self::V;
+    fn mul_w(&self, x: &Self::V, g: &ParamRef) -> Self::V;
 
     /// Shape of a value.
     fn dims(&self, x: &Self::V) -> Vec<usize>;
@@ -176,7 +151,6 @@ pub trait Value: Clone {
 }
 
 impl Ctx for Graph {
-    type S = Train;
     type V = Var;
 
     fn constant(&self, t: Tensor) -> Var {
@@ -298,32 +272,31 @@ impl Value for Var {
     }
 }
 
-/// The eager context: ops run straight on [`Tensor`]s over [`Frozen`]
-/// weights.
+/// The eager context: ops run straight on [`Tensor`]s, each weight read
+/// in place under its read lock.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Eager;
 
 impl Ctx for Eager {
-    type S = Frozen;
     type V = Tensor;
 
     fn constant(&self, t: Tensor) -> Tensor {
         t
     }
-    fn gather(&self, table: &Tensor, indices: &[usize]) -> Tensor {
-        ops::index_select_rows(table, indices).or_bug("gather")
+    fn gather(&self, table: &ParamRef, indices: &[usize]) -> Tensor {
+        ops::index_select_rows(&table.borrow().value, indices).or_bug("gather")
     }
-    fn matmul_w(&self, x: &Tensor, w: &Tensor) -> Tensor {
-        ops::matmul(x, w).or_bug("matmul_w")
+    fn matmul_w(&self, x: &Tensor, w: &ParamRef) -> Tensor {
+        ops::matmul(x, &w.borrow().value).or_bug("matmul_w")
     }
-    fn matmul_transb_w(&self, x: &Tensor, w: &Tensor) -> Tensor {
-        ops::matmul_transb(x, w).or_bug("matmul_transb_w")
+    fn matmul_transb_w(&self, x: &Tensor, w: &ParamRef) -> Tensor {
+        ops::matmul_transb(x, &w.borrow().value).or_bug("matmul_transb_w")
     }
-    fn add_w(&self, x: &Tensor, b: &Tensor) -> Tensor {
-        ops::add(x, b).or_bug("add_w")
+    fn add_w(&self, x: &Tensor, b: &ParamRef) -> Tensor {
+        ops::add(x, &b.borrow().value).or_bug("add_w")
     }
-    fn mul_w(&self, x: &Tensor, g: &Tensor) -> Tensor {
-        ops::mul(x, g).or_bug("mul_w")
+    fn mul_w(&self, x: &Tensor, g: &ParamRef) -> Tensor {
+        ops::mul(x, &g.borrow().value).or_bug("mul_w")
     }
     fn dims(&self, x: &Tensor) -> Vec<usize> {
         x.dims().to_vec()

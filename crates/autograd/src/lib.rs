@@ -53,7 +53,7 @@ mod ops_reduce;
 mod ops_shape;
 
 pub use accum::GradientSet;
-pub use ctx::{Ctx, Eager, Frozen, Store, Train, Value};
+pub use ctx::{Ctx, Eager, Value};
 pub use graph::{Graph, ParamRef, Parameter, Var};
 pub use meta::{capture_bytes, NodeInfo, ParamInfo, ShapeSig};
 pub use ops_reduce::IGNORE_INDEX;

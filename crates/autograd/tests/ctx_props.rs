@@ -5,8 +5,7 @@
 //! is what keeps the served (eager) forwards bitwise equal to the trained
 //! (recorded) ones.
 
-use autograd::ctx::Weight;
-use autograd::{Ctx, Eager, Graph, Parameter};
+use autograd::{Ctx, Eager, Graph, ParamRef, Parameter};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,9 +68,9 @@ impl Case {
 fn run_ops<C: Ctx>(
     c: &C,
     case: &Case,
-    weight: &Weight<C>,
-    table: &Weight<C>,
-    row: &Weight<C>,
+    weight: &ParamRef,
+    table: &ParamRef,
+    row: &ParamRef,
 ) -> Vec<(&'static str, C::V)> {
     let enter = |t: &Tensor| c.constant(t.clone());
     let (x, y, pos) = (enter(&case.x), enter(&case.y), enter(&case.pos));
@@ -138,15 +137,12 @@ proptest! {
         let lead = if rank3 == 1 { vec![b] } else { vec![] };
         let case = Case::new(&mut rng, &lead, m, k, n);
 
+        let weight = Parameter::shared("w", case.weight.clone());
+        let table = Parameter::shared("table", case.table.clone());
+        let row = Parameter::shared("row", case.row.clone());
         let g = Graph::new();
-        let recorded = run_ops(
-            &g,
-            &case,
-            &Parameter::shared("w", case.weight.clone()),
-            &Parameter::shared("table", case.table.clone()),
-            &Parameter::shared("row", case.row.clone()),
-        );
-        let eager = run_ops(&Eager, &case, &case.weight, &case.table, &case.row);
+        let recorded = run_ops(&g, &case, &weight, &table, &row);
+        let eager = run_ops(&Eager, &case, &weight, &table, &row);
 
         prop_assert_eq!(recorded.len(), eager.len());
         for ((name, var), (_, t)) in recorded.iter().zip(&eager) {

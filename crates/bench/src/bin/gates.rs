@@ -23,7 +23,6 @@ use std::time::{Duration, Instant};
 
 use meta_sgcl::{MetaSgcl, MetaSgclConfig};
 use models::{NegativeSampler, NetConfig, SasRec, SequentialRecommender, SoftmaxMode, TrainConfig};
-use nn::Freeze;
 use recdata::{synth, LeaveOneOut};
 use serve::{server, Batcher, Engine, Mode, ObsConfig, Request, ServeObs};
 use tensor::{ops, tuning, Tensor};
@@ -223,7 +222,7 @@ fn sampled_softmax_gate() -> bool {
 /// (dim 32, 2 layers, window 64, 500 items).
 fn serving_gates() -> bool {
     let (max_len, num_items) = (64, 500);
-    let frozen = MetaSgcl::new(MetaSgclConfig {
+    let model = MetaSgcl::new(MetaSgclConfig {
         net: NetConfig {
             max_len,
             dim: 32,
@@ -231,19 +230,18 @@ fn serving_gates() -> bool {
             ..NetConfig::for_items(num_items)
         },
         ..MetaSgclConfig::for_items(num_items)
-    })
-    .freeze();
+    });
     let history: Vec<usize> = (0..max_len - 1).map(|i| 1 + (i * 7) % num_items).collect();
 
-    let [full_ms] = best_ms(3, 10, [&mut || drop(frozen.begin_incremental(&history))]);
+    let [full_ms] = best_ms(3, 10, [&mut || drop(model.begin_incremental(&history))]);
     // Median over single appends into windows of 32..64 items.
     let mut append_ms = Vec::with_capacity(120);
     while append_ms.len() < 120 {
-        let (mut state, _) = frozen.begin_incremental(&history[..max_len / 2]);
+        let (mut state, _) = model.begin_incremental(&history[..max_len / 2]);
         while state.len() < max_len && append_ms.len() < 120 {
             let item = 1 + (state.len() * 13) % num_items;
             let t0 = Instant::now();
-            drop(frozen.append_incremental(&[item], &mut [&mut state]));
+            drop(model.append_incremental(&[item], &mut [&mut state]));
             append_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         }
     }
@@ -265,7 +263,7 @@ fn serving_gates() -> bool {
     // The server's metered request path (ids, phase clocks, sketch and SLO
     // windows, 1-in-16 spans) against a bare batcher submit.
     telemetry::set_enabled(true);
-    let engine = Arc::new(Engine::new(frozen, Mode::Incremental));
+    let engine = Arc::new(Engine::new(model, Mode::Incremental));
     engine.warm_up();
     let batcher = Batcher::new(engine, 1, Duration::ZERO);
     let obs = ServeObs::new(ObsConfig {

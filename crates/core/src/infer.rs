@@ -1,18 +1,20 @@
-//! Serving Meta-SGCL: the model over frozen weights, run eagerly.
+//! Serving Meta-SGCL: the trained model, run eagerly.
 //!
-//! [`FrozenMetaSgcl`] is `MetaSgcl<Frozen>`: a weight snapshot of a
-//! trained [`MetaSgcl`] with no autograd graph and no parameter locks in
-//! the hot loop. Deterministic eval uses `z = μ`, so the variance heads
-//! never influence served scores.
+//! The served model is the [`MetaSgcl`] loaded from a checkpoint: the
+//! eager context reads its [`ParamRef`](autograd::ParamRef) weights in
+//! place, with no autograd graph and no second copy of the weights.
+//! [`Freeze`] gives a copy detached from later training updates, for
+//! serving a model that keeps training. Deterministic eval uses `z = μ`,
+//! so the variance heads never influence served scores.
 //!
 //! Two scoring paths:
 //!
-//! * [`FrozenMetaSgcl::score_padded`] runs the same score body as
+//! * [`MetaSgcl::score_padded`] runs the same score body as
 //!   [`MetaSgcl::score_sequence`] (right-anchored padded window) under the
 //!   eager context, so the two agree `==` — the offline-parity contract
 //!   served by default.
-//! * [`FrozenMetaSgcl::begin_incremental`] /
-//!   [`append_incremental`](FrozenMetaSgcl::append_incremental) keep a
+//! * [`MetaSgcl::begin_incremental`] /
+//!   [`append_incremental`](MetaSgcl::append_incremental) keep a
 //!   per-user K/V cache under left-aligned semantics (reference:
 //!   [`MetaSgcl::score_left_aligned`]). `begin` is the packed forward of
 //!   the backbone and the decoder over one causal segment, keeping each
@@ -31,17 +33,17 @@
 //! checkpoints incremental scoring measured 2.6–4.6% lower validation
 //! NDCG@10 than full mode (ROADMAP item 3).
 
-use autograd::{Eager, Frozen};
+use autograd::Eager;
 use nn::{EncoderKv, Freeze, Packing, TopRows};
 use recdata::ItemId;
 use tensor::bug::OrBug;
 use tensor::Tensor;
 
 use crate::model::MetaSgcl;
-use crate::train::TrainingHistory;
 
-/// Meta-SGCL over frozen weights.
-pub type FrozenMetaSgcl = MetaSgcl<Frozen>;
+/// The served model type: [`MetaSgcl`] itself, under the name the
+/// benchmark imports.
+pub type FrozenMetaSgcl = MetaSgcl;
 
 /// Incremental per-user state: the backbone's K/V cache plus (when the
 /// model has an explicit decoder) the decoder's own K/V cache over the
@@ -63,7 +65,7 @@ impl State {
     }
 }
 
-impl MetaSgcl<Frozen> {
+impl MetaSgcl {
     /// Catalog size (excluding padding index 0).
     pub fn num_items(&self) -> usize {
         self.cfg.net.num_items
@@ -75,7 +77,7 @@ impl MetaSgcl<Frozen> {
     }
 
     fn last_scores(&self, h_last: &Tensor) -> Vec<f32> {
-        let logits = self.backbone.scores(h_last);
+        let logits = self.backbone.scores(&Eager, h_last);
         logits.row(0)[..self.num_items() + 1].to_vec()
     }
 
@@ -97,13 +99,6 @@ impl MetaSgcl<Frozen> {
             return None;
         }
         Some(self.padded_last_hidden(&Eager, seq).row(0).to_vec())
-    }
-
-    /// The tied item-embedding table (`[num_items + 1, d]`, row 0 =
-    /// padding) — the corpus side of the inner product, e.g. for building
-    /// an ANN index.
-    pub fn item_embeddings(&self) -> &Tensor {
-        self.backbone.item_table()
     }
 
     /// Encodes a window (at most `max_len` items, left-aligned) into a
@@ -157,7 +152,7 @@ impl MetaSgcl<Frozen> {
             }
             None => mu,
         };
-        let logits = self.backbone.scores(&hfinal);
+        let logits = self.backbone.scores(&Eager, &hfinal);
         (0..states.len())
             .map(|i| logits.row(i)[..self.num_items() + 1].to_vec())
             .collect()
@@ -165,25 +160,27 @@ impl MetaSgcl<Frozen> {
 }
 
 impl Freeze for MetaSgcl {
-    type Frozen = MetaSgcl<Frozen>;
+    type Frozen = MetaSgcl;
 
-    fn freeze(&self) -> MetaSgcl<Frozen> {
-        MetaSgcl {
-            backbone: self.backbone.freeze(),
-            enc_mu: self.enc_mu.freeze(),
-            enc_logvar: self.enc_logvar.freeze(),
-            enc_logvar_prime: self.enc_logvar_prime.freeze(),
-            decoder: self.decoder.as_ref().map(Freeze::freeze),
-            cfg: self.cfg.clone(),
-            history: TrainingHistory::default(),
+    /// A fresh model of the same configuration with every weight copied
+    /// over, in [`all_parameters`](MetaSgcl::all_parameters) order (the
+    /// order `save`/`load` use). Its history is empty.
+    fn freeze(&self) -> MetaSgcl {
+        let copy = MetaSgcl::new(self.cfg.clone());
+        for (from, to) in self.all_parameters().iter().zip(copy.all_parameters()) {
+            let from = from.borrow();
+            let mut to = to.borrow_mut();
+            assert_eq!(from.name, to.name, "parameter order");
+            to.value = from.value.clone();
         }
+        copy
     }
 }
 
 #[cfg(test)]
 mod tests {
     use autograd::{Ctx, Graph};
-    use models::{NetConfig, TransformerBackbone};
+    use models::NetConfig;
     use nn::infer::eval_rng;
     use recdata::encode_input_only;
 
@@ -209,11 +206,7 @@ mod tests {
 
     /// The last-position hidden state from every row of every top layer:
     /// the full packed forward, then its last row.
-    fn full_last_hidden<S: autograd::Store, C: Ctx<S = S>>(
-        m: &MetaSgcl<S>,
-        c: &C,
-        seq: &[ItemId],
-    ) -> C::V {
+    fn full_last_hidden<C: Ctx>(m: &MetaSgcl, c: &C, seq: &[ItemId]) -> C::V {
         let (input, pad) = encode_input_only(seq, m.cfg.net.max_len);
         let pack = m.backbone.packing(&[pad]);
         let mut rng = eval_rng();
@@ -238,35 +231,32 @@ mod tests {
             tensor::tuning::set_simd_enabled(simd);
             for dec in 0..=2 {
                 let m = model(dec);
-                let f = m.freeze();
                 for seq in [vec![3usize], vec![4, 9, 2], (1..=11).collect()] {
                     let case = format!("simd {simd}, decoder {dec}, {} items", seq.len());
                     let g = Graph::new();
                     let h = full_last_hidden(&m, &g, &seq);
                     let want = m.backbone.scores(&g, &h).value();
-                    let want = bits(&want.row(0)[..=f.num_items()]);
+                    let want = bits(&want.row(0)[..=m.num_items()]);
                     assert_eq!(bits(&m.score_sequence(&seq)), want, "recorded, {case}");
-                    assert_eq!(bits(&f.score_padded(&seq)), want, "eager, {case}");
-                    let q = f.query_embedding(&seq).expect("a history has a query");
-                    let want_q = full_last_hidden(&f, &Eager, &seq);
+                    assert_eq!(bits(&m.score_padded(&seq)), want, "eager, {case}");
+                    let q = m.query_embedding(&seq).expect("a history has a query");
+                    let want_q = full_last_hidden(&m, &Eager, &seq);
                     assert_eq!(bits(&q), bits(want_q.row(0)), "query, {case}");
 
                     // `begin` over a left-aligned window, then one append.
-                    let window = &seq[seq.len().saturating_sub(f.max_len() - 1)..];
-                    let (mut state, scores) = f.begin_incremental(window);
-                    let (bb, rows) = f.backbone.begin_incremental(window);
-                    let mu = f.enc_mu.forward(&Eager, &rows);
-                    let last = match &f.decoder {
-                        Some(d) => {
-                            let pack = Packing::left_aligned(window.len());
-                            let (_, top) = d.begin(&pack.pack(&Eager, &mu), &pack, f.max_len());
-                            pack.last_rows(&Eager, &top)
-                        }
-                        None => TransformerBackbone::last_hidden(&mu),
+                    let window = &seq[seq.len().saturating_sub(m.max_len() - 1)..];
+                    let (mut state, scores) = m.begin_incremental(window);
+                    let pack = Packing::left_aligned(window.len());
+                    let (bb, rows) = m.backbone.begin_top(window, TopRows::All);
+                    let mu = m.enc_mu.forward(&Eager, &rows);
+                    let top = match &m.decoder {
+                        Some(d) => d.begin_top(&mu, &pack, m.max_len(), TopRows::All).1,
+                        None => mu,
                     };
-                    assert_eq!(bits(&scores), bits(&f.last_scores(&last)), "begin, {case}");
+                    let last = pack.last_rows(&Eager, &top);
+                    assert_eq!(bits(&scores), bits(&m.last_scores(&last)), "begin, {case}");
                     assert_eq!(state.len(), bb.len());
-                    let appended = f.append_incremental(&[5], &mut [&mut state]);
+                    let appended = m.append_incremental(&[5], &mut [&mut state]);
                     let longer: Vec<ItemId> = window.iter().copied().chain([5]).collect();
                     let want = m.score_left_aligned(&longer);
                     assert_eq!(bits(&appended[0]), bits(&want), "append, {case}");

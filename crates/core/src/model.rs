@@ -1,7 +1,7 @@
 //! The Meta-SGCL model: backbone encoder, VAE heads (`Enc_μ`, `Enc_σ`,
 //! `Enc_σ'`), Seq2Seq decoder, and catalog scoring.
 
-use autograd::{Ctx, Graph, ParamRef, Store, Train, Var, IGNORE_INDEX};
+use autograd::{Ctx, Graph, ParamRef, Var, IGNORE_INDEX};
 use models::backbone::TransformerBackbone;
 use models::vae::standard_normal_rows;
 use nn::infer::eval_rng;
@@ -42,18 +42,18 @@ pub(crate) struct MetaPrefix<V> {
     pub eps: Tensor,
 }
 
-/// The Meta-SGCL sequential recommender. `MetaSgcl<Frozen>` is the
-/// serving form (see [`crate::infer`]).
-pub struct MetaSgcl<S: Store = Train> {
-    pub(crate) backbone: TransformerBackbone<S>,
-    pub(crate) enc_mu: Linear<S>,
-    pub(crate) enc_logvar: Linear<S>,
+/// The Meta-SGCL sequential recommender. Training records its forward;
+/// serving runs the same forward eagerly (see [`crate::infer`]).
+pub struct MetaSgcl {
+    pub(crate) backbone: TransformerBackbone,
+    pub(crate) enc_mu: Linear,
+    pub(crate) enc_logvar: Linear,
     /// The meta variance encoder `Enc_σ'`.
-    pub(crate) enc_logvar_prime: Linear<S>,
+    pub(crate) enc_logvar_prime: Linear,
     /// Optional explicit Seq2Seq decoder (see
     /// [`MetaSgclConfig::decoder_layers`]); `None` means the Eq. 22 path
     /// `ŷ = z·Mᵀ`.
-    pub(crate) decoder: Option<TransformerEncoder<S>>,
+    pub(crate) decoder: Option<TransformerEncoder>,
     pub(crate) cfg: MetaSgclConfig,
     pub(crate) history: TrainingHistory,
 }
@@ -254,8 +254,8 @@ impl MetaSgcl {
     /// Deterministic catalog scores under *left-aligned* (incremental
     /// serving) semantics: the window is the last `max_len` items with
     /// positions `0..len` and no padding, encoded via
-    /// [`TransformerBackbone::forward_left_aligned`]. This is the autograd
-    /// reference the frozen incremental path is gated against bitwise.
+    /// [`TransformerBackbone::forward_left_aligned`]. This is the recorded
+    /// reference the eager incremental path is gated against bitwise.
     ///
     /// This is a *different* windowing than [`MetaSgcl::score_sequence`]'s
     /// right-anchored positions, and not an equally good one: the model is
@@ -314,10 +314,10 @@ pub(crate) fn noise_cells(pack: &Packing, targets: &[Vec<usize>]) -> Vec<bool> {
     read
 }
 
-impl<S: Store> MetaSgcl<S> {
+impl MetaSgcl {
     /// Training encoder pass (dropout on): `F^{(L)}` features of a
     /// batch's real cells, packed as `pack` lists them (Eqs. 4–10).
-    pub(crate) fn encode<C: Ctx<S = S>>(
+    pub(crate) fn encode<C: Ctx>(
         &self,
         c: &C,
         inputs: &[Vec<ItemId>],
@@ -330,9 +330,9 @@ impl<S: Store> MetaSgcl<S> {
     /// The reparameterised sample of Eqs. 14–15: `head` gives the clamped
     /// log-variance, and `z = μ + exp(½·logvar) ⊙ eps`. Returns
     /// `(logvar, z)`.
-    pub(crate) fn reparameterize<C: Ctx<S = S>>(
+    pub(crate) fn reparameterize<C: Ctx>(
         c: &C,
-        head: &Linear<S>,
+        head: &Linear,
         features: &C::V,
         mu: &C::V,
         eps: &Tensor,
@@ -347,7 +347,7 @@ impl<S: Store> MetaSgcl<S> {
     /// from view 1's (`None` for `Enc_σ'`), with the packing they were
     /// encoded under: a second dropout pass, or a pass over a
     /// hand-augmented copy of the batch.
-    pub(crate) fn second_features<C: Ctx<S = S>>(
+    pub(crate) fn second_features<C: Ctx>(
         &self,
         c: &C,
         batch: &Batch,
@@ -399,13 +399,14 @@ impl<S: Store> MetaSgcl<S> {
     /// position only: the heads and the reparameterisation are
     /// row-independent, and the contrastive loss reads only `z_last`.
     ///
-    /// Training runs it eagerly over a frozen snapshot; the auditor runs it
-    /// on the tape. Each view's noise is sampled only at the last column of
+    /// Training runs it eagerly over the model's own weights, which stage 2
+    /// does not write until its shards merge; the auditor runs it on the
+    /// tape. Each view's noise is sampled only at the last column of
     /// its `[b, n, d]` draw; the other cells only advance the generator
     /// ([`standard_normal_rows`]). So the last rows hold the bits the
     /// full-row views draw there, and the RNG stream is that of the full
     /// views minus the decoder, whose output stage 2 never reads.
-    pub(crate) fn meta_prefix<C: Ctx<S = S>>(
+    pub(crate) fn meta_prefix<C: Ctx>(
         &self,
         c: &C,
         batch: &Batch,
@@ -447,7 +448,7 @@ impl<S: Store> MetaSgcl<S> {
     /// rows. Only the last row leaves the top layer: the backbone's
     /// without a decoder, which then goes alone through `Enc_μ`; the
     /// decoder's with one, whose input is every row's `μ`.
-    pub(crate) fn padded_last_hidden<C: Ctx<S = S>>(&self, c: &C, seq: &[ItemId]) -> C::V {
+    pub(crate) fn padded_last_hidden<C: Ctx>(&self, c: &C, seq: &[ItemId]) -> C::V {
         let (input, pad) = encode_input_only(seq, self.cfg.net.max_len);
         let pack = self.backbone.packing(&[pad]);
         let mut rng = eval_rng();

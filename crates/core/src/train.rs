@@ -6,7 +6,6 @@ use models::cl::info_nce_masked;
 use models::sampled::{self, SoftmaxMode};
 use models::vae::gaussian_kl;
 use models::{SequentialRecommender, TrainConfig};
-use nn::Freeze;
 use optim::{apply_step, Adam, KlAnnealing};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -25,7 +24,6 @@ use crate::config::{SecondView, TrainStrategy};
 use crate::exec::{
     reduce_outcomes, BatchStats, Executor, NullObserver, ShardOutcome, TrainObserver,
 };
-use crate::infer::FrozenMetaSgcl;
 use crate::model::{MetaPrefix, MetaSgcl, View};
 use crate::obs::RunTelemetry;
 
@@ -283,12 +281,11 @@ impl MetaSgcl {
     }
 
     /// Stage-2 shard work: the contrastive loss only. The frozen prefix
-    /// runs eagerly over `frozen`, the snapshot taken after this batch's
-    /// stage-1 update; only `Enc_σ'` onward is recorded. Returns `None` for
-    /// shards with fewer than two rows (no in-shard negatives exist).
+    /// runs eagerly over the weights this batch's stage-1 update left;
+    /// only `Enc_σ'` onward is recorded. Returns `None` for shards with
+    /// fewer than two rows (no in-shard negatives exist).
     fn contrastive_shard(
         &self,
-        frozen: &FrozenMetaSgcl,
         shard: &Batch,
         seed: u64,
         sanitize: bool,
@@ -301,7 +298,7 @@ impl MetaSgcl {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = Graph::new();
         let fwd = trace.map(|(t, parent)| t.begin("forward", parent));
-        let prefix = frozen.meta_prefix(&Eager, shard, &mut rng);
+        let prefix = self.meta_prefix(&Eager, shard, &mut rng);
         let loss = self.meta_stage_loss(&g, prefix, shard);
         if let (Some((t, _)), Some(span)) = (trace, fwd) {
             t.end(span, &[("shard", Field::U64(shard_idx as u64))]);
@@ -346,8 +343,9 @@ impl MetaSgcl {
 
     /// Fans the contrastive stage over the shards; gradients of eligible
     /// shards (≥ 2 rows) are mean-reduced with weights renormalized over the
-    /// eligible rows. `None` when no shard has two rows. The model is
-    /// frozen once here and the shards share the snapshot.
+    /// eligible rows. `None` when no shard has two rows. No parameter is
+    /// written until the caller merges the result, so every shard reads
+    /// the same weights.
     fn contrastive_step(
         &self,
         exec: &Executor,
@@ -356,10 +354,8 @@ impl MetaSgcl {
         sanitize: bool,
         trace: Option<(&Tracer, SpanId)>,
     ) -> Option<GradientSet> {
-        let frozen = self.freeze();
         let collected = exec.map_shards(shards, |i, shard| {
             self.contrastive_shard(
-                &frozen,
                 shard,
                 Executor::shard_seed(batch_seed, 2, i as u64),
                 sanitize,

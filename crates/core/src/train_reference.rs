@@ -15,7 +15,7 @@ use models::cl::info_nce_masked;
 use models::sampled::{self, NegativeSampler, SoftmaxMode};
 use models::vae::{gaussian_kl, standard_normal_like};
 use models::NetConfig;
-use nn::{Freeze, Linear, Packing};
+use nn::{Linear, Packing};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recdata::{Batch, Batcher, ItemId};
@@ -202,7 +202,6 @@ fn stage2_sigma_prime_gradient_matches_the_full_tape() {
         for (seed, decoder_layers) in [(0u64, 0), (1, 0), (2, 0), (3, 1)] {
             let mut m = model(seed, second_view, decoder_layers);
             m.set_main_trainable(false);
-            let frozen = m.freeze();
             // Stage 2 never reads the decoder and its prefix skips it, its
             // dropout draws included, so the full tape is recorded without
             // it (the other parameters are the same `ParamRef`s).
@@ -218,7 +217,7 @@ fn stage2_sigma_prime_gradient_matches_the_full_tape() {
 
                 let g = Graph::new();
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-                let prefix = frozen.meta_prefix(&Eager, shard, &mut rng);
+                let prefix = m.meta_prefix(&Eager, shard, &mut rng);
                 let got_loss = m.meta_stage_loss(&g, prefix, shard);
                 let got = got_loss.backward_collect();
 

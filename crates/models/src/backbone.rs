@@ -16,19 +16,19 @@
 //! plus a different head/objective, which keeps the Table II comparison
 //! about objectives rather than implementation details.
 
-use autograd::{Ctx, Graph, ParamRef, Store, Train, Value, Var};
+use autograd::{Ctx, Graph, ParamRef, Value, Var};
 use nn::{Dropout, Embedding, LayerNorm, Module, Packing, TransformerEncoder};
 use rand::rngs::StdRng;
 use recdata::ItemId;
 use tensor::Tensor;
 
 /// Item+position embedding and Transformer encoder stack.
-pub struct TransformerBackbone<S: Store = Train> {
-    pub(crate) item_emb: Embedding<S>,
-    pub(crate) pos_emb: Embedding<S>,
-    pub(crate) emb_ln: LayerNorm<S>,
+pub struct TransformerBackbone {
+    pub(crate) item_emb: Embedding,
+    pub(crate) pos_emb: Embedding,
+    pub(crate) emb_ln: LayerNorm,
     pub(crate) emb_dropout: Dropout,
-    pub(crate) encoder: TransformerEncoder<S>,
+    pub(crate) encoder: TransformerEncoder,
     pub(crate) dim: usize,
     pub(crate) heads: usize,
     pub(crate) causal: bool,
@@ -71,8 +71,8 @@ impl TransformerBackbone {
         }
     }
 
-    /// The item-embedding table parameter (tied output projection, Fig. 6
-    /// analytics).
+    /// The item-embedding table parameter (tied output projection, ANN
+    /// corpus, Fig. 6 analytics).
     pub fn item_table(&self) -> &ParamRef {
         self.item_emb.table()
     }
@@ -93,10 +93,12 @@ impl TransformerBackbone {
     }
 
     /// Scores the catalog from hidden states via the tied item table
-    /// (Eq. 22: `ŷ = z · Mᵀ`). Accepts `[b, d]` or `[b, n, d]`.
-    pub fn scores(&self, g: &Graph, h: &Var) -> Var {
+    /// (Eq. 22: `ŷ = z · Mᵀ`). Accepts `[b, d]` or `[b, n, d]`; rows are
+    /// independent accumulation chains, so batch scoring equals single-row
+    /// scoring bitwise.
+    pub fn scores<C: Ctx>(&self, c: &C, h: &C::V) -> C::V {
         // Fused NT against the [V, d] table — no [d, V] transpose copy.
-        self.item_emb.project(g, h)
+        self.item_emb.project(c, h)
     }
 
     /// The tied item-embedding table as a graph var (`[vocab, d]`), for
@@ -113,12 +115,15 @@ impl TransformerBackbone {
         ps.extend(self.encoder.parameters());
         ps
     }
-}
 
-impl<S: Store> TransformerBackbone<S> {
     /// Embedding dimension.
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    /// Attention heads per layer.
+    pub fn heads(&self) -> usize {
+        self.heads
     }
 
     /// Vocabulary size (including padding/special tokens).
@@ -140,7 +145,7 @@ impl<S: Store> TransformerBackbone<S> {
     /// Adds position embeddings to item embeddings `e` (`[b, n, d]` with
     /// `positions` `0..n`, or `[b, d]` with one position per row),
     /// normalizes, applies dropout.
-    pub(crate) fn add_positions<C: Ctx<S = S>>(
+    pub(crate) fn add_positions<C: Ctx>(
         &self,
         c: &C,
         e: &C::V,
@@ -154,7 +159,7 @@ impl<S: Store> TransformerBackbone<S> {
     }
 
     /// Embeds a batch (Eq. 4: `Ê = E + P`), normalizes, applies dropout.
-    pub fn embed<C: Ctx<S = S>>(
+    pub fn embed<C: Ctx>(
         &self,
         c: &C,
         inputs: &[Vec<ItemId>],
@@ -170,7 +175,7 @@ impl<S: Store> TransformerBackbone<S> {
     /// Embeds the real cells of a batch (Eq. 4: `Ê = E + P`), packed:
     /// item and position rows per cell, each cell's position its padded
     /// column, then LayerNorm and dropout (drawn at the padded shape).
-    pub(crate) fn embed_packed<C: Ctx<S = S>>(
+    pub(crate) fn embed_packed<C: Ctx>(
         &self,
         c: &C,
         inputs: &[Vec<ItemId>],
@@ -188,7 +193,7 @@ impl<S: Store> TransformerBackbone<S> {
 
     /// Packed forward: hidden rows `[R, dim]` of `pack`'s real cells
     /// (Eq. 10's `F^(l)` without the padding).
-    pub fn forward_packed<C: Ctx<S = S>>(
+    pub fn forward_packed<C: Ctx>(
         &self,
         c: &C,
         inputs: &[Vec<ItemId>],
@@ -204,7 +209,7 @@ impl<S: Store> TransformerBackbone<S> {
     /// outputs only each sequence's last row (see
     /// [`TransformerEncoder::forward_last`]): `[b, dim]`, the rows a
     /// next-item query reads. No sequence may be empty.
-    pub fn forward_last<C: Ctx<S = S>>(
+    pub fn forward_last<C: Ctx>(
         &self,
         c: &C,
         inputs: &[Vec<ItemId>],
@@ -217,7 +222,7 @@ impl<S: Store> TransformerBackbone<S> {
 
     /// Full forward: returns hidden states `[b, n, dim]` (Eq. 10's
     /// `F^(l)`), zero at padded cells.
-    pub fn forward<C: Ctx<S = S>>(
+    pub fn forward<C: Ctx>(
         &self,
         c: &C,
         inputs: &[Vec<ItemId>],
@@ -243,7 +248,7 @@ impl<S: Store> TransformerBackbone<S> {
     ///
     /// Requires `seq.len() <= max_len` (the position table has `max_len`
     /// rows).
-    pub fn forward_left_aligned<C: Ctx<S = S>>(
+    pub fn forward_left_aligned<C: Ctx>(
         &self,
         c: &C,
         seq: &[ItemId],
@@ -258,7 +263,7 @@ impl<S: Store> TransformerBackbone<S> {
     /// Runs the encoder on a pre-built `[b, n, dim]` embedding (for models
     /// that modify the embedding first): packs its real rows, encodes
     /// them, and returns `[b, n, dim]`, zero at padded cells.
-    pub fn encode_embedded<C: Ctx<S = S>>(
+    pub fn encode_embedded<C: Ctx>(
         &self,
         c: &C,
         x: &C::V,
@@ -276,10 +281,7 @@ impl<S: Store> TransformerBackbone<S> {
     /// Extracts the representation at the last position: `[b, n, d] → [b, d]`.
     /// With left padding the final position always holds the most recent
     /// real item.
-    pub fn last_hidden<V: Value>(h: &V) -> V
-    where
-        V::Ctx: Ctx<S = S>,
-    {
+    pub fn last_hidden<V: Value>(h: &V) -> V {
         let c = h.ctx();
         let dims = c.dims(h);
         let (b, n, d) = (dims[0], dims[1], dims[2]);

@@ -6,7 +6,7 @@
 //! ranking losses — the standard modern formulation (also used by the
 //! paper's comparison framework).
 
-use autograd::{Ctx, Graph, Store, Train};
+use autograd::{Ctx, Graph};
 use nn::{Embedding, Gru, Module};
 use optim::{clip_grad_norm, Adam, Optimizer};
 use rand::rngs::StdRng;
@@ -18,9 +18,9 @@ use crate::sampled::{self, SoftmaxMode};
 use crate::{SequentialRecommender, TrainConfig};
 
 /// The GRU4Rec model.
-pub struct Gru4Rec<S: Store = Train> {
-    pub(crate) item_emb: Embedding<S>,
-    pub(crate) gru: Gru<S>,
+pub struct Gru4Rec {
+    pub(crate) item_emb: Embedding,
+    pub(crate) gru: Gru,
     pub(crate) num_items: usize,
     pub(crate) max_len: usize,
 }
@@ -43,13 +43,9 @@ impl Gru4Rec {
         ps
     }
 
-    /// Catalog scores over the *unpadded* sequence: the recurrence starts
-    /// from `h = 0` at the first real item, with no left-pad prefix steps.
-    /// These are the semantics the incremental serving path caches under —
-    /// appending an item is exactly one more GRU step — and unlike the
-    /// padded [`SequentialRecommender::score`] they work through `&self`
-    /// and have no length cap.
-    pub fn score_unpadded(&self, seq: &[ItemId]) -> Vec<f32> {
+    /// [`score_unpadded`](Self::score_unpadded) on the recording context:
+    /// the reference the eager scores are tested against bitwise.
+    pub fn score_unpadded_recorded(&self, seq: &[ItemId]) -> Vec<f32> {
         if seq.is_empty() {
             return vec![0.0; self.num_items + 1];
         }
@@ -80,12 +76,10 @@ impl Gru4Rec {
             }
         }
     }
-}
 
-impl<S: Store> Gru4Rec<S> {
     /// The GRU's last hidden state `[1, d]` after reading `input` from a
     /// zero state.
-    pub(crate) fn last_hidden<C: Ctx<S = S>>(&self, c: &C, input: Vec<ItemId>) -> C::V {
+    pub(crate) fn last_hidden<C: Ctx>(&self, c: &C, input: Vec<ItemId>) -> C::V {
         let x = self.item_emb.forward_batch(c, &[input]);
         self.gru.forward_sequence_last(c, &x)
     }
@@ -93,7 +87,7 @@ impl<S: Store> Gru4Rec<S> {
     /// Catalog scores `[1, V]` after reading `input`: the one score body
     /// offline scoring and serving share. Only the last hidden state is
     /// projected against the tied table.
-    pub(crate) fn score_rows<C: Ctx<S = S>>(&self, c: &C, input: Vec<ItemId>) -> C::V {
+    pub(crate) fn score_rows<C: Ctx>(&self, c: &C, input: Vec<ItemId>) -> C::V {
         self.item_emb.project(c, &self.last_hidden(c, input))
     }
 }

@@ -1,56 +1,41 @@
 //! Serving the model layer: the shared Transformer backbone and GRU4Rec
-//! under the eager context, in both padded (training-equivalent) and
-//! left-aligned incremental semantics.
+//! under the eager context, over the trained weights, in both padded
+//! (training-equivalent) and left-aligned incremental semantics.
 //!
-//! * **Padded** ([`FrozenTransformerBackbone::forward_padded`],
-//!   [`FrozenGru4Rec::score_padded`]) runs the training forward itself
-//!   over frozen weights: the last `max_len` items, left-padded, positions
-//!   anchored at the right edge. This is what offline evaluation computes,
-//!   so served scores equal `score_sequence`/`score` bitwise. Padded
-//!   windows are *not* cacheable across appends — every append shifts all
-//!   previous items' position embeddings (and changes the GRU pad prefix).
-//! * **Left-aligned incremental** ([`FrozenTransformerBackbone::begin_incremental`]
-//!   / [`append_incremental`](FrozenTransformerBackbone::append_incremental),
-//!   [`FrozenGru4Rec`]'s [`GruState`]) anchors positions at the *start*
-//!   (`0..len`). `begin` is the packed forward of
+//! * **Padded** ([`TransformerBackbone::forward`] under [`Eager`],
+//!   [`Gru4Rec::score_padded`]) runs the training forward itself: the last
+//!   `max_len` items, left-padded, positions anchored at the right edge.
+//!   This is what offline evaluation computes, so served scores equal
+//!   `score_sequence`/`score` bitwise. Padded windows are *not* cacheable
+//!   across appends — every append shifts all previous items' position
+//!   embeddings (and changes the GRU pad prefix).
+//! * **Left-aligned incremental** ([`TransformerBackbone::begin_top`] /
+//!   [`append_incremental`](TransformerBackbone::append_incremental),
+//!   [`Gru4Rec`]'s [`GruState`]) anchors positions at the *start*
+//!   (`0..len`). `begin_top` is the packed forward of
 //!   [`TransformerBackbone::forward_left_aligned`] that keeps each layer's
-//!   keys and values ([`EncoderKv`]); an append is the same packed
-//!   forward over one new row per user, a segment whose earlier keys
-//!   start in the cache ([`FrozenTransformerBackbone::begin_top`] can run
-//!   the top layer on the last row only). Under causal attention an
-//!   append leaves every cached key/value row bitwise-unchanged. The references are
+//!   keys and values ([`EncoderKv`]), and can run the top layer on the
+//!   last row only; an append is the same packed forward over one new row
+//!   per user, a segment whose earlier keys start in the cache. Under
+//!   causal attention an append leaves every cached key/value row
+//!   bitwise-unchanged. The references are
 //!   [`TransformerBackbone::forward_left_aligned`] and
-//!   [`Gru4Rec::score_unpadded`].
+//!   [`Gru4Rec::score_unpadded_recorded`].
 
-use autograd::{Eager, Frozen};
+use autograd::{Eager, ParamRef};
 use nn::infer::eval_rng;
-use nn::{EncoderKv, Freeze, Packing, TopRows};
+use nn::{EncoderKv, Packing, TopRows};
 use recdata::{encode_input_only, ItemId};
 use tensor::Tensor;
 
 use crate::{Gru4Rec, TransformerBackbone};
 
-/// A [`TransformerBackbone`] over frozen weights.
-pub type FrozenTransformerBackbone = TransformerBackbone<Frozen>;
-
-impl TransformerBackbone<Frozen> {
-    /// The padded forward at eval: hidden states `[b, n, d]`.
-    pub fn forward_padded(&self, inputs: &[Vec<ItemId>], pad: &[Vec<bool>]) -> Tensor {
-        self.forward(&Eager, inputs, pad, &mut eval_rng(), false)
-    }
-
+impl TransformerBackbone {
     /// Encodes a full sequence under left-aligned semantics while filling a
     /// fresh incremental cache: the packed forward of
     /// [`TransformerBackbone::forward_left_aligned`], keeping each layer's
-    /// keys and values. Returns the cache and its hidden states
-    /// `[1, len, d]`.
-    pub fn begin_incremental(&self, seq: &[ItemId]) -> (EncoderKv, Tensor) {
-        let (state, h) = self.begin_top(seq, TopRows::All);
-        (state, Packing::left_aligned(seq.len()).unpack(&Eager, &h))
-    }
-
-    /// [`begin_incremental`](Self::begin_incremental) returning the packed
-    /// top-layer rows `top` selects: all `[len, d]`, or the last `[1, d]`.
+    /// keys and values. Returns the cache and the packed top-layer rows
+    /// `top` selects: all `[len, d]`, or the last `[1, d]`.
     pub fn begin_top(&self, seq: &[ItemId], top: TopRows) -> (EncoderKv, Tensor) {
         assert!(
             seq.len() <= self.max_len(),
@@ -87,44 +72,11 @@ impl TransformerBackbone<Frozen> {
         let x = self.add_positions(&Eager, &e, &positions, &mut eval_rng(), false);
         self.encoder.append(&x, states)
     }
-
-    /// Catalog scores via the tied item table (`ŷ = h · Mᵀ`). Accepts
-    /// `[b, d]` or `[b, n, d]`; rows are independent accumulation chains,
-    /// so batch scoring equals single-row scoring bitwise.
-    pub fn scores(&self, h: &Tensor) -> Tensor {
-        self.item_emb.project(&Eager, h)
-    }
-
-    /// The tied item table (`[vocab, d]`): the corpus side of the
-    /// maximum-inner-product retrieval an ANN index answers.
-    pub fn item_table(&self) -> &Tensor {
-        self.item_emb.table()
-    }
-}
-
-impl Freeze for TransformerBackbone {
-    type Frozen = TransformerBackbone<Frozen>;
-
-    fn freeze(&self) -> TransformerBackbone<Frozen> {
-        TransformerBackbone {
-            item_emb: self.item_emb.freeze(),
-            pos_emb: self.pos_emb.freeze(),
-            emb_ln: self.emb_ln.freeze(),
-            emb_dropout: self.emb_dropout,
-            encoder: self.encoder.freeze(),
-            dim: self.dim,
-            heads: self.heads,
-            causal: self.causal,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // GRU4Rec
 // ---------------------------------------------------------------------------
-
-/// A [`Gru4Rec`] over frozen weights.
-pub type FrozenGru4Rec = Gru4Rec<Frozen>;
 
 /// Incremental per-user GRU cache: the running hidden state. Unlike the
 /// attention cache this is O(d) and never slides — the unpadded recurrence
@@ -146,12 +98,7 @@ impl GruState {
     }
 }
 
-impl Gru4Rec<Frozen> {
-    /// Catalog size (excluding padding index 0).
-    pub fn num_items(&self) -> usize {
-        self.num_items
-    }
-
+impl Gru4Rec {
     /// Training window length (used only by the padded path).
     pub fn max_len(&self) -> usize {
         self.max_len
@@ -170,7 +117,7 @@ impl Gru4Rec<Frozen> {
     }
 
     /// Begins an incremental recurrence over `seq` (unpadded; mirrors
-    /// [`Gru4Rec::score_unpadded`] semantics).
+    /// [`score_unpadded`](Self::score_unpadded) semantics).
     pub fn begin_incremental(&self, seq: &[ItemId]) -> GruState {
         let mut state = GruState {
             h: Tensor::zeros(vec![1, self.gru.dim()]),
@@ -224,30 +171,21 @@ impl Gru4Rec<Frozen> {
         Some(self.last_hidden(&Eager, input).row(0).to_vec())
     }
 
-    /// The tied item table (`[num_items + 1, d]`).
-    pub fn item_table(&self) -> &Tensor {
+    /// The tied item table parameter (`[num_items + 1, d]`).
+    pub fn item_table(&self) -> &ParamRef {
         self.item_emb.table()
     }
 
-    /// Unpadded scores via a fresh full recurrence, bitwise-identical to
-    /// [`Gru4Rec::score_unpadded`].
+    /// Catalog scores over the *unpadded* sequence: the recurrence starts
+    /// from `h = 0` at the first real item, with no left-pad prefix steps.
+    /// These are the semantics the incremental serving path caches under —
+    /// appending an item is exactly one more GRU step — and unlike the
+    /// padded [`SequentialRecommender::score`](crate::SequentialRecommender::score)
+    /// they work through `&self` and have no length cap.
     pub fn score_unpadded(&self, seq: &[ItemId]) -> Vec<f32> {
         if seq.is_empty() {
             return vec![0.0; self.num_items + 1];
         }
         self.score_rows(&Eager, seq.to_vec()).row(0).to_vec()
-    }
-}
-
-impl Freeze for Gru4Rec {
-    type Frozen = Gru4Rec<Frozen>;
-
-    fn freeze(&self) -> Gru4Rec<Frozen> {
-        Gru4Rec {
-            item_emb: self.item_emb.freeze(),
-            gru: self.gru.freeze(),
-            num_items: self.num_items,
-            max_len: self.max_len,
-        }
     }
 }

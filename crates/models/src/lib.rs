@@ -56,7 +56,7 @@ pub use contrastvae::Augmentation;
 pub use contrastvae::ContrastVae;
 pub use duorec::DuoRec;
 pub use gru4rec::Gru4Rec;
-pub use infer::{FrozenGru4Rec, FrozenTransformerBackbone, GruState};
+pub use infer::GruState;
 pub use pop::Pop;
 pub use sampled::{NegativeSampler, SoftmaxMode};
 pub use sasrec::{NetConfig, SasRec};

@@ -11,7 +11,7 @@
 
 use std::cell::Cell;
 
-use autograd::{Ctx, GradientSet, Store};
+use autograd::{Ctx, GradientSet};
 use nn::causal_mask;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,15 +33,15 @@ pub(crate) fn padded() -> bool {
 }
 
 /// The padded backbone forward: `[b, n, d]`, zero (±0) at padded cells.
-pub(crate) fn padded_forward<S: Store, C: Ctx<S = S>>(
-    bb: &TransformerBackbone<S>,
+pub(crate) fn padded_forward<C: Ctx>(
+    bb: &TransformerBackbone,
     c: &C,
     inputs: &[Vec<ItemId>],
     pad: &[Vec<bool>],
     rng: &mut StdRng,
     training: bool,
 ) -> C::V {
-    let (b, n, heads) = (pad.len(), pad[0].len(), bb.heads);
+    let (b, n, heads) = (pad.len(), pad[0].len(), bb.heads());
     let mut keys = Tensor::zeros(vec![b * heads, 1, n]);
     let mut timeline = Tensor::ones(vec![b, n, 1]);
     for (bi, row) in pad.iter().enumerate() {

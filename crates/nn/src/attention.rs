@@ -1,6 +1,6 @@
 //! Multi-head self-attention (Eqs. 5–7 of the paper).
 
-use autograd::{Ctx, ParamRef, Store, Train};
+use autograd::{Ctx, ParamRef};
 use rand::rngs::StdRng;
 use tensor::Tensor;
 
@@ -25,11 +25,11 @@ pub fn causal_mask(n: usize) -> Tensor {
 /// Multi-head scaled dot-product self-attention with fused `d×d`
 /// query/key/value projections (equivalent to the paper's per-head
 /// `d × d/h` matrices `W_i^Q, W_i^K, W_i^V`) and an output projection.
-pub struct MultiHeadSelfAttention<S: Store = Train> {
-    pub(crate) wq: Linear<S>,
-    pub(crate) wk: Linear<S>,
-    pub(crate) wv: Linear<S>,
-    pub(crate) wo: Linear<S>,
+pub struct MultiHeadSelfAttention {
+    pub(crate) wq: Linear,
+    pub(crate) wk: Linear,
+    pub(crate) wv: Linear,
+    pub(crate) wo: Linear,
     pub(crate) heads: usize,
     pub(crate) dim: usize,
     pub(crate) dropout: Dropout,
@@ -52,9 +52,7 @@ impl MultiHeadSelfAttention {
             dropout: Dropout::new(dropout),
         }
     }
-}
 
-impl<S: Store> MultiHeadSelfAttention<S> {
     fn split_heads<C: Ctx>(&self, c: &C, x: &C::V, b: usize, n: usize) -> C::V {
         let dh = self.dim / self.heads;
         let x = c.reshape(x, vec![b, n, self.heads, dh]);
@@ -64,7 +62,7 @@ impl<S: Store> MultiHeadSelfAttention<S> {
 
     /// The query projections of rows `xq`, and the key and value
     /// projections of rows `x`.
-    pub(crate) fn qkv<C: Ctx<S = S>>(&self, c: &C, xq: &C::V, x: &C::V) -> (C::V, C::V, C::V) {
+    pub(crate) fn qkv<C: Ctx>(&self, c: &C, xq: &C::V, x: &C::V) -> (C::V, C::V, C::V) {
         (
             self.wq.forward(c, xq),
             self.wk.forward(c, x),
@@ -75,7 +73,7 @@ impl<S: Store> MultiHeadSelfAttention<S> {
     /// Mixes projected `q, k, v: [b, n, dim]` densely, under an additive
     /// logits mask broadcastable to `[b·heads, n, n]`. Returns the
     /// context, before `W^O`.
-    pub(crate) fn mix_dense<C: Ctx<S = S>>(
+    pub(crate) fn mix_dense<C: Ctx>(
         &self,
         c: &C,
         (q, k, v): (&C::V, &C::V, &C::V),
@@ -107,7 +105,7 @@ impl<S: Store> MultiHeadSelfAttention<S> {
     /// mask broadcastable to `[b·heads, n, n]` (e.g. [`causal_mask`]);
     /// `None` means full bidirectional attention. This dense form is the
     /// reference the packed forward is tested against.
-    pub fn forward<C: Ctx<S = S>>(
+    pub fn forward<C: Ctx>(
         &self,
         c: &C,
         x: &C::V,

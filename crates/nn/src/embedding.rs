@@ -1,6 +1,6 @@
 //! Item/position embedding table (the `M ∈ R^{N×d}` of Eq. 4).
 
-use autograd::{Ctx, Graph, ParamRef, Parameter, Store, Train, Var};
+use autograd::{Ctx, Graph, ParamRef, Parameter, Var};
 use rand::rngs::StdRng;
 use tensor::init;
 
@@ -10,8 +10,8 @@ use crate::Module;
 ///
 /// Index 0 is conventionally the padding item; models typically multiply
 /// padded positions by a timeline mask, and evaluation never ranks item 0.
-pub struct Embedding<S: Store = Train> {
-    pub(crate) table: S::Weight,
+pub struct Embedding {
+    pub(crate) table: ParamRef,
     pub(crate) vocab: usize,
     pub(crate) dim: usize,
 }
@@ -30,9 +30,7 @@ impl Embedding {
     pub fn full(&self, g: &Graph) -> Var {
         g.param(&self.table)
     }
-}
 
-impl<S: Store> Embedding<S> {
     /// Vocabulary size.
     pub fn vocab(&self) -> usize {
         self.vocab
@@ -43,20 +41,20 @@ impl<S: Store> Embedding<S> {
         self.dim
     }
 
-    /// The table `[vocab, dim]`: the parameter when training (for
-    /// analytics like Fig. 6), the snapshot when frozen.
-    pub fn table(&self) -> &S::Weight {
+    /// The table parameter `[vocab, dim]` (tied scoring, ANN indexes,
+    /// analytics like Fig. 6).
+    pub fn table(&self) -> &ParamRef {
         &self.table
     }
 
     /// Looks up a flat index list, returning `[indices.len(), dim]`.
-    pub fn forward_flat<C: Ctx<S = S>>(&self, c: &C, indices: &[usize]) -> C::V {
+    pub fn forward_flat<C: Ctx>(&self, c: &C, indices: &[usize]) -> C::V {
         c.gather(&self.table, indices)
     }
 
     /// Looks up a batch of fixed-length sequences, returning
     /// `[batch, seq_len, dim]`.
-    pub fn forward_batch<C: Ctx<S = S>>(&self, c: &C, batch: &[Vec<usize>]) -> C::V {
+    pub fn forward_batch<C: Ctx>(&self, c: &C, batch: &[Vec<usize>]) -> C::V {
         let b = batch.len();
         let n = batch.first().map_or(0, Vec::len);
         let flat: Vec<usize> = batch
@@ -70,7 +68,7 @@ impl<S: Store> Embedding<S> {
     }
 
     /// Tied-table scores `x · Mᵀ` for `x: [.., dim]`.
-    pub fn project<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> C::V {
+    pub fn project<C: Ctx>(&self, c: &C, x: &C::V) -> C::V {
         c.matmul_transb_w(x, &self.table)
     }
 }

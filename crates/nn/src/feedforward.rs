@@ -1,6 +1,6 @@
 //! Position-wise feed-forward network (Eq. 8).
 
-use autograd::{Ctx, ParamRef, Store, Train};
+use autograd::{Ctx, ParamRef};
 use rand::rngs::StdRng;
 
 use crate::{Dropout, Linear, Module, Packing};
@@ -15,9 +15,9 @@ pub enum Activation {
 }
 
 /// `FFN(x) = act(x·W₁ + b₁)·W₂ + b₂` applied position-wise.
-pub struct FeedForward<S: Store = Train> {
-    pub(crate) l1: Linear<S>,
-    pub(crate) l2: Linear<S>,
+pub struct FeedForward {
+    pub(crate) l1: Linear,
+    pub(crate) l2: Linear,
     pub(crate) activation: Activation,
     pub(crate) dropout: Dropout,
 }
@@ -39,23 +39,15 @@ impl FeedForward {
             dropout: Dropout::new(dropout),
         }
     }
-}
 
-impl<S: Store> FeedForward<S> {
     /// Applies the FFN (no residual; the caller adds it per Eq. 8).
-    pub fn forward<C: Ctx<S = S>>(
-        &self,
-        c: &C,
-        x: &C::V,
-        rng: &mut StdRng,
-        training: bool,
-    ) -> C::V {
+    pub fn forward<C: Ctx>(&self, c: &C, x: &C::V, rng: &mut StdRng, training: bool) -> C::V {
         self.forward_rows(c, x, None, rng, training)
     }
 
     /// [`forward`](Self::forward) over rows that may be the packed rows of
     /// a padded batch (see [`Dropout::apply_rows`]).
-    pub(crate) fn forward_rows<C: Ctx<S = S>>(
+    pub(crate) fn forward_rows<C: Ctx>(
         &self,
         c: &C,
         x: &C::V,

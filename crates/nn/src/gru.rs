@@ -1,6 +1,6 @@
 //! Gated recurrent unit, for the GRU4Rec baseline.
 
-use autograd::{Ctx, ParamRef, Store, Train};
+use autograd::{Ctx, ParamRef};
 use rand::rngs::StdRng;
 use tensor::Tensor;
 
@@ -15,13 +15,13 @@ use crate::{Linear, Module};
 /// h̃  = tanh(x·Wh + (r⊙h)·Uh + bh)
 /// h' = (1−z)⊙h + z⊙h̃
 /// ```
-pub struct Gru<S: Store = Train> {
-    pub(crate) wz: Linear<S>,
-    pub(crate) uz: Linear<S>,
-    pub(crate) wr: Linear<S>,
-    pub(crate) ur: Linear<S>,
-    pub(crate) wh: Linear<S>,
-    pub(crate) uh: Linear<S>,
+pub struct Gru {
+    pub(crate) wz: Linear,
+    pub(crate) uz: Linear,
+    pub(crate) wr: Linear,
+    pub(crate) ur: Linear,
+    pub(crate) wh: Linear,
+    pub(crate) uh: Linear,
     pub(crate) dim: usize,
 }
 
@@ -38,18 +38,15 @@ impl Gru {
             dim,
         }
     }
-}
 
-impl<S: Store> Gru<S> {
     /// Hidden size.
     pub fn dim(&self) -> usize {
         self.dim
     }
 
     /// One step: `x: [b, dim]`, `h: [b, dim]` → new hidden `[b, dim]`.
-    pub fn step<C: Ctx<S = S>>(&self, c: &C, x: &C::V, h: &C::V) -> C::V {
-        let gate =
-            |w: &Linear<S>, u: &Linear<S>| c.sigmoid(&c.add(&w.forward(c, x), &u.forward(c, h)));
+    pub fn step<C: Ctx>(&self, c: &C, x: &C::V, h: &C::V) -> C::V {
+        let gate = |w: &Linear, u: &Linear| c.sigmoid(&c.add(&w.forward(c, x), &u.forward(c, h)));
         let z = gate(&self.wz, &self.uz);
         let r = gate(&self.wr, &self.ur);
         let wx = self.wh.forward(c, x);
@@ -59,14 +56,14 @@ impl<S: Store> Gru<S> {
     }
 
     /// Input row `t` of `x: [b, n, dim]`, as `[b, dim]`.
-    fn input_at<C: Ctx<S = S>>(&self, c: &C, x: &C::V, t: usize) -> C::V {
+    fn input_at<C: Ctx>(&self, c: &C, x: &C::V, t: usize) -> C::V {
         let b = c.dims(x)[0];
         c.reshape(&c.slice_axis(x, 1, t, t + 1), vec![b, self.dim])
     }
 
     /// Runs the GRU over a sequence `x: [b, n, dim]`, returning all hidden
     /// states stacked as `[b, n, dim]` (initial hidden is zero).
-    pub fn forward_sequence<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> C::V {
+    pub fn forward_sequence<C: Ctx>(&self, c: &C, x: &C::V) -> C::V {
         let dims = c.dims(x);
         let (b, n) = (dims[0], dims[1]);
         let mut h = c.constant(Tensor::zeros(vec![b, self.dim]));
@@ -80,7 +77,7 @@ impl<S: Store> Gru<S> {
 
     /// The last hidden state `[b, dim]` of the same recurrence, without
     /// stacking the others.
-    pub fn forward_sequence_last<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> C::V {
+    pub fn forward_sequence_last<C: Ctx>(&self, c: &C, x: &C::V) -> C::V {
         let dims = c.dims(x);
         let mut h = c.constant(Tensor::zeros(vec![dims[0], self.dim]));
         for t in 0..dims[1] {

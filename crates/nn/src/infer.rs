@@ -1,19 +1,18 @@
-//! Serving storage and the incremental attention path.
+//! Serving helpers and the incremental attention path.
 //!
 //! Every module runs its one forward under either execution context (see
-//! [`autograd::ctx`]). [`Freeze`] snapshots a trained module's
-//! [`Train`](autograd::Train) weights into [`Frozen`] storage, detached
-//! from later training updates; the eager context then runs the same
-//! forward over those weights with no tape and no locks.
+//! [`autograd::ctx`]) over the same trained [`ParamRef`](autograd::ParamRef)
+//! weights: serving runs the eager context on the model it loaded, with
+//! no tape and no second copy of the weights. [`Freeze`] is the one way to
+//! get a copy detached from later training updates.
 //!
 //! # Incremental attention state
 //!
-//! [`TransformerEncoder::begin`] is the packed encoder forward over one
-//! causal segment that also keeps each layer's key and value rows
-//! ([`EncoderKv`]); [`TransformerEncoder::begin_top`] with
-//! [`TopRows::Last`] runs the top layer on the last row only, since every
-//! later step reads only that row and the keys and values.
-//! [`TransformerEncoder::append`] is the same layer body
+//! [`TransformerEncoder::begin_top`] is the packed encoder forward over
+//! one causal segment that also keeps each layer's key and value rows
+//! ([`EncoderKv`]); with [`TopRows::Last`] it runs the top layer on the
+//! last row only, since every later step reads only that row and the keys
+//! and values. [`TransformerEncoder::append`] is the same layer body
 //! over one new row per sequence: a segment whose earlier keys start in
 //! the cache, attended by [`tensor::segment::append_attention`], which
 //! runs the row body of the segmented attention op itself. One append
@@ -29,31 +28,21 @@
 //! that need the training-time right-anchored positions must use the full
 //! forwards.
 
-use autograd::{Eager, Frozen, ParamRef};
+use autograd::Eager;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tensor::bug::OrBug;
 use tensor::{segment, Tensor};
 
-use crate::{
-    Embedding, FeedForward, Gru, LayerNorm, Linear, MultiHeadSelfAttention, Packing, TopRows,
-    TransformerEncoder, TransformerLayer,
-};
+use crate::{Packing, TopRows, TransformerEncoder};
 
-/// Conversion from the trained `ParamRef` storage into [`Frozen`] storage.
-///
-/// Freezing clones the current parameter values out of their locks; the
-/// frozen module is fully detached from subsequent training updates.
+/// A copy of a trained model whose weights are detached from later
+/// training updates.
 pub trait Freeze {
-    /// The frozen module type.
+    /// The detached model type.
     type Frozen;
-    /// Snapshots current weights.
+    /// Copies the current weights.
     fn freeze(&self) -> Self::Frozen;
-}
-
-/// Snapshot of one weight.
-fn freeze_weight(p: &ParamRef) -> Tensor {
-    p.borrow().value.clone()
 }
 
 /// The RNG the eager forwards take: dropout never draws from it at eval.
@@ -61,107 +50,11 @@ pub fn eval_rng() -> StdRng {
     StdRng::seed_from_u64(0)
 }
 
-impl Freeze for Linear {
-    type Frozen = Linear<Frozen>;
-    fn freeze(&self) -> Linear<Frozen> {
-        Linear {
-            weight: freeze_weight(&self.weight),
-            bias: self.bias.as_ref().map(freeze_weight),
-        }
-    }
-}
-
-impl Freeze for Embedding {
-    type Frozen = Embedding<Frozen>;
-    fn freeze(&self) -> Embedding<Frozen> {
-        Embedding {
-            table: freeze_weight(&self.table),
-            vocab: self.vocab,
-            dim: self.dim,
-        }
-    }
-}
-
-impl Freeze for LayerNorm {
-    type Frozen = LayerNorm<Frozen>;
-    fn freeze(&self) -> LayerNorm<Frozen> {
-        LayerNorm {
-            gamma: freeze_weight(&self.gamma),
-            beta: freeze_weight(&self.beta),
-            eps: self.eps,
-        }
-    }
-}
-
-impl Freeze for FeedForward {
-    type Frozen = FeedForward<Frozen>;
-    fn freeze(&self) -> FeedForward<Frozen> {
-        FeedForward {
-            l1: self.l1.freeze(),
-            l2: self.l2.freeze(),
-            activation: self.activation,
-            dropout: self.dropout,
-        }
-    }
-}
-
-impl Freeze for MultiHeadSelfAttention {
-    type Frozen = MultiHeadSelfAttention<Frozen>;
-    fn freeze(&self) -> MultiHeadSelfAttention<Frozen> {
-        MultiHeadSelfAttention {
-            wq: self.wq.freeze(),
-            wk: self.wk.freeze(),
-            wv: self.wv.freeze(),
-            wo: self.wo.freeze(),
-            heads: self.heads,
-            dim: self.dim,
-            dropout: self.dropout,
-        }
-    }
-}
-
-impl Freeze for TransformerLayer {
-    type Frozen = TransformerLayer<Frozen>;
-    fn freeze(&self) -> TransformerLayer<Frozen> {
-        TransformerLayer {
-            mha: self.mha.freeze(),
-            ffn: self.ffn.freeze(),
-            ln1: self.ln1.freeze(),
-            ln2: self.ln2.freeze(),
-            dropout: self.dropout,
-        }
-    }
-}
-
-impl Freeze for TransformerEncoder {
-    type Frozen = TransformerEncoder<Frozen>;
-    fn freeze(&self) -> TransformerEncoder<Frozen> {
-        TransformerEncoder {
-            layers: self.layers.iter().map(Freeze::freeze).collect(),
-        }
-    }
-}
-
-impl Freeze for Gru {
-    type Frozen = Gru<Frozen>;
-    fn freeze(&self) -> Gru<Frozen> {
-        Gru {
-            wz: self.wz.freeze(),
-            uz: self.uz.freeze(),
-            wr: self.wr.freeze(),
-            ur: self.ur.freeze(),
-            wh: self.wh.freeze(),
-            uh: self.uh.freeze(),
-            dim: self.dim,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Incremental attention
 // ---------------------------------------------------------------------------
 
-/// One sequence's keys and values at every layer of a frozen encoder
+/// One sequence's keys and values at every layer of an encoder
 /// stack, so that an append attends over them instead of re-encoding.
 ///
 /// Each layer keeps its key rows and its value rows `[len, dim]` in the
@@ -191,19 +84,13 @@ impl EncoderKv {
     }
 }
 
-impl TransformerEncoder<Frozen> {
+impl TransformerEncoder {
     /// Encodes the rows `x: [len, dim]` of one sequence, packed as the
     /// one causal segment `pack` (see [`Packing::left_aligned`]), through
     /// the packed [`forward`](TransformerEncoder::forward), and keeps every
     /// layer's keys and values for appends of up to `window` positions in
-    /// all. Returns the cache and the top-layer rows `[len, dim]`.
-    pub fn begin(&self, x: &Tensor, pack: &Packing, window: usize) -> (EncoderKv, Tensor) {
-        self.begin_top(x, pack, window, TopRows::All)
-    }
-
-    /// [`begin`](Self::begin), returning the top-layer rows `top` selects:
-    /// all of them, or only the last `[1, dim]`. Every layer's keys and
-    /// values are kept either way.
+    /// all. Returns the cache and the top-layer rows `top` selects: all
+    /// `[len, dim]`, or only the last `[1, dim]`.
     pub fn begin_top(
         &self,
         x: &Tensor,
@@ -264,7 +151,7 @@ impl TransformerEncoder<Frozen> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Freeze, TransformerEncoder};
+    use crate::TransformerEncoder;
     use rand::SeedableRng;
     use tensor::init;
 
@@ -275,10 +162,10 @@ mod tests {
     fn kv_capacity_never_exceeds_the_window() {
         let (window, dim, heads) = (6, 8, 2);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let f = TransformerEncoder::new(&mut rng, "enc", 2, dim, heads, 0.0).freeze();
+        let f = TransformerEncoder::new(&mut rng, "enc", 2, dim, heads, 0.0);
         for begin in 1..=window {
             let x = init::randn(&mut rng, vec![begin, dim], 0.0, 1.0);
-            let (mut kv, _) = f.begin(&x, &Packing::left_aligned(begin), window);
+            let (mut kv, _) = f.begin_top(&x, &Packing::left_aligned(begin), window, TopRows::All);
             for len in begin..=window {
                 if len > begin {
                     let row = init::randn(&mut rng, vec![1, dim], 0.0, 1.0);

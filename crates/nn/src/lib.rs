@@ -8,7 +8,7 @@
 //! * construction takes an explicit `&mut StdRng` (reproducibility),
 //! * `forward` is written once against an [`autograd::Ctx`]: under the
 //!   [`autograd::Graph`] it records the training tape, under
-//!   [`autograd::Eager`] it runs on plain tensors over [`Freeze`]d weights
+//!   [`autograd::Eager`] it runs on plain tensors over the same weights
 //!   (serving),
 //! * `parameters()` exposes the trainable leaves for optimizers and for the
 //!   meta-optimized freezing schedule.

@@ -1,15 +1,15 @@
 //! Fully-connected (affine) layer.
 
-use autograd::{Ctx, ParamRef, Parameter, Store, Train};
+use autograd::{Ctx, ParamRef, Parameter};
 use rand::rngs::StdRng;
 use tensor::{init, Tensor};
 
 use crate::Module;
 
 /// `y = x · W (+ b)` for inputs of shape `[.., in_dim]` (rank 2 or 3).
-pub struct Linear<S: Store = Train> {
-    pub(crate) weight: S::Weight,
-    pub(crate) bias: Option<S::Weight>,
+pub struct Linear {
+    pub(crate) weight: ParamRef,
+    pub(crate) bias: Option<ParamRef>,
 }
 
 impl Linear {
@@ -33,11 +33,9 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.weight.borrow().value.dim(1)
     }
-}
 
-impl<S: Store> Linear<S> {
     /// Applies the layer. `x` has shape `[.., in_dim]` (rank 2 or 3).
-    pub fn forward<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> C::V {
+    pub fn forward<C: Ctx>(&self, c: &C, x: &C::V) -> C::V {
         let y = c.matmul_w(x, &self.weight);
         match &self.bias {
             Some(b) => c.add_w(&y, b),

@@ -1,6 +1,6 @@
 //! Layer normalization over the last axis.
 
-use autograd::{Ctx, ParamRef, Parameter, Store, Train};
+use autograd::{Ctx, ParamRef, Parameter};
 use tensor::Tensor;
 
 use crate::Module;
@@ -9,9 +9,9 @@ use crate::Module;
 ///
 /// Composed from autograd primitives, so its gradient is exact by
 /// construction (covered by the composite gradient checks).
-pub struct LayerNorm<S: Store = Train> {
-    pub(crate) gamma: S::Weight,
-    pub(crate) beta: S::Weight,
+pub struct LayerNorm {
+    pub(crate) gamma: ParamRef,
+    pub(crate) beta: ParamRef,
     pub(crate) eps: f32,
 }
 
@@ -24,11 +24,9 @@ impl LayerNorm {
             eps: 1e-5,
         }
     }
-}
 
-impl<S: Store> LayerNorm<S> {
     /// Normalizes the last axis of `x` and applies the affine transform.
-    pub fn forward<C: Ctx<S = S>>(&self, c: &C, x: &C::V) -> C::V {
+    pub fn forward<C: Ctx>(&self, c: &C, x: &C::V) -> C::V {
         let last = c.dims(x).len() - 1;
         let mean = c.mean_axis(x, last, true);
         let centered = c.sub(x, &mean);

@@ -1,6 +1,6 @@
 //! Stacked self-attention blocks (Eqs. 9–10): the paper's `SAN(·)`.
 
-use autograd::{Ctx, ParamRef, Store, Train};
+use autograd::{Ctx, ParamRef};
 use rand::rngs::StdRng;
 use tensor::Tensor;
 
@@ -8,11 +8,11 @@ use crate::{Activation, Dropout, FeedForward, LayerNorm, Module, MultiHeadSelfAt
 
 /// One SAN block: attention + residual + LayerNorm, FFN + residual +
 /// LayerNorm (post-norm, SASRec style).
-pub struct TransformerLayer<S: Store = Train> {
-    pub(crate) mha: MultiHeadSelfAttention<S>,
-    pub(crate) ffn: FeedForward<S>,
-    pub(crate) ln1: LayerNorm<S>,
-    pub(crate) ln2: LayerNorm<S>,
+pub struct TransformerLayer {
+    pub(crate) mha: MultiHeadSelfAttention,
+    pub(crate) ffn: FeedForward,
+    pub(crate) ln1: LayerNorm,
+    pub(crate) ln2: LayerNorm,
     pub(crate) dropout: Dropout,
 }
 
@@ -49,7 +49,7 @@ pub enum TopRows {
     Last,
 }
 
-impl<S: Store> TransformerLayer<S> {
+impl TransformerLayer {
     /// The block over rows `x` whose attention mixes their projections as
     /// `mix((q, k, v), rng)` does; every other op is row-wise. `rows` is
     /// the packing the rows are, if any: dropout masks are drawn at its
@@ -58,7 +58,7 @@ impl<S: Store> TransformerLayer<S> {
     /// keys and values stay those of every row. GEMM rows are independent,
     /// so a selected row's output has the bits it has among all rows.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_rows<C: Ctx<S = S>>(
+    pub(crate) fn forward_rows<C: Ctx>(
         &self,
         c: &C,
         x: &C::V,
@@ -84,7 +84,7 @@ impl<S: Store> TransformerLayer<S> {
 
     /// Applies the block to `x: [b, n, dim]` with an optional additive
     /// attention mask: the dense reference of the packed forward.
-    pub fn forward<C: Ctx<S = S>>(
+    pub fn forward<C: Ctx>(
         &self,
         c: &C,
         x: &C::V,
@@ -109,8 +109,8 @@ impl Module for TransformerLayer {
 }
 
 /// A stack of [`TransformerLayer`]s: `F^(l) = SAN(F^(l−1))` (Eq. 10).
-pub struct TransformerEncoder<S: Store = Train> {
-    pub(crate) layers: Vec<TransformerLayer<S>>,
+pub struct TransformerEncoder {
+    pub(crate) layers: Vec<TransformerLayer>,
 }
 
 impl TransformerEncoder {
@@ -128,22 +128,20 @@ impl TransformerEncoder {
             .collect();
         TransformerEncoder { layers }
     }
-}
 
-impl<S: Store> TransformerEncoder<S> {
     /// Number of layers.
     pub fn n_layers(&self) -> usize {
         self.layers.len()
     }
 
     /// The layers, bottom first.
-    pub fn layers(&self) -> &[TransformerLayer<S>] {
+    pub fn layers(&self) -> &[TransformerLayer] {
         &self.layers
     }
 
     /// Runs the stack over the packed rows `x: [R, dim]` of `pack` (see
     /// [`Packing`]); no row is padding.
-    pub fn forward<C: Ctx<S = S>>(
+    pub fn forward<C: Ctx>(
         &self,
         c: &C,
         x: &C::V,
@@ -157,13 +155,7 @@ impl<S: Store> TransformerEncoder<S> {
     /// The eval [`forward`](Self::forward) whose top layer outputs only
     /// each sequence's last row: `[b, dim]`, bitwise those rows of the
     /// full output. No sequence may be empty.
-    pub fn forward_last<C: Ctx<S = S>>(
-        &self,
-        c: &C,
-        x: &C::V,
-        pack: &Packing,
-        rng: &mut StdRng,
-    ) -> C::V {
+    pub fn forward_last<C: Ctx>(&self, c: &C, x: &C::V, pack: &Packing, rng: &mut StdRng) -> C::V {
         self.forward_keeping(c, x, pack, TopRows::Last, rng, false, |_, _| {})
     }
 
@@ -171,7 +163,7 @@ impl<S: Store> TransformerEncoder<S> {
     /// handing each layer's key and value rows `[R, dim]` to `keep`, bottom
     /// layer first.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_keeping<C: Ctx<S = S>>(
+    pub(crate) fn forward_keeping<C: Ctx>(
         &self,
         c: &C,
         x: &C::V,
@@ -374,7 +366,6 @@ mod tests {
     #[test]
     fn last_rows_match_the_full_forward_bit_for_bit() {
         use crate::infer::eval_rng;
-        use crate::Freeze;
         use autograd::Eager;
         let (f, t) = (false, true);
         let pad = vec![
@@ -390,7 +381,6 @@ mod tests {
                     let case = format!("simd {simd}, {layers} layers, causal {causal}");
                     let mut rng = StdRng::seed_from_u64(layers as u64);
                     let enc = TransformerEncoder::new(&mut rng, "enc", layers, 8, 2, 0.3);
-                    let frozen = enc.freeze();
                     let pack = Packing::new(&pad, causal);
                     let x = init::randn(&mut rng, vec![pack.rows(), 8], 0.0, 1.0);
                     let g = Graph::new();
@@ -399,19 +389,19 @@ mod tests {
                     let want = bits(&pack.last_rows(&g, &full).value());
                     let recorded = enc.forward_last(&g, &xv, &pack, &mut eval_rng());
                     assert_eq!(bits(&recorded.value()), want, "recorded, {case}");
-                    let eager = frozen.forward_last(&Eager, &x, &pack, &mut eval_rng());
+                    let eager = enc.forward_last(&Eager, &x, &pack, &mut eval_rng());
                     assert_eq!(bits(&eager), want, "eager, {case}");
                     if layers == 0 || !causal {
                         continue;
                     }
                     let seq = Packing::left_aligned(5);
                     let xs = init::randn(&mut rng, vec![5, 8], 0.0, 1.0);
-                    let (mut kv_all, rows) = frozen.begin(&xs, &seq, 6);
-                    let (mut kv_last, last) = frozen.begin_top(&xs, &seq, 6, TopRows::Last);
+                    let (mut kv_all, rows) = enc.begin_top(&xs, &seq, 6, TopRows::All);
+                    let (mut kv_last, last) = enc.begin_top(&xs, &seq, 6, TopRows::Last);
                     assert_eq!(bits(&last), bits(&seq.last_rows(&Eager, &rows)), "{case}");
                     let next = init::randn(&mut rng, vec![1, 8], 0.0, 1.0);
-                    let a = frozen.append(&next, &mut [&mut kv_all]);
-                    let b = frozen.append(&next, &mut [&mut kv_last]);
+                    let a = enc.append(&next, &mut [&mut kv_all]);
+                    let b = enc.append(&next, &mut [&mut kv_last]);
                     assert_eq!(bits(&a), bits(&b), "append after begin, {case}");
                 }
             }

@@ -1,20 +1,22 @@
-//! The serving engine: frozen-model contract, per-user sessions, and the
-//! batched scoring dispatch.
+//! The serving engine: the served-model contract, per-user sessions, and
+//! the batched scoring dispatch.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use meta_sgcl::infer::{FrozenMetaSgcl, State as MetaState};
-use models::{FrozenGru4Rec, GruState};
+use autograd::ParamRef;
+use meta_sgcl::infer::State as MetaState;
+use meta_sgcl::MetaSgcl;
+use models::{Gru4Rec, GruState, SequentialRecommender};
 use recdata::ItemId;
 use telemetry::metrics;
 use tensor::bug::OrBug;
-use tensor::Tensor;
 
 use crate::ann::HnswIndex;
 
-/// The contract a frozen model implements to be served.
+/// The contract a model implements to be served: every method reads the
+/// model's weights and writes none of them.
 ///
 /// Both paths must be bitwise-exact:
 ///
@@ -70,18 +72,19 @@ pub trait FrozenScorer: Send + Sync + 'static {
         None
     }
 
-    /// The item-embedding table (`[num_items + 1, d]`, row 0 = padding)
-    /// for building an ANN index. `None` when unsupported.
-    fn item_embeddings(&self) -> Option<&Tensor> {
+    /// The item-embedding table parameter (`[num_items + 1, d]`, row 0 =
+    /// padding) for building an ANN index under its read lock. `None`
+    /// when unsupported.
+    fn item_embeddings(&self) -> Option<&ParamRef> {
         None
     }
 }
 
-impl FrozenScorer for FrozenMetaSgcl {
+impl FrozenScorer for MetaSgcl {
     type State = MetaState;
 
     fn num_items(&self) -> usize {
-        FrozenMetaSgcl::num_items(self)
+        MetaSgcl::num_items(self)
     }
 
     fn window_cap(&self) -> usize {
@@ -105,19 +108,19 @@ impl FrozenScorer for FrozenMetaSgcl {
     }
 
     fn query_embedding(&self, seq: &[ItemId]) -> Option<Vec<f32>> {
-        FrozenMetaSgcl::query_embedding(self, seq)
+        MetaSgcl::query_embedding(self, seq)
     }
 
-    fn item_embeddings(&self) -> Option<&Tensor> {
-        Some(FrozenMetaSgcl::item_embeddings(self))
+    fn item_embeddings(&self) -> Option<&ParamRef> {
+        Some(self.item_table())
     }
 }
 
-impl FrozenScorer for FrozenGru4Rec {
+impl FrozenScorer for Gru4Rec {
     type State = GruState;
 
     fn num_items(&self) -> usize {
-        FrozenGru4Rec::num_items(self)
+        SequentialRecommender::num_items(self)
     }
 
     fn window_cap(&self) -> usize {
@@ -145,10 +148,10 @@ impl FrozenScorer for FrozenGru4Rec {
     }
 
     fn query_embedding(&self, seq: &[ItemId]) -> Option<Vec<f32>> {
-        FrozenGru4Rec::query_embedding(self, seq)
+        Gru4Rec::query_embedding(self, seq)
     }
 
-    fn item_embeddings(&self) -> Option<&Tensor> {
+    fn item_embeddings(&self) -> Option<&ParamRef> {
         Some(self.item_table())
     }
 }
@@ -336,7 +339,7 @@ impl<S> Session<S> {
     }
 }
 
-/// Per-user sessions plus the scoring dispatch over a frozen model.
+/// Per-user sessions plus the scoring dispatch over a served model.
 pub struct Engine<M: FrozenScorer> {
     model: M,
     mode: Mode,
@@ -352,7 +355,7 @@ pub struct Engine<M: FrozenScorer> {
 }
 
 impl<M: FrozenScorer> Engine<M> {
-    /// Wraps a frozen model.
+    /// Wraps the model to serve.
     pub fn new(model: M, mode: Mode) -> Self {
         Engine {
             model,
@@ -416,7 +419,7 @@ impl<M: FrozenScorer> Engine<M> {
         self.mode
     }
 
-    /// The frozen model.
+    /// The served model.
     pub fn model(&self) -> &M {
         &self.model
     }

@@ -374,7 +374,7 @@ impl ServeObs {
 /// fraction. `None` when the engine has no index, the model exposes no
 /// query embeddings, or `probes` is empty.
 ///
-/// Runs on the frozen model directly — no sessions are touched and no
+/// Runs on the served model directly — no sessions are touched and no
 /// `serve.*` request counters move, so the canary never pollutes traffic
 /// accounting.
 pub fn canary_recall<M: FrozenScorer>(

@@ -5,7 +5,6 @@
 //! queries must reach 0.95.
 
 use meta_sgcl::{MetaSgcl, MetaSgclConfig};
-use nn::Freeze;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,13 +80,13 @@ proptest! {
 #[test]
 fn recall_at_10_reaches_095_at_serving_ef() {
     let num_items = 2000;
-    let frozen = MetaSgcl::new(MetaSgclConfig::for_items(num_items)).freeze();
-    let table = frozen.item_embeddings();
+    let model = MetaSgcl::new(MetaSgclConfig::for_items(num_items));
+    let table = &model.item_table().borrow().value;
     let index = HnswIndex::build(table, num_items, &HnswConfig::default());
     let (mut hits, mut total) = (0, 0);
     for u in 0..50 {
         let history: Vec<usize> = (0..8).map(|i| 1 + (u * 131 + i * 17) % num_items).collect();
-        let q = frozen
+        let q = model
             .query_embedding(&history)
             .expect("non-empty history has a query embedding");
         let got: Vec<usize> = index
@@ -110,8 +109,9 @@ fn recall_at_10_reaches_095_at_serving_ef() {
 #[test]
 fn ann_scores_equal_exact_scores_bit_for_bit() {
     let num_items = 500;
-    let frozen = MetaSgcl::new(MetaSgclConfig::for_items(num_items)).freeze();
-    let index = HnswIndex::build(frozen.item_embeddings(), num_items, &HnswConfig::default());
+    let model = MetaSgcl::new(MetaSgclConfig::for_items(num_items));
+    let table = &model.item_table().borrow().value;
+    let index = HnswIndex::build(table, num_items, &HnswConfig::default());
     let was = tensor::tuning::simd_enabled();
     for simd in [true, false] {
         tensor::tuning::set_simd_enabled(simd);
@@ -119,8 +119,8 @@ fn ann_scores_equal_exact_scores_bit_for_bit() {
             let history: Vec<usize> = (0..1 + u % 12)
                 .map(|i| 1 + (u * 97 + i * 13) % num_items)
                 .collect();
-            let exact = frozen.score_padded(&history);
-            let q = frozen.query_embedding(&history).expect("query");
+            let exact = model.score_padded(&history);
+            let q = model.query_embedding(&history).expect("query");
             for (item, score) in index.search(&q, 10, 64) {
                 assert_eq!(
                     score.to_bits(),

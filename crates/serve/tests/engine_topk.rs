@@ -4,7 +4,6 @@
 
 use meta_sgcl::{MetaSgcl, MetaSgclConfig};
 use models::NetConfig;
-use nn::Freeze;
 use serve::{top_k, Engine, HnswConfig, HnswIndex, Mode, Request, TopK};
 
 fn model(num_items: usize, dim: usize) -> MetaSgcl {
@@ -31,7 +30,7 @@ fn score(user: u64, history: Vec<usize>, k: usize, topk: Option<TopK>) -> Reques
 #[test]
 fn ann_requests_fall_back_to_exact_without_an_index() {
     let m = model(12, 8);
-    let engine = Engine::new(m.freeze(), Mode::Full);
+    let engine = Engine::new(m, Mode::Full);
     let exact = engine.handle_batch(&[score(0, vec![1, 2, 3], 5, Some(TopK::Exact))]);
     let ann = engine.handle_batch(&[score(0, vec![1, 2, 3], 5, Some(TopK::Ann))]);
     assert_eq!(exact, ann);
@@ -43,10 +42,8 @@ fn ann_retrieval_matches_exact_on_a_small_catalog() {
     // the ANN ranking must equal the full-catalog projection's, and over
     // f32 weights so must every score bit.
     let m = model(12, 8);
-    let frozen = m.freeze();
-    let table = frozen.item_embeddings();
-    let index = HnswIndex::build(table, 12, &HnswConfig::default());
-    let engine = Engine::new(frozen, Mode::Full).with_ann(index);
+    let index = HnswIndex::build(&m.item_table().borrow().value, 12, &HnswConfig::default());
+    let engine = Engine::new(m, Mode::Full).with_ann(index);
     for history in [vec![1, 2, 3], vec![7], vec![4, 5, 6, 7, 8, 9, 10, 11]] {
         let exact = &engine.handle_batch(&[score(0, history.clone(), 5, None)])[0];
         let ann = &engine.handle_batch(&[score(0, history.clone(), 5, Some(TopK::Ann))])[0];
@@ -62,12 +59,10 @@ fn ann_retrieval_matches_exact_on_a_small_catalog() {
 }
 
 #[test]
-fn ann_recall_is_high_on_a_real_frozen_model() {
+fn ann_recall_is_high_on_a_real_model() {
     let m = model(300, 16);
-    let frozen = m.freeze();
-    let table = frozen.item_embeddings();
-    let index = HnswIndex::build(table, 300, &HnswConfig::default());
-    let engine = Engine::new(frozen, Mode::Full).with_ann(index);
+    let index = HnswIndex::build(&m.item_table().borrow().value, 300, &HnswConfig::default());
+    let engine = Engine::new(m, Mode::Full).with_ann(index);
     let mut hits = 0usize;
     let mut total = 0usize;
     for u in 0..20u64 {
@@ -88,7 +83,7 @@ fn ann_recall_is_high_on_a_real_frozen_model() {
 fn cold_start_defaults_to_item_id_order() {
     for mode in [Mode::Full, Mode::Incremental] {
         let m = model(12, 8);
-        let engine = Engine::new(m.freeze(), mode);
+        let engine = Engine::new(m, mode);
         let a = engine.handle_batch(&[score(1, vec![], 5, None)]);
         assert_eq!(a[0].items, vec![1, 2, 3, 4, 5], "mode {mode:?}");
         assert_eq!(a[0].scores, vec![0.0; 5]);
@@ -108,7 +103,7 @@ fn cold_start_uses_popularity_when_installed() {
     counts[2] = 2;
     for mode in [Mode::Full, Mode::Incremental] {
         let m = model(12, 8);
-        let engine = Engine::new(m.freeze(), mode).with_popularity(&counts);
+        let engine = Engine::new(m, mode).with_popularity(&counts);
         let r = &engine.handle_batch(&[score(0, vec![], 4, None)])[0];
         assert_eq!(r.items, vec![7, 3, 1, 2], "mode {mode:?}");
         assert!(r.scores[0] > r.scores[1] && r.scores[1] > r.scores[2]);

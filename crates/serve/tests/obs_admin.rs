@@ -11,7 +11,6 @@ use std::time::Duration;
 
 use meta_sgcl::{MetaSgcl, MetaSgclConfig};
 use models::NetConfig;
-use nn::Freeze;
 use serve::{server, Batcher, Engine, Mode, ObsConfig, ServeObs, SloBudgets};
 use telemetry::trace::Tracer;
 
@@ -52,7 +51,7 @@ impl Client {
 }
 
 fn start_server(obs: Arc<ServeObs>) -> std::net::SocketAddr {
-    let engine = Arc::new(Engine::new(model().freeze(), Mode::Incremental));
+    let engine = Arc::new(Engine::new(model(), Mode::Incremental));
     let batcher = Arc::new(Batcher::new(engine, 8, Duration::from_millis(0)));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");

@@ -17,7 +17,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use meta_sgcl::{MetaSgcl, MetaSgclConfig};
 use models::NetConfig;
-use nn::Freeze;
 use serve::{Engine, HnswConfig, HnswIndex, Mode, ReqObs, Request, TopK};
 use telemetry::metrics;
 
@@ -129,7 +128,7 @@ fn run(engine: &Engine<impl serve::FrozenScorer>, reqs: &[Request]) -> (Counts, 
 #[test]
 fn incremental_cold_start_is_not_a_cache_miss() {
     let _g = lock();
-    let engine = Engine::new(model(12).freeze(), Mode::Incremental);
+    let engine = Engine::new(model(12), Mode::Incremental);
     let (d, obs) = run(&engine, &[score(1, vec![], None)]);
     assert_eq!(d.cold_start, 1, "cold start counted once");
     assert_eq!(d.cache_miss, 0, "regression: cold start counted as miss");
@@ -138,7 +137,7 @@ fn incremental_cold_start_is_not_a_cache_miss() {
     assert_eq!(d, implied(&obs));
 
     // Same request in Full mode: identical accounting.
-    let engine = Engine::new(model(12).freeze(), Mode::Full);
+    let engine = Engine::new(model(12), Mode::Full);
     let (d, obs) = run(&engine, &[score(1, vec![], None)]);
     assert_eq!((d.cold_start, d.cache_miss, d.reencode), (1, 0, 0));
     assert_eq!(d, implied(&obs));
@@ -147,7 +146,7 @@ fn incremental_cold_start_is_not_a_cache_miss() {
 #[test]
 fn incremental_ann_preference_counts_fallback_exactly_once() {
     let _g = lock();
-    let engine = Engine::new(model(12).freeze(), Mode::Incremental);
+    let engine = Engine::new(model(12), Mode::Incremental);
     // Slow path (fresh history) with an ANN preference.
     let (d, obs) = run(&engine, &[score(1, vec![1, 2], Some(TopK::Ann))]);
     assert_eq!(
@@ -178,7 +177,7 @@ fn incremental_ann_preference_counts_fallback_exactly_once() {
 #[test]
 fn batched_appends_count_one_hit_per_request_not_per_flush() {
     let _g = lock();
-    let engine = Engine::new(model(12).freeze(), Mode::Incremental);
+    let engine = Engine::new(model(12), Mode::Incremental);
     // Seed three users with live state (3 misses).
     let (d, _) = run(
         &engine,
@@ -209,7 +208,7 @@ fn batched_appends_count_one_hit_per_request_not_per_flush() {
 #[test]
 fn full_mode_ann_fallback_without_an_index_counts_once() {
     let _g = lock();
-    let engine = Engine::new(model(12).freeze(), Mode::Full);
+    let engine = Engine::new(model(12), Mode::Full);
     let (d, obs) = run(&engine, &[score(1, vec![1, 2, 3], Some(TopK::Ann))]);
     assert_eq!(d.ann_fallback, 1);
     assert_eq!(d.ann_query, 0);
@@ -226,10 +225,8 @@ fn full_mode_ann_fallback_without_an_index_counts_once() {
 fn full_mode_ann_served_requests_count_a_query_not_a_miss() {
     let _g = lock();
     let m = model(12);
-    let frozen = m.freeze();
-    let table = frozen.item_embeddings();
-    let index = HnswIndex::build(table, 12, &HnswConfig::default());
-    let engine = Engine::new(frozen, Mode::Full).with_ann(index);
+    let index = HnswIndex::build(&m.item_table().borrow().value, 12, &HnswConfig::default());
+    let engine = Engine::new(m, Mode::Full).with_ann(index);
     let (d, obs) = run(&engine, &[score(1, vec![1, 2, 3], Some(TopK::Ann))]);
     assert_eq!(d.ann_query, 1);
     assert_eq!(d.ann_fallback, 0);
@@ -242,7 +239,7 @@ fn full_mode_ann_served_requests_count_a_query_not_a_miss() {
 #[test]
 fn mixed_batch_flags_mirror_counters_exactly() {
     let _g = lock();
-    let engine = Engine::new(model(12).freeze(), Mode::Incremental);
+    let engine = Engine::new(model(12), Mode::Incremental);
     let (seed, _) = run(&engine, &[score(7, vec![1, 2], None)]);
     assert_eq!(seed.cache_miss, 1);
     // Cold start + fast append + slow score + ANN-preferring append in one

@@ -1,13 +1,12 @@
-//! End-to-end serving parity: engine responses vs offline autograd
-//! scoring, full and incremental modes, micro-batching, and the wire
-//! protocol round-trip.
+//! End-to-end serving parity: engine responses vs offline recorded
+//! scoring on the served model's own weights, full and incremental modes,
+//! micro-batching, and the wire protocol round-trip.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use meta_sgcl::{MetaSgcl, MetaSgclConfig};
 use models::{Gru4Rec, NetConfig, SequentialRecommender};
-use nn::Freeze;
 use serve::{proto, top_k, Batcher, Engine, Mode, Request, Response};
 
 fn model(decoder_layers: usize) -> MetaSgcl {
@@ -25,8 +24,8 @@ fn model(decoder_layers: usize) -> MetaSgcl {
 
 #[test]
 fn full_mode_matches_offline_score_sequence_bitwise() {
-    let m = model(1);
-    let engine = Engine::new(m.freeze(), Mode::Full);
+    let engine = Engine::new(model(1), Mode::Full);
+    let m = engine.model();
     let histories: Vec<Vec<usize>> = vec![
         vec![1, 2, 3],
         vec![4, 5, 6, 7, 8, 9, 10, 11], // longer than max_len
@@ -64,8 +63,8 @@ fn full_mode_matches_offline_score_sequence_bitwise() {
 
 #[test]
 fn incremental_mode_matches_left_aligned_reference() {
-    let m = model(1);
-    let engine = Engine::new(m.freeze(), Mode::Incremental);
+    let engine = Engine::new(model(1), Mode::Incremental);
+    let m = engine.model();
     let mut history = vec![3usize, 9, 1];
     engine.handle_batch(&[Request::Score {
         user: 7,
@@ -97,9 +96,9 @@ fn incremental_mode_matches_left_aligned_reference() {
 /// left-aligned `score_left_aligned`, each handed the untrimmed history).
 #[test]
 fn long_lived_session_matches_offline_full_history() {
-    let m = model(1);
     for mode in [Mode::Full, Mode::Incremental] {
-        let engine = Engine::new(m.freeze(), mode);
+        let engine = Engine::new(model(1), mode);
+        let m = engine.model();
         let offline = |h: &[usize]| match mode {
             Mode::Full => m.score_sequence(h),
             Mode::Incremental => m.score_left_aligned(h),
@@ -145,8 +144,8 @@ fn top_k_response(user: u64, scores: &[f32], k: usize) -> Response {
 
 #[test]
 fn mixed_batch_coalesces_and_stays_exact() {
-    let m = model(0);
-    let engine = Engine::new(m.freeze(), Mode::Incremental);
+    let engine = Engine::new(model(0), Mode::Incremental);
+    let m = engine.model();
     // Three users with live state.
     for u in 0..3u64 {
         engine.handle_batch(&[Request::Score {
@@ -201,20 +200,22 @@ fn mixed_batch_coalesces_and_stays_exact() {
 #[test]
 fn gru4rec_served_matches_offline() {
     let mut m = Gru4Rec::new(15, 6, 8, 3);
-    let engine = Engine::new(m.freeze(), Mode::Full);
+    // The recorded reference scores through `&mut self`, so it runs before
+    // the engine takes the model.
+    let (want_items, want_scores) = top_k(&m.score(1, &[1, 2, 3, 4]), 5);
+    let engine = Engine::new(m, Mode::Full);
     let r = engine.handle_batch(&[Request::Score {
         user: 1,
         history: vec![1, 2, 3, 4],
         k: 5,
         topk: None,
     }]);
-    let (want_items, want_scores) = top_k(&m.score(1, &[1, 2, 3, 4]), 5);
     assert_eq!(r[0].items, want_items);
     assert_eq!(r[0].scores, want_scores);
 
     // Incremental GRU state has no window cap: appends never slide.
-    let m2 = Gru4Rec::new(15, 6, 8, 3);
-    let engine = Engine::new(m2.freeze(), Mode::Incremental);
+    let engine = Engine::new(Gru4Rec::new(15, 6, 8, 3), Mode::Incremental);
+    let m2 = engine.model();
     let mut history = vec![1usize, 2, 3, 4];
     engine.handle_batch(&[Request::Score {
         user: 1,
@@ -230,7 +231,7 @@ fn gru4rec_served_matches_offline() {
             k: 5,
             topk: None,
         }]);
-        let (want_items, want_scores) = top_k(&m2.score_unpadded(&history), 5);
+        let (want_items, want_scores) = top_k(&m2.score_unpadded_recorded(&history), 5);
         assert_eq!(r[0].items, want_items, "history {history:?}");
         assert_eq!(r[0].scores, want_scores);
     }
@@ -256,7 +257,7 @@ fn gru4rec_served_matches_offline() {
         other.push(b);
         let r = engine.handle_batch(&[append(1, a), append(2, b)]);
         for (reply, seq) in r.iter().zip([&history, &other]) {
-            let want = top_k(&m2.score_unpadded(seq), 5);
+            let want = top_k(&m2.score_unpadded_recorded(seq), 5);
             assert_eq!((reply.items.clone(), reply.scores.clone()), want, "{seq:?}");
         }
     }
@@ -264,8 +265,8 @@ fn gru4rec_served_matches_offline() {
 
 #[test]
 fn batcher_coalesces_concurrent_submissions() {
-    let m = model(0);
-    let engine = Arc::new(Engine::new(m.freeze(), Mode::Full));
+    let engine = Arc::new(Engine::new(model(0), Mode::Full));
+    let m = engine.model();
     let batcher = Arc::new(Batcher::new(
         Arc::clone(&engine),
         16,
@@ -332,8 +333,7 @@ fn protocol_round_trips_scores_bitwise() {
 #[test]
 fn serve_metrics_flow_through_registry() {
     telemetry::set_enabled(true);
-    let m = model(0);
-    let engine = Engine::new(m.freeze(), Mode::Incremental);
+    let engine = Engine::new(model(0), Mode::Incremental);
     let hit0 = telemetry::metrics::counter("serve.cache.hit", false).get();
     let miss0 = telemetry::metrics::counter("serve.cache.miss", false).get();
     engine.handle_batch(&[Request::Score {
@@ -355,9 +355,8 @@ fn serve_metrics_flow_through_registry() {
 
 #[test]
 fn empty_history_scores_zeros() {
-    let m = model(0);
     for mode in [Mode::Full, Mode::Incremental] {
-        let engine = Engine::new(m.freeze(), mode);
+        let engine = Engine::new(model(0), mode);
         let r = engine.handle_batch(&[Request::Score {
             user: 1,
             history: vec![],

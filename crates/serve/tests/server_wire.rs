@@ -11,7 +11,6 @@ use std::time::{Duration, Instant};
 
 use meta_sgcl::{MetaSgcl, MetaSgclConfig};
 use models::NetConfig;
-use nn::Freeze;
 use serve::{proto, server, top_k, Batcher, Engine, Mode, ObsConfig, ServeObs};
 
 const CATALOG: usize = 50;
@@ -28,15 +27,21 @@ fn model() -> MetaSgcl {
     })
 }
 
-fn start_server(m: &MetaSgcl) -> SocketAddr {
-    let engine = Arc::new(Engine::new(m.freeze(), Mode::Full));
-    let batcher = Arc::new(Batcher::new(engine, 8, Duration::from_millis(0)));
+/// Serves `m` on a free loopback port; the engine is returned so a test
+/// can score offline on the served weights.
+fn start_server(m: MetaSgcl) -> (SocketAddr, Arc<Engine<MetaSgcl>>) {
+    let engine = Arc::new(Engine::new(m, Mode::Full));
+    let batcher = Arc::new(Batcher::new(
+        Arc::clone(&engine),
+        8,
+        Duration::from_millis(0),
+    ));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     std::thread::spawn(move || {
         let _ = server::run(listener, batcher, ServeObs::new(ObsConfig::default()));
     });
-    addr
+    (addr, engine)
 }
 
 /// An ordinary client: default socket options, one `write` per request.
@@ -66,8 +71,8 @@ impl Client {
 
 #[test]
 fn ordinary_client_round_trips_do_not_stall() {
-    let m = model();
-    let mut c = Client::connect(start_server(&m));
+    let (addr, _) = start_server(model());
+    let mut c = Client::connect(addr);
     // Warm the session and the kernels before timing.
     c.roundtrip(r#"{"op":"score","user":1,"history":[1,2,3],"k":5}"#);
     let start = Instant::now();
@@ -89,8 +94,8 @@ fn ordinary_client_round_trips_do_not_stall() {
 
 #[test]
 fn out_of_range_item_is_an_error_and_the_server_keeps_serving() {
-    let m = model();
-    let mut c = Client::connect(start_server(&m));
+    let (addr, engine) = start_server(model());
+    let mut c = Client::connect(addr);
     for bad in [
         r#"{"op":"score","user":1,"history":[3,999],"k":5}"#.to_string(),
         r#"{"op":"score","user":1,"history":[0,3],"k":5}"#.to_string(),
@@ -104,15 +109,14 @@ fn out_of_range_item_is_an_error_and_the_server_keeps_serving() {
     let history = [3usize, 7, CATALOG];
     let reply = c.roundtrip(r#"{"op":"score","user":2,"history":[3,7,50],"k":5}"#);
     let got = proto::parse_response(&reply).expect("valid reply");
-    let (want_items, want_scores) = top_k(&m.freeze().score_padded(&history), 5);
+    let (want_items, want_scores) = top_k(&engine.model().score_sequence(&history), 5);
     assert_eq!(got.items, want_items);
     assert_eq!(got.scores, want_scores);
 }
 
 #[test]
 fn over_long_line_is_an_error_and_other_clients_keep_serving() {
-    let m = model();
-    let addr = start_server(&m);
+    let (addr, engine) = start_server(model());
     let mut c = Client::connect(addr);
     // A server that buffers without limit never replies: fail, not hang.
     c.writer
@@ -142,7 +146,7 @@ fn over_long_line_is_an_error_and_other_clients_keep_serving() {
     let mut other = Client::connect(addr);
     let reply = other.roundtrip(r#"{"op":"score","user":3,"history":[4,9,2],"k":5}"#);
     let got = proto::parse_response(&reply).expect("valid reply");
-    let (want_items, want_scores) = top_k(&m.freeze().score_padded(&[4, 9, 2]), 5);
+    let (want_items, want_scores) = top_k(&engine.model().score_sequence(&[4, 9, 2]), 5);
     assert_eq!(got.items, want_items);
     assert_eq!(got.scores, want_scores);
 }

@@ -339,8 +339,8 @@ fn cmd_recommend(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `msgc serve`: load a trained checkpoint, freeze it into the tape-free
-/// inference engine, and serve line-delimited JSON scoring requests over
+/// `msgc serve`: load a trained checkpoint into the tape-free inference
+/// engine, and serve line-delimited JSON scoring requests over
 /// TCP with micro-batching across connections.
 ///
 /// Observability is always on: every request feeds the `serve.latency_us`
@@ -353,7 +353,6 @@ fn cmd_recommend(args: &Args) -> Result<(), String> {
 /// the exact ranking, publishing live recall@10 (gated when `--min-recall`
 /// is set).
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    use meta_sgcl_repro::nn::Freeze;
     use meta_sgcl_repro::serve::{
         canary_probes, canary_recall, server, Batcher, Engine, HnswConfig, HnswIndex, Mode,
         ObsConfig, ServeObs, SloBudgets, TopK,
@@ -386,7 +385,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let ann_ef: usize = args.get_or("ann-ef", 64)?;
 
     meta_sgcl_repro::telemetry::set_enabled(true);
-    let frozen = model.freeze();
 
     // Deterministic cold-start ranking: dataset popularity (empty
     // histories would otherwise rank an all-zero catalog).
@@ -398,18 +396,16 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             }
         }
     }
-    // Nothing below reads the trainable model or the interactions again:
-    // release them before serving, so per-user sessions grow into that
-    // memory instead.
-    drop(model);
+    // Nothing below reads the interactions again: release them before
+    // serving, so per-user sessions grow into that memory instead. The
+    // engine serves the loaded model itself; no copy of its weights is made.
     let num_items = data.num_items;
     drop(data);
-    let mut engine = Engine::new(frozen, mode)
+    let mut engine = Engine::new(model, mode)
         .with_popularity(&counts)
         .with_default_topk(default_topk);
 
     if want_ann {
-        let table = engine.model().item_embeddings();
         let ann_cfg = HnswConfig {
             ef_search: ann_ef,
             ..HnswConfig::default()
@@ -418,14 +414,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         // from different embedding bytes or parameters is rebuilt.
         let sidecar =
             std::path::PathBuf::from(format!("{}.hnsw", args.get("model").unwrap_or("model")));
-        let index = match HnswIndex::load(&sidecar, table, num_items, &ann_cfg) {
+        // The table is read in place under its read lock; the index keeps
+        // the one copy of the item rows it searches.
+        let table = engine.model().item_table().borrow();
+        let index = match HnswIndex::load(&sidecar, &table.value, num_items, &ann_cfg) {
             Some(index) => {
                 println!("loaded ANN index from {}", sidecar.display());
                 index
             }
             None => {
                 let t0 = std::time::Instant::now();
-                let index = HnswIndex::build(table, num_items, &ann_cfg);
+                let index = HnswIndex::build(&table.value, num_items, &ann_cfg);
                 match index.save(&sidecar) {
                     Ok(()) => println!(
                         "built ANN index over {} items in {:.1?} (saved to {})",
@@ -442,6 +441,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                 index
             }
         };
+        drop(table);
         engine = engine.with_ann(index);
     }
     let engine = Arc::new(engine);

@@ -9,7 +9,10 @@
 //! * the admin snapshot validates and health is `pass`;
 //! * `msgc top` renders, and after the server stops the trace stream
 //!   validates, holds request events, and `msgc report` summarizes it;
-//! * `--quantize` is an unknown flag: weights are served in f32 only.
+//! * `--quantize` is an unknown flag: weights are served in f32 only;
+//! * `--mode incremental` answers score and append requests bitwise equal
+//!   to offline `score_left_aligned`, and a restart loads the saved ANN
+//!   index instead of building it again.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -17,7 +20,7 @@ use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
 
 use meta_sgcl_repro::models::NetConfig;
-use meta_sgcl_repro::recdata::synth;
+use meta_sgcl_repro::recdata::{synth, Dataset};
 use meta_sgcl_repro::serve::{proto, top_k};
 use meta_sgcl_repro::telemetry::schema;
 use meta_sgcl_repro::{MetaSgcl, MetaSgclConfig};
@@ -128,14 +131,13 @@ fn score_line(user: usize, history: &[usize], topk: &str) -> String {
     )
 }
 
-#[test]
-fn served_answers_match_offline_and_observability_holds() {
-    let dir = std::env::temp_dir().join(format!("msgc_serve_cli_{}", std::process::id()));
+/// Trains a dim-16 toys checkpoint into a fresh temporary directory named
+/// after `tag`, and loads it offline. Returns the directory, the
+/// checkpoint path, the offline model and the dataset.
+fn trained(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, MetaSgcl, Dataset) {
+    let dir = std::env::temp_dir().join(format!("msgc_serve_cli_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let model_path = dir.join("model.msgc");
-    let trace_path = dir.join("trace.jsonl");
-    let model_arg = model_path.to_str().expect("utf-8 path");
-    let trace_arg = trace_path.to_str().expect("utf-8 path");
     msgc(&[
         "train",
         "--data",
@@ -147,9 +149,8 @@ fn served_answers_match_offline_and_observability_holds() {
         "--max-len",
         "10",
         "--out",
-        model_arg,
+        model_path.to_str().expect("utf-8 path"),
     ]);
-
     let data = synth::generate(&synth::SynthConfig::toys_like(42));
     let mut model = MetaSgcl::new(MetaSgclConfig {
         net: NetConfig {
@@ -160,6 +161,11 @@ fn served_answers_match_offline_and_observability_holds() {
         ..MetaSgclConfig::for_items(data.num_items)
     });
     model.load(&model_path).expect("load checkpoint");
+    (dir, model_path, model, data)
+}
+
+/// The first `USERS` users with at least two interactions.
+fn users(data: &Dataset) -> Vec<(usize, &Vec<usize>)> {
     let users: Vec<(usize, &Vec<usize>)> = data
         .sequences
         .iter()
@@ -168,6 +174,20 @@ fn served_answers_match_offline_and_observability_holds() {
         .take(USERS)
         .collect();
     assert_eq!(users.len(), USERS);
+    users
+}
+
+fn append_line(user: usize, item: usize) -> String {
+    format!(r#"{{"op":"append","user":{user},"item":{item},"k":{K}}}"#)
+}
+
+#[test]
+fn served_answers_match_offline_and_observability_holds() {
+    let (dir, model_path, model, data) = trained("full");
+    let trace_path = dir.join("trace.jsonl");
+    let model_arg = model_path.to_str().expect("utf-8 path");
+    let trace_arg = trace_path.to_str().expect("utf-8 path");
+    let users = users(&data);
 
     let mut server = Server::start(
         &model_path,
@@ -198,8 +218,7 @@ fn served_answers_match_offline_and_observability_holds() {
             "user {u} score"
         );
 
-        let append = format!(r#"{{"op":"append","user":{u},"item":{last},"k":{K}}}"#);
-        let served = proto::parse_response(&c.call(&append)).expect("reply");
+        let served = proto::parse_response(&c.call(&append_line(u, *last))).expect("reply");
         let (items, scores) = top_k(&model.score_sequence(seq), K);
         assert_eq!(
             (served.items, served.scores),
@@ -254,5 +273,50 @@ fn served_answers_match_offline_and_observability_holds() {
         stderr.contains("unknown flag --quantize"),
         "stderr: {stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn incremental_serving_matches_left_aligned_and_reloads_the_index() {
+    let (dir, model_path, model, data) = trained("incremental");
+    let users = users(&data);
+    let args = ["--mode", "incremental", "--ann"];
+    let mut server = Server::start(&model_path, &args);
+    let built = server
+        .startup
+        .iter()
+        .any(|l| l.starts_with("built ANN index"));
+    assert!(built, "first start: {:?}", server.startup);
+
+    // Every reply is bitwise the offline left-aligned top-k: the history
+    // opens a session, then appends extend it (sliding past the window).
+    let mut c = Client::connect(&server.addr);
+    for &(u, seq) in &users {
+        let (last, prefix) = seq.split_last().expect("len >= 2");
+        let served = proto::parse_response(&c.call(&score_line(u, prefix, ""))).expect("reply");
+        let want = top_k(&model.score_left_aligned(prefix), K);
+        assert_eq!((served.items, served.scores), want, "user {u} score");
+        let mut history = prefix.to_vec();
+        for item in [*last, prefix[0], *last] {
+            history.push(item);
+            let served = proto::parse_response(&c.call(&append_line(u, item))).expect("reply");
+            let want = top_k(&model.score_left_aligned(&history), K);
+            assert_eq!((served.items, served.scores), want, "user {u} append");
+        }
+    }
+    server.stop();
+
+    // A restart on the same checkpoint loads the index the first saved.
+    let server = Server::start(&model_path, &args);
+    let loaded = server
+        .startup
+        .iter()
+        .any(|l| l.starts_with("loaded ANN index from"));
+    let built = server
+        .startup
+        .iter()
+        .any(|l| l.starts_with("built ANN index"));
+    assert!(loaded && !built, "restart: {:?}", server.startup);
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
