@@ -34,6 +34,7 @@
 //! NDCG@10 than full mode (ROADMAP item 3).
 
 use autograd::Eager;
+use models::SequentialRecommender;
 use nn::{EncoderKv, Freeze, Packing, TopRows};
 use recdata::ItemId;
 use tensor::bug::OrBug;
@@ -66,11 +67,6 @@ impl State {
 }
 
 impl MetaSgcl {
-    /// Catalog size (excluding padding index 0).
-    pub fn num_items(&self) -> usize {
-        self.cfg.net.num_items
-    }
-
     /// Maximum window length; incremental caches slide past this.
     pub fn max_len(&self) -> usize {
         self.cfg.net.max_len

@@ -30,6 +30,8 @@ pub struct TransformerBackbone {
     pub(crate) emb_dropout: Dropout,
     pub(crate) encoder: TransformerEncoder,
     pub(crate) dim: usize,
+    /// Read only by the padded test reference (`packed_reference`).
+    #[cfg(test)]
     pub(crate) heads: usize,
     pub(crate) causal: bool,
 }
@@ -66,6 +68,7 @@ impl TransformerBackbone {
                 dropout,
             ),
             dim,
+            #[cfg(test)]
             heads,
             causal,
         }
@@ -119,11 +122,6 @@ impl TransformerBackbone {
     /// Embedding dimension.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Attention heads per layer.
-    pub fn heads(&self) -> usize {
-        self.heads
     }
 
     /// Vocabulary size (including padding/special tokens).

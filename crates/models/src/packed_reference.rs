@@ -41,7 +41,7 @@ pub(crate) fn padded_forward<C: Ctx>(
     rng: &mut StdRng,
     training: bool,
 ) -> C::V {
-    let (b, n, heads) = (pad.len(), pad[0].len(), bb.heads());
+    let (b, n, heads) = (pad.len(), pad[0].len(), bb.heads);
     let mut keys = Tensor::zeros(vec![b * heads, 1, n]);
     let mut timeline = Tensor::ones(vec![b, n, 1]);
     for (bi, row) in pad.iter().enumerate() {

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use autograd::ParamRef;
 use meta_sgcl::infer::State as MetaState;
 use meta_sgcl::MetaSgcl;
 use models::{Gru4Rec, GruState, SequentialRecommender};
@@ -71,20 +70,13 @@ pub trait FrozenScorer: Send + Sync + 'static {
         let _ = seq;
         None
     }
-
-    /// The item-embedding table parameter (`[num_items + 1, d]`, row 0 =
-    /// padding) for building an ANN index under its read lock. `None`
-    /// when unsupported.
-    fn item_embeddings(&self) -> Option<&ParamRef> {
-        None
-    }
 }
 
 impl FrozenScorer for MetaSgcl {
     type State = MetaState;
 
     fn num_items(&self) -> usize {
-        MetaSgcl::num_items(self)
+        SequentialRecommender::num_items(self)
     }
 
     fn window_cap(&self) -> usize {
@@ -109,10 +101,6 @@ impl FrozenScorer for MetaSgcl {
 
     fn query_embedding(&self, seq: &[ItemId]) -> Option<Vec<f32>> {
         MetaSgcl::query_embedding(self, seq)
-    }
-
-    fn item_embeddings(&self) -> Option<&ParamRef> {
-        Some(self.item_table())
     }
 }
 
@@ -149,10 +137,6 @@ impl FrozenScorer for Gru4Rec {
 
     fn query_embedding(&self, seq: &[ItemId]) -> Option<Vec<f32>> {
         Gru4Rec::query_embedding(self, seq)
-    }
-
-    fn item_embeddings(&self) -> Option<&ParamRef> {
-        Some(self.item_table())
     }
 }
 
